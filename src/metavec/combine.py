@@ -12,7 +12,7 @@ import numpy as np
 from metavec.align import MappingDictionary, align_to_target
 from metavec.embeddings import EmbeddingSpace
 from metavec.linalg import _unit_rows, apply_reduction, fit_reduction
-from metavec.oov import DEFAULT_K
+from metavec.oov import DEFAULT_K, _extend_all_to_union, _union_tokens
 
 VALID_METHODS = ("mvm", "average", "concat", "concat-reduce")
 OOV_POLICIES = ("nn", "available", "zero")
@@ -103,17 +103,6 @@ def apply_language_prefixes(space: EmbeddingSpace, prefix: str) -> EmbeddingSpac
     )
 
 
-def _union_tokens(spaces: Sequence[EmbeddingSpace]) -> list[str]:
-    seen: set[str] = set()
-    union: list[str] = []
-    for space in spaces:
-        for token in space.tokens:
-            if token not in seen:
-                seen.add(token)
-                union.append(token)
-    return union
-
-
 def _canonical_mean(rows: Sequence[np.ndarray], denominator: int) -> np.ndarray:
     # Summands are added in byte-image order so the result is bitwise
     # independent of the order the sources were given in.
@@ -124,104 +113,17 @@ def _canonical_mean(rows: Sequence[np.ndarray], denominator: int) -> np.ndarray:
     return total / denominator
 
 
-def _rank_batch(
-    donor: EmbeddingSpace,
-    words: Sequence[str],
-    candidate_tokens: Sequence[str],
-    k: int,
-) -> tuple[list[str], dict[str, tuple[float, np.ndarray] | None]]:
-    """Rank sorted candidates against each word's donor vector.
-
-    Returns the candidate tokens that had a defined direction plus, per
-    word, its top-1 cosine and the index order of its k best candidates
-    (None for zero-vector queries).
-    """
-    candidates = donor.matrix[[donor.index[t] for t in candidate_tokens]]
-    norms = np.linalg.norm(candidates, axis=1)
-    defined = norms > 0.0
-    if not defined.any():
-        return [], {w: None for w in words}
-    kept = [t for t, ok in zip(candidate_tokens, defined) if ok]
-    unit_candidates = candidates[defined] / norms[defined][:, np.newaxis]
-
-    queries = donor.matrix[[donor.index[w] for w in words]]
-    query_norms = np.linalg.norm(queries, axis=1)
-    live = query_norms > 0.0
-    results: dict[str, tuple[float, np.ndarray] | None] = {}
-    if live.any():
-        unit_queries = queries[live] / query_norms[live][:, np.newaxis]
-        scores = unit_queries @ unit_candidates.T
-    row = 0
-    for i, word in enumerate(words):
-        if not live[i]:
-            results[word] = None
-            continue
-        order = np.argsort(-scores[row], kind="stable")[:k]
-        results[word] = (float(scores[row][order[0]]), order)
-        row += 1
-    return kept, results
-
-
-def _extend_all_to_union(
+def _extend_with_provenance(
     spaces: Sequence[EmbeddingSpace], k: int
 ) -> tuple[list[EmbeddingSpace], dict]:
-    """Extend every space to the union vocabulary with NN synthesis.
-
-    Every missing word is synthesized from originally-present words only.
-    With several donor spaces holding a word, the donor whose best
-    candidate cosine is highest wins (ties: the earliest donor in source
-    order); neighbor candidates are the words the donor shares with the
-    deficient space. Centroids always come from the deficient space's own
-    original vectors, so spaces of different dimensionality can still
-    donate neighbors to each other.
-    """
-    union = _union_tokens(spaces)
-    position = {t: i for i, t in enumerate(union)}
-    counts: list[int] = []
-    shortfalls: list[tuple[str, int]] = []
-    skipped: list[str] = []
-    extended: list[EmbeddingSpace] = []
-    for i, space in enumerate(spaces):
-        own = space.index
-        rows = np.zeros((len(union), space.dim))
-        for token, r in own.items():
-            rows[position[token]] = space.matrix[r]
-        missing = [t for t in union if t not in own]
-        counts.append(len(missing))
-        best: dict[str, tuple[float, list[str], np.ndarray]] = {}
-        for j, donor in enumerate(spaces):
-            if j == i:
-                continue
-            donor_index = donor.index
-            words = [w for w in missing if w in donor_index]
-            if not words:
-                continue
-            candidate_tokens = sorted(t for t in own if t in donor_index)
-            if not candidate_tokens:
-                continue
-            kept, ranked = _rank_batch(donor, words, candidate_tokens, k)
-            for word, hit in ranked.items():
-                if hit is None:
-                    continue
-                top1, order = hit
-                if word not in best or top1 > best[word][0]:
-                    best[word] = (top1, kept, order)
-        for word in missing:
-            if word not in best:
-                skipped.append(word)
-                continue
-            _, kept, order = best[word]
-            if len(order) < k:
-                shortfalls.append((word, len(order)))
-            neighbor_rows = space.matrix[[own[kept[x]] for x in order]]
-            rows[position[word]] = neighbor_rows.mean(axis=0)
-        extended.append(EmbeddingSpace(union, rows, meta=space.meta))
-    report = {
-        "synthesized": counts,
-        "shortfalls": len(shortfalls),
-        "skipped": len(skipped),
+    """NN-synthesize every space's missing words; the report becomes the
+    provenance keys ``synthesized``, ``shortfalls`` and ``skipped``."""
+    extended, report = _extend_all_to_union(spaces, k)
+    return extended, {
+        "synthesized": list(report.words_synthesized),
+        "shortfalls": len(report.shortfalls),
+        "skipped": len(report.skipped),
     }
-    return extended, report
 
 
 def _prefixed(
@@ -318,7 +220,7 @@ def combine_mvm(
     synthesis_report = None
     members = list(aligned.mapped)
     if policy == "nn":
-        members, synthesis_report = _extend_all_to_union(members, config.k_neighbors)
+        members, synthesis_report = _extend_with_provenance(members, config.k_neighbors)
     averaged = _mean_rows(members, policy, len(members))
     normalized, _ = _unit_rows(averaged.matrix)
     space = EmbeddingSpace(averaged.tokens, normalized, meta="mvm")
@@ -365,7 +267,7 @@ def combine_average(
     policy = config.oov_policy
     synthesis_report = None
     if policy == "nn":
-        normalized, synthesis_report = _extend_all_to_union(
+        normalized, synthesis_report = _extend_with_provenance(
             normalized, config.k_neighbors
         )
     averaged = _mean_rows(normalized, policy, len(normalized))
@@ -410,7 +312,7 @@ def _concat(
     ]
     synthesis_report = None
     if policy == "nn":
-        normalized, synthesis_report = _extend_all_to_union(
+        normalized, synthesis_report = _extend_with_provenance(
             normalized, config.k_neighbors
         )
     union = _union_tokens(normalized)

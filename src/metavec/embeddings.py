@@ -14,7 +14,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "EmbeddingSpace",
     "ParseError",
-    "build_index",
     "detect_format",
     "load_embeddings",
     "parse_binary_embeddings",
@@ -94,11 +93,6 @@ class EmbeddingSpace:
     def __repr__(self) -> str:
         label = f" meta={self.meta!r}" if self.meta is not None else ""
         return f"<EmbeddingSpace {len(self)} tokens, dim {self.dim}{label}>"
-
-
-def build_index(space: EmbeddingSpace) -> dict[str, int]:
-    """Map every token of ``space`` to its row index."""
-    return dict(space.index)
 
 
 def _binary_stream(source: bytes | bytearray | memoryview | BinaryIO) -> BinaryIO:

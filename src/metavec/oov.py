@@ -48,17 +48,70 @@ class NeighborList:
 
 @dataclass(frozen=True)
 class SynthesisReport:
-    """What extend_to_union did: per-space synthesis counts plus the words
+    """What a union extension did: per-space synthesis counts plus the words
     that got fewer than k neighbors or were skipped outright.
 
-    ``neighbors`` (word -> ranked neighbor tokens) is populated only when
-    the caller asked for an audit trail.
+    ``words_synthesized`` is parallel to the extended spaces. ``neighbors``
+    (word -> ranked neighbor tokens) is populated only when the caller asked
+    for an audit trail; a word synthesized into several spaces keeps the
+    list of the last one.
     """
 
-    words_synthesized: tuple[int, int]
+    words_synthesized: tuple[int, ...]
     neighbors: dict[str, tuple[str, ...]] | None = None
     shortfalls: tuple[tuple[str, int], ...] = ()
     skipped: tuple[str, ...] = ()
+
+
+def _rank(
+    donor: EmbeddingSpace,
+    words: Sequence[str],
+    candidate_tokens: Sequence[str],
+    k: int,
+) -> tuple[list[str], list[tuple[np.ndarray, np.ndarray] | None]]:
+    """Rank sorted candidates by cosine against each word's donor vector.
+
+    Returns the candidate tokens that have a defined direction plus, parallel
+    to ``words``, each word's k best cosines and their indices into those
+    tokens, best first (None for a zero-vector query, or when no candidate
+    has a direction). A stable sort keeps exact ties in candidate order, so
+    sorted candidates break them by token.
+    """
+    candidates = donor.matrix[[donor.index[t] for t in candidate_tokens]]
+    norms = np.linalg.norm(candidates, axis=1)
+    defined = norms > 0.0
+    kept = [t for t, ok in zip(candidate_tokens, defined) if ok]
+    if not kept:
+        return kept, [None] * len(words)
+    unit_candidates = candidates[defined] / norms[defined][:, np.newaxis]
+    del candidates
+    # Equal directions tie exactly, but BLAS may round one row differently
+    # in different columns: each repeated row takes its first occurrence's
+    # scores after the product. Only rows whose first coordinate repeats
+    # are compared whole, which keeps the check cheap on real vocabularies.
+    _, lead_group, lead_counts = np.unique(
+        unit_candidates[:, 0], return_inverse=True, return_counts=True
+    )
+    maybe = np.flatnonzero(lead_counts[lead_group] > 1)
+    row_type = np.dtype((np.void, unit_candidates.itemsize * donor.dim))
+    _, first, group = np.unique(
+        unit_candidates[maybe].view(row_type).ravel(), return_index=True, return_inverse=True
+    )
+    firsts = maybe[first[group]]
+    repeat = firsts != maybe
+    repeats, firsts = maybe[repeat], firsts[repeat]
+
+    queries = donor.matrix[[donor.index[w] for w in words]]
+    query_norms = np.linalg.norm(queries, axis=1)
+    live = query_norms > 0.0
+    scores = (queries[live] / query_norms[live][:, np.newaxis]) @ unit_candidates.T
+    scores[:, repeats] = scores[:, firsts]
+    ranked: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(words)
+    for i, row in zip(np.flatnonzero(live), scores):
+        # Owned copies: a view would pin the row's whole argsort.
+        top = np.argsort(-row, kind="stable")[:k].copy()
+        ranked[i] = (row[top], top)
+    return kept, ranked
 
 
 def nearest_neighbors(
@@ -71,40 +124,25 @@ def nearest_neighbors(
     lexicographic token order.
 
     ``restrict_to`` limits candidates to the given tokens (those present in
-    the space). The query itself and zero vectors are never candidates; if
-    fewer than k candidates exist, all are returned.
+    the space; repeats count once). The query itself and zero vectors are
+    never candidates; if fewer than k candidates exist, all are returned.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     index = space.index
     if query not in index:
         raise KeyError(f"query token {query!r} not in space")
-    query_vector = space.matrix[index[query]]
-    query_norm = np.linalg.norm(query_vector)
-    if query_norm == 0.0:
-        raise ValueError(f"query token {query!r} has a zero vector; cosine undefined")
-
-    if restrict_to is None:
-        tokens = [t for t in space.tokens if t != query]
-    else:
-        tokens = [t for t in restrict_to if t in index and t != query]
+    pool = space.tokens if restrict_to is None else set(restrict_to)
+    tokens = sorted(t for t in pool if t in index and t != query)
     if not tokens:
         raise ValueError("no candidate tokens to search")
-    # Candidates in lexicographic order; a stable sort on score then breaks
-    # exact ties the documented way.
-    tokens = sorted(tokens)
-    candidates = space.matrix[[index[t] for t in tokens]]
-    norms = np.linalg.norm(candidates, axis=1)
-    defined = norms > 0.0
-    if not defined.any():
+    kept, (hit,) = _rank(space, [query], tokens, k)
+    if not kept:
         raise ValueError("no candidates with a defined similarity")
-    tokens = [t for t, ok in zip(tokens, defined) if ok]
-    candidates = candidates[defined]
-    norms = norms[defined]
-
-    scores = candidates @ query_vector / (norms * query_norm)
-    order = np.argsort(-scores, kind="stable")[:k]
-    return NeighborList(query, tuple((tokens[i], float(scores[i])) for i in order))
+    if hit is None:
+        raise ValueError(f"query token {query!r} has a zero vector; cosine undefined")
+    scores, top = hit
+    return NeighborList(query, tuple((kept[i], float(s)) for i, s in zip(top, scores)))
 
 
 def synthesize_word(
@@ -126,53 +164,79 @@ def synthesize_word(
     return rows.mean(axis=0)
 
 
-def _synthesize_batch(
-    donor: EmbeddingSpace,
-    recipient: EmbeddingSpace,
-    words: Sequence[str],
-    shared_tokens: Sequence[str],
-    k: int,
-    audit: dict[str, tuple[str, ...]] | None,
-    shortfalls: list[tuple[str, int]],
-    skipped: list[str],
-) -> np.ndarray:
-    """Rows (parallel to ``words``) synthesized into the recipient space.
+def _union_tokens(spaces: Sequence[EmbeddingSpace]) -> list[str]:
+    return list(dict.fromkeys(t for space in spaces for t in space.tokens))
 
-    One matrix product scores every missing word against every shared
-    candidate; per-word results match synthesize_word up to rounding.
+
+def _extend_all_to_union(
+    spaces: Sequence[EmbeddingSpace], k: int, *, record_neighbors: bool = False
+) -> tuple[list[EmbeddingSpace], SynthesisReport]:
+    """Extend every space to the union vocabulary with NN synthesis.
+
+    Every missing word is synthesized from originally-present words only.
+    With several donor spaces holding a word, the donor whose best
+    candidate cosine is highest wins (ties: the earliest donor in source
+    order); neighbor candidates are the words the donor shares with the
+    deficient space. Centroids always come from the deficient space's own
+    original vectors, so spaces of different dimensionality can still
+    donate neighbors to each other. A word no donor can rank (zero vector,
+    or no candidate with a direction) is filled with zeros and listed as
+    skipped. Union order: first-seen across ``spaces``.
     """
-    filled = np.zeros((len(words), recipient.dim))
-    if not words:
-        return filled
-    tokens = sorted(shared_tokens)
-    candidates = donor.matrix[[donor.index[t] for t in tokens]]
-    norms = np.linalg.norm(candidates, axis=1)
-    defined = norms > 0.0
-    if not defined.any():
-        raise ValueError("no candidates with a defined similarity")
-    tokens = [t for t, ok in zip(tokens, defined) if ok]
-    unit_candidates = candidates[defined] / norms[defined][:, np.newaxis]
-    recipient_rows = recipient.matrix[[recipient.index[t] for t in tokens]]
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    union = _union_tokens(spaces)
+    # Every space's missing words are ranked before any union-sized output
+    # is allocated, so score matrices and outputs never coexist.
+    plans: list[tuple[list[str], dict]] = []
+    for i, space in enumerate(spaces):
+        own = space.index
+        missing = [t for t in union if t not in own]
+        best: dict[str, tuple[float, list[str], np.ndarray]] = {}
+        for j, donor in enumerate(spaces):
+            if j == i:
+                continue
+            donor_index = donor.index
+            words = [w for w in missing if w in donor_index]
+            if not words:
+                continue
+            candidate_tokens = sorted(t for t in own if t in donor_index)
+            if not candidate_tokens:
+                continue
+            kept, ranked = _rank(donor, words, candidate_tokens, k)
+            for word, hit in zip(words, ranked):
+                if hit is not None and (word not in best or hit[0][0] > best[word][0]):
+                    best[word] = (hit[0][0], kept, hit[1])
+        plans.append((missing, best))
 
-    queries = donor.matrix[[donor.index[w] for w in words]]
-    query_norms = np.linalg.norm(queries, axis=1)
-    live = query_norms > 0.0
-    unit_queries = queries[live] / query_norms[live][:, np.newaxis]
-    scores = unit_queries @ unit_candidates.T
-
-    row = 0
-    for i, word in enumerate(words):
-        if not live[i]:
-            skipped.append(word)
-            continue
-        order = np.argsort(-scores[row], kind="stable")[:k]
-        row += 1
-        if len(order) < k:
-            shortfalls.append((word, len(order)))
-        filled[i] = recipient_rows[order].mean(axis=0)
-        if audit is not None:
-            audit[word] = tuple(tokens[j] for j in order)
-    return filled
+    position = {t: i for i, t in enumerate(union)}
+    audit: dict[str, tuple[str, ...]] | None = {} if record_neighbors else None
+    shortfalls: list[tuple[str, int]] = []
+    skipped: list[str] = []
+    extended: list[EmbeddingSpace] = []
+    for space, (missing, best) in zip(spaces, plans):
+        own = space.index
+        rows = np.zeros((len(union), space.dim))
+        rows[[position[t] for t in space.tokens]] = space.matrix
+        for word in missing:
+            if word not in best:
+                skipped.append(word)
+                continue
+            _, kept, top = best[word]
+            if len(top) < k:
+                shortfalls.append((word, len(top)))
+            neighbor_tokens = tuple(kept[x] for x in top)
+            rows[position[word]] = space.matrix[[own[t] for t in neighbor_tokens]].mean(axis=0)
+            if audit is not None:
+                audit[word] = neighbor_tokens
+        extended.append(EmbeddingSpace(union, rows, meta=space.meta))
+    report = SynthesisReport(
+        words_synthesized=tuple(len(missing) for missing, _ in plans),
+        neighbors=audit,
+        shortfalls=tuple(shortfalls),
+        skipped=tuple(skipped),
+    )
+    return extended, report
 
 
 def extend_to_union(
@@ -188,47 +252,21 @@ def extend_to_union(
     The spaces must already sit in one common coordinate system. Neighbor
     candidates are only ever words present in both inputs, so synthesized
     vectors never feed later synthesis; originally-present vectors are
-    carried over unchanged. Words whose vector is zero in the donor space
-    cannot be ranked and are filled with zeros, listed in the report.
+    carried over unchanged. Words that cannot be ranked (a zero vector in
+    the donor space, or only zero-vector shared words) are filled with
+    zeros and listed in the report as skipped.
 
     Union order: e1's tokens, then e2-only tokens in e2 order; both outputs
     use it.
     """
     if e1.dim != e2.dim:
         raise ValueError(f"spaces differ in dim: {e1.dim} vs {e2.dim}")
-    e1_index, e2_index = e1.index, e2.index
-    shared = [t for t in e1.tokens if t in e2_index]
-    if not shared:
+    e2_index = e2.index
+    if not any(t in e2_index for t in e1.tokens):
         raise ValueError("the spaces share no vocabulary")
-    only_e2 = [t for t in e2.tokens if t not in e1_index]
-    only_e1 = [t for t in e1.tokens if t not in e2_index]
-    union = list(e1.tokens) + only_e2
-
-    audit: dict[str, tuple[str, ...]] | None = {} if record_neighbors else None
-    shortfalls: list[tuple[str, int]] = []
-    skipped: list[str] = []
-    into_e1 = _synthesize_batch(e2, e1, only_e2, shared, k, audit, shortfalls, skipped)
-    into_e2 = _synthesize_batch(e1, e2, only_e1, shared, k, audit, shortfalls, skipped)
-
-    new_e1 = np.vstack([e1.matrix, into_e1]) if only_e2 else e1.matrix
-    rows_e2 = np.empty((len(union), e2.dim))
-    synth_row = {w: into_e2[i] for i, w in enumerate(only_e1)}
-    for i, token in enumerate(union):
-        if token in e2_index:
-            rows_e2[i] = e2.matrix[e2_index[token]]
-        else:
-            rows_e2[i] = synth_row[token]
-    # only_e1 rows land at their union positions via the loop above; for e1
-    # the synthesized block simply appends in only_e2 order, which is the
-    # union tail by construction.
-    report = SynthesisReport(
-        words_synthesized=(len(only_e2), len(only_e1)),
-        neighbors=audit,
-        shortfalls=tuple(shortfalls),
-        skipped=tuple(skipped),
+    (extended_e1, extended_e2), report = _extend_all_to_union(
+        [e1, e2], k, record_neighbors=record_neighbors
     )
-    extended_e1 = EmbeddingSpace(union, new_e1, meta=e1.meta)
-    extended_e2 = EmbeddingSpace(union, rows_e2, meta=e2.meta)
     return extended_e1, extended_e2, report
 
 

@@ -80,3 +80,19 @@ def covariance_spectrum(matrix):
     centered = matrix - matrix.mean(axis=0)
     cov = centered.T @ centered / len(matrix)
     return np.linalg.eigvalsh(cov)[::-1]
+
+
+def exhaustive_neighbors(space, query, k):
+    unit_query = space.vector(query)
+    unit_query = unit_query / np.linalg.norm(unit_query)
+    scored = []
+    for token in space.tokens:
+        if token == query:
+            continue
+        vector = space.vector(token)
+        norm = np.linalg.norm(vector)
+        if norm == 0.0:
+            continue
+        scored.append((-float(np.dot(vector / norm, unit_query)), token))
+    scored.sort()
+    return tuple(token for _, token in scored[:k])

@@ -27,7 +27,7 @@ from metavec.embeddings import (
 from metavec.evaluate import SimilarityDataset, evaluate, load_similarity_dataset, spearman
 from metavec.linalg import cosine, normalize_step0, solve_procrustes
 from metavec.oov import nearest_neighbors, synthesize_word
-from oracles import grid_best_orthogonal, spearman_reference
+from oracles import exhaustive_neighbors, grid_best_orthogonal, spearman_reference
 
 
 def random_space(rng, n, dim, prefix="w"):
@@ -160,22 +160,6 @@ def test_criterion_07_spearman_matches_brute_force():
         base = spearman(xs, ys)
         warped = spearman(np.expm1(xs / 4.0), 3.0 * ys - 1.0)
         assert abs(warped - base) <= 1e-12
-
-
-def exhaustive_neighbors(space, query, k):
-    unit_query = space.vector(query)
-    unit_query = unit_query / np.linalg.norm(unit_query)
-    scored = []
-    for token in space.tokens:
-        if token == query:
-            continue
-        vector = space.vector(token)
-        norm = np.linalg.norm(vector)
-        if norm == 0.0:
-            continue
-        scored.append((-float(np.dot(vector / norm, unit_query)), token))
-    scored.sort()
-    return tuple(token for _, token in scored[:k])
 
 
 def test_criterion_08_nn_search_matches_exhaustive_scan():

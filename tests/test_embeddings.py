@@ -7,7 +7,6 @@ import pytest
 from metavec.embeddings import (
     EmbeddingSpace,
     ParseError,
-    build_index,
     detect_format,
     load_embeddings,
     parse_binary_embeddings,
@@ -39,7 +38,7 @@ class TestEmbeddingSpace:
         assert "a" in space and "c" not in space
         assert space.meta == "toy"
         assert np.array_equal(space.vector("b"), [0.0, 1.0])
-        assert build_index(space) == {"a": 0, "b": 1}
+        assert space.index == {"a": 0, "b": 1}
 
     def test_matrix_is_read_only(self):
         space = EmbeddingSpace(["a"], [[1.0, 2.0]])

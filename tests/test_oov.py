@@ -94,6 +94,12 @@ class TestNearestNeighbors:
         nl = nearest_neighbors(space, space.tokens[5], k=10, restrict_to=allowed)
         assert set(nl.tokens) == allowed
 
+    def test_repeated_restriction_tokens_count_once(self, make_space):
+        space = make_space(n=5, dim=3, seed=62)
+        a, b = space.tokens[1], space.tokens[2]
+        nl = nearest_neighbors(space, space.tokens[0], k=5, restrict_to=[a, a, b])
+        assert sorted(nl.tokens) == [a, b]
+
     def test_zero_vector_candidates_excluded(self):
         space = EmbeddingSpace(
             ["q", "dead", "live"], [[1.0, 0.0], [0.0, 0.0], [0.5, 0.1]]
@@ -231,6 +237,21 @@ class TestExtendToUnion:
         assert report.skipped == ("dead",)
         assert np.array_equal(extended.vector("dead"), [0.0, 0.0])
 
+    def test_all_zero_candidates_skip_instead_of_raising(self):
+        e1 = EmbeddingSpace(["s1", "s2", "x"], [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        e2 = EmbeddingSpace(["s1", "s2", "y"], [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        # Every shared word is a zero vector in e1, so x has nothing to rank
+        # against; y still ranks against e2's shared vectors.
+        _, out2, report = extend_to_union(e1, e2, k=2, record_neighbors=True)
+        assert report.skipped == ("x",)
+        assert report.neighbors == {"y": ("s1", "s2")}
+        assert np.array_equal(out2.vector("x"), [0.0, 0.0])
+
+    def test_k_below_one_rejected(self, make_space):
+        space = make_space(n=4, dim=3, seed=63)
+        with pytest.raises(ValueError, match="k must be"):
+            extend_to_union(space, EmbeddingSpace(space.tokens[:2], space.matrix[:2]), k=0)
+
     def test_errors(self, make_space):
         a = make_space(n=4, dim=3, seed=58, prefix="a")
         b = make_space(n=4, dim=3, seed=59, prefix="b")
@@ -253,3 +274,51 @@ class TestAuditDump:
         _, _, report = extend_to_union(space, space)
         with pytest.raises(ValueError, match="record_neighbors"):
             format_audit_dump(report)
+
+
+class TestEqualDirectionTies:
+    """A repeated direction must tie exactly and come back in token order,
+    whatever rounding BLAS applies at each row or column position."""
+
+    TOKENS = ["a_twin", "b", "c", "d", "e", "f", "z_twin"]
+
+    @staticmethod
+    def twin_rows(rng, dim=300):
+        base = rng.normal(size=(6, dim))
+        return np.vstack([base, base[0]])
+
+    def test_nearest_neighbors_orders_twins_by_token(self):
+        rng = np.random.default_rng(70)
+        rows = self.twin_rows(rng)
+        for _ in range(50):
+            query = rng.normal(size=(1, rows.shape[1]))
+            space = EmbeddingSpace(["q"] + self.TOKENS, np.vstack([query, rows]))
+            ranked = nearest_neighbors(space, "q", k=7)
+            scores = dict(ranked.neighbors)
+            assert scores["a_twin"] == scores["z_twin"]
+            assert ranked.tokens.index("a_twin") < ranked.tokens.index("z_twin")
+
+    def test_only_equal_directions_share_scores(self):
+        # a/c and b/d are equal directions; all four share a first coordinate.
+        space = EmbeddingSpace(
+            ["q", "a", "b", "c", "d"],
+            [[0.0, 1.0, 2.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]],
+        )
+        ranked = nearest_neighbors(space, "q", k=4)
+        assert ranked.tokens == ("b", "d", "a", "c")
+        scores = [score for _, score in ranked]
+        assert scores[0] == scores[1] > scores[2] == scores[3]
+
+    def test_audit_lists_order_twins_by_token(self):
+        rng = np.random.default_rng(71)
+        rows = self.twin_rows(rng)
+        e2 = EmbeddingSpace(self.TOKENS, rng.normal(size=rows.shape))
+        for n_queries in range(1, 70):
+            queries = rng.normal(size=(n_queries, rows.shape[1]))
+            words = [f"q{i:02d}" for i in range(n_queries)]
+            e1 = EmbeddingSpace(words + self.TOKENS, np.vstack([queries, rows]))
+            _, _, report = extend_to_union(e1, e2, k=7, record_neighbors=True)
+            for word in words:
+                tokens = report.neighbors[word]
+                assert tokens.index("a_twin") < tokens.index("z_twin"), (n_queries, word)
+
