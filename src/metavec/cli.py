@@ -295,7 +295,8 @@ def _add_common(parser, *, precision=True, prefix=False, dicts=False, fmt_help=N
         type=_positive_int,
         default=None,
         metavar="N",
-        help="cap internal thread pools (default: all cores; results never depend on this)",
+        help="cap BLAS thread pools (default: all cores); needs threadpoolctl, "
+        "without it the flag only logs a warning",
     )
     if prefix:
         parser.add_argument(

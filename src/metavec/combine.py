@@ -215,13 +215,16 @@ def combine_mvm(
     if not config.target_index < len(spaces):
         raise ValueError(f"target_index {config.target_index} out of range")
     aligned = align_to_target(spaces, config.target_index, dictionaries)
+    # Only ``members`` holds each set of spaces, so a replaced set is freed.
+    members, infos = list(aligned.mapped), aligned.infos
+    del aligned
 
     policy = config.oov_policy
     synthesis_report = None
-    members = list(aligned.mapped)
     if policy == "nn":
         members, synthesis_report = _extend_with_provenance(members, config.k_neighbors)
     averaged = _mean_rows(members, policy, len(members))
+    del members
     normalized, _ = _unit_rows(averaged.matrix)
     space = EmbeddingSpace(averaged.tokens, normalized, meta="mvm")
 
@@ -234,10 +237,10 @@ def combine_mvm(
         "oov": policy,
         "k_neighbors": config.k_neighbors if policy == "nn" else None,
         "dictionary_sizes": [
-            info.dictionary_size if info else None for info in aligned.infos
+            info.dictionary_size if info else None for info in infos
         ],
         "alignment_residuals": [
-            info.residual if info else None for info in aligned.infos
+            info.residual if info else None for info in infos
         ],
     }
     if config.language_prefixes is not None:

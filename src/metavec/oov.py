@@ -9,6 +9,8 @@ import numpy as np
 from metavec.embeddings import EmbeddingSpace
 
 DEFAULT_K = 10
+# Score bytes per block of queries in ``_rank``.
+_BLOCK_BYTES = 8 << 20
 
 __all__ = [
     "DEFAULT_K",
@@ -74,8 +76,12 @@ def _rank(
     Returns the candidate tokens that have a defined direction plus, parallel
     to ``words``, each word's k best cosines and their indices into those
     tokens, best first (None for a zero-vector query, or when no candidate
-    has a direction). A stable sort keeps exact ties in candidate order, so
-    sorted candidates break them by token.
+    has a direction). Queries are ranked in blocks whose scores fit in
+    ``_BLOCK_BYTES``: per block, ``np.partition`` finds each row's k-th best
+    score, every candidate scoring at least that is kept (a tie across the
+    k-th place stays whole), and ``np.lexsort`` by (row, -score, candidate
+    index) orders them before each row is cut to k. Exact ties thus break
+    by candidate index, so sorted candidates break them by token.
     """
     candidates = donor.matrix[[donor.index[t] for t in candidate_tokens]]
     norms = np.linalg.norm(candidates, axis=1)
@@ -103,14 +109,25 @@ def _rank(
 
     queries = donor.matrix[[donor.index[w] for w in words]]
     query_norms = np.linalg.norm(queries, axis=1)
-    live = query_norms > 0.0
-    scores = (queries[live] / query_norms[live][:, np.newaxis]) @ unit_candidates.T
-    scores[:, repeats] = scores[:, firsts]
+    live = np.flatnonzero(query_norms > 0.0)
+    unit_queries = queries[live] / query_norms[live][:, np.newaxis]
+    del queries
+    n = len(kept)
+    step = max(1, _BLOCK_BYTES // (8 * n))
     ranked: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(words)
-    for i, row in zip(np.flatnonzero(live), scores):
-        # Owned copies: a view would pin the row's whole argsort.
-        top = np.argsort(-row, kind="stable")[:k].copy()
-        ranked[i] = (row[top], top)
+    for start in range(0, len(live), step):
+        scores = unit_queries[start : start + step] @ unit_candidates.T
+        scores[:, repeats] = scores[:, firsts]
+        kth = -np.inf if n <= k else np.partition(scores, n - k, axis=1)[:, n - k, np.newaxis]
+        rows, cols = np.divmod(np.flatnonzero(scores >= kth), n)
+        values = scores[rows, cols]
+        # ``rows`` is sorted and holds each block row at least min(k, n) times.
+        row_starts = np.searchsorted(rows, np.arange(len(scores)))
+        del scores
+        order = np.lexsort((cols, -values, rows))
+        top = order[row_starts[:, np.newaxis] + np.arange(min(k, n))]
+        for i, row_scores, row_top in zip(live[start : start + step], values[top], cols[top]):
+            ranked[i] = (row_scores, row_top)
     return kept, ranked
 
 

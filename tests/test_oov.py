@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from metavec import oov
 from metavec.embeddings import EmbeddingSpace
 from metavec.linalg import cosine
 from metavec.oov import (
@@ -12,6 +14,7 @@ from metavec.oov import (
     nearest_neighbors,
     synthesize_word,
 )
+from oracles import exhaustive_neighbors
 
 
 def clustered_pair(seed, n_clusters=3, per_cluster=15, dim=12, spread=3.0, noise=0.5):
@@ -322,3 +325,52 @@ class TestEqualDirectionTies:
                 tokens = report.neighbors[word]
                 assert tokens.index("a_twin") < tokens.index("z_twin"), (n_queries, word)
 
+
+class TestQueryBlocks:
+    """Ranking one block of queries at a time must give the same neighbors
+    as the exhaustive scan, also when exact ties straddle the k-th place
+    and when the last block is partial."""
+
+    @pytest.mark.parametrize("rows_per_block", [1, 3])
+    def test_straddling_ties_match_exhaustive_scan(self, monkeypatch, rows_per_block):
+        rng = np.random.default_rng(72)
+        dim, k = 16, 4
+        base = rng.normal(size=dim)
+        # Six exact copies of one direction (more than k), plus others.
+        rows = np.vstack(
+            [base * 2.0**e for e in (-2, -1, 0, 1, 2, 3)] + [rng.normal(size=(6, dim))]
+        )
+        shared = [f"s{i:02d}" for i in rng.permutation(len(rows))]
+        twins = set(shared[:6])
+        words = [f"q{i}" for i in range(7)]
+        queries = base + rng.normal(size=(7, dim)) * 0.3
+        queries[1::2] += rows[6] * 0.8
+        e1 = EmbeddingSpace(shared + words, np.vstack([rows, queries]))
+        e2 = EmbeddingSpace(shared[::-1], rng.normal(size=(len(shared), dim)))
+        monkeypatch.setattr(oov, "_BLOCK_BYTES", rows_per_block * 8 * len(shared))
+        _, out2, report = extend_to_union(e1, e2, k=k, record_neighbors=True)
+        straddled = 0
+        for word in words:
+            pool_tokens = shared + [word]
+            pool = EmbeddingSpace(pool_tokens, e1.matrix[[e1.index[t] for t in pool_tokens]])
+            expected = exhaustive_neighbors(pool, word, k)
+            straddled += expected[-1] in twins and not twins <= set(expected)
+            assert report.neighbors[word] == expected
+            centroid = e2.matrix[[e2.index[t] for t in expected]].mean(axis=0)
+            assert np.array_equal(out2.vector(word), centroid)
+        assert straddled
+
+    def test_kernel_memory_stays_flat(self):
+        # One unblocked 4000 x 2000 float64 score matrix alone is 64 MB.
+        rng = np.random.default_rng(73)
+        shared = [f"s{i:04d}" for i in range(2000)]
+        missing = [f"m{i:04d}" for i in range(4000)]
+        e1 = EmbeddingSpace(shared + missing, rng.normal(size=(6000, 32)))
+        e2 = EmbeddingSpace(shared, rng.normal(size=(2000, 32)))
+        tracemalloc.start()
+        try:
+            oov._extend_all_to_union([e1, e2], k=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6

@@ -1,5 +1,7 @@
 """Property tests: neighbor ranking against the exhaustive-scan oracle on
 random spaces with planted exact ties."""
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from metavec import oov
 from metavec.embeddings import EmbeddingSpace
 from metavec.oov import extend_to_union, nearest_neighbors
 from oracles import exhaustive_neighbors
@@ -75,3 +78,21 @@ def test_audit_lists_match_exhaustive_scan_over_shared_words(matrix, k, n_only, 
             assert report.neighbors[word] == expected
             centroid = recipient.matrix[[recipient.index[t] for t in expected]].mean(axis=0)
             assert np.array_equal(out.vector(word), centroid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tied_matrices(),
+    st.integers(1, 12),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 1000),
+)
+def test_audit_lists_match_exhaustive_scan_in_small_query_blocks(
+    matrix, k, n_only, seed, block_bytes
+):
+    # 8 bytes per score: blocks of one query up to a few hundred.
+    with patch.object(oov, "_BLOCK_BYTES", block_bytes):
+        test_audit_lists_match_exhaustive_scan_over_shared_words.hypothesis.inner_test(
+            matrix, k, n_only, seed
+        )
