@@ -104,11 +104,15 @@ def _commit_outputs(staged: list[tuple[Path, bytes]]) -> None:
         raise
 
 
+def _check_prefix_count(paths, prefixes, parser) -> None:
+    if prefixes and len(prefixes) != len(paths):
+        parser.error(f"expected one --prefix per input ({len(paths)}), got {len(prefixes)}")
+
+
 def _load_prefixed(paths, prefixes, parser) -> list[EmbeddingSpace]:
     # Inputs are always parsed by detected format; --format only picks the
     # output encoding (and the input one for eval, which writes no vectors).
-    if prefixes and len(prefixes) != len(paths):
-        parser.error(f"expected one --prefix per input ({len(paths)}), got {len(prefixes)}")
+    _check_prefix_count(paths, prefixes, parser)
     spaces = [_load(p, None) for p in paths]
     if prefixes:
         spaces = [apply_language_prefixes(s, pfx) for s, pfx in zip(spaces, prefixes)]
@@ -143,10 +147,7 @@ def cmd_mvm(args, parser) -> int:
     if len(args.sources) < 2:
         parser.error("mvm needs at least two source embeddings")
     prefixes = args.prefix or []
-    if prefixes and len(prefixes) != len(args.sources):
-        parser.error(
-            f"expected one --prefix per input ({len(args.sources)}), got {len(prefixes)}"
-        )
+    _check_prefix_count(args.sources, prefixes, parser)
     dict_paths = args.dicts or []
     dictionaries = None
     if dict_paths:

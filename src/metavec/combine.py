@@ -12,7 +12,9 @@ import numpy as np
 from metavec.align import MappingDictionary, align_to_target
 from metavec.embeddings import EmbeddingSpace
 from metavec.linalg import _unit_rows, apply_reduction, fit_reduction
-from metavec.oov import DEFAULT_K, _extend_all_to_union, _union_tokens
+from metavec.oov import (
+    _BLOCK_BYTES, DEFAULT_K, SynthesisReport, _extend_all_to_union, _union_positions
+)
 
 VALID_METHODS = ("mvm", "average", "concat", "concat-reduce")
 OOV_POLICIES = ("nn", "available", "zero")
@@ -103,29 +105,6 @@ def apply_language_prefixes(space: EmbeddingSpace, prefix: str) -> EmbeddingSpac
     )
 
 
-def _canonical_mean(rows: Sequence[np.ndarray], denominator: int) -> np.ndarray:
-    # Summands are added in byte-image order so the result is bitwise
-    # independent of the order the sources were given in.
-    ordered = sorted(rows, key=lambda r: r.tobytes())
-    total = ordered[0].copy()
-    for row in ordered[1:]:
-        total += row
-    return total / denominator
-
-
-def _extend_with_provenance(
-    spaces: Sequence[EmbeddingSpace], k: int
-) -> tuple[list[EmbeddingSpace], dict]:
-    """NN-synthesize every space's missing words; the report becomes the
-    provenance keys ``synthesized``, ``shortfalls`` and ``skipped``."""
-    extended, report = _extend_all_to_union(spaces, k)
-    return extended, {
-        "synthesized": list(report.words_synthesized),
-        "shortfalls": len(report.shortfalls),
-        "skipped": len(report.skipped),
-    }
-
-
 def _prefixed(
     sources: Sequence[EmbeddingSpace], config: CombineConfig
 ) -> list[EmbeddingSpace]:
@@ -161,10 +140,6 @@ def _prefixed_dictionaries(
     return out
 
 
-def _source_labels(sources: Sequence[EmbeddingSpace]) -> list[str]:
-    return [s.meta if s.meta is not None else f"source-{i}" for i, s in enumerate(sources)]
-
-
 def _check_method(config: CombineConfig | None, method: str) -> CombineConfig:
     if config is None:
         return CombineConfig(method=method)
@@ -173,23 +148,92 @@ def _check_method(config: CombineConfig | None, method: str) -> CombineConfig:
     return config
 
 
-def _mean_rows(
-    spaces: Sequence[EmbeddingSpace], policy: str, n_sources: int
-) -> EmbeddingSpace:
+def _unit_spaces(spaces: Sequence[EmbeddingSpace]) -> list[EmbeddingSpace]:
+    return [EmbeddingSpace(s.tokens, _unit_rows(s.matrix)[0], meta=s.meta) for s in spaces]
+
+
+def _extended(
+    spaces: Sequence[EmbeddingSpace], config: CombineConfig
+) -> tuple[list[EmbeddingSpace], SynthesisReport | None]:
+    """Under the "nn" policy, NN-synthesize every space's missing words."""
+    if config.oov_policy != "nn":
+        return list(spaces), None
+    return _extend_all_to_union(spaces, config.k_neighbors)
+
+
+def _combined(
+    sources: Sequence[EmbeddingSpace],
+    config: CombineConfig,
+    tokens: Sequence[str],
+    matrix: np.ndarray,
+    report: SynthesisReport | None,
+    **own,
+) -> MetaEmbedding:
+    """Wrap a combiner's output with its provenance record.
+
+    Key order is part of the sidecar's bytes: the common keys (mvm's
+    ``target_index`` before ``oov``), the method's ``own`` keys, the
+    language prefixes, then the synthesis report.
+    """
+    space = EmbeddingSpace(tokens, matrix, meta=config.method)
+    policy = config.oov_policy
+    provenance = {
+        "method": config.method,
+        "sources": [
+            s.meta if s.meta is not None else f"source-{i}" for i, s in enumerate(sources)
+        ],
+        "vocabulary": len(space),
+        "dim": space.dim,
+    }
+    if config.method == "mvm":
+        provenance["target_index"] = config.target_index
+    provenance.update(oov=policy, k_neighbors=config.k_neighbors if policy == "nn" else None)
+    provenance.update(own)
+    if config.language_prefixes is not None:
+        provenance["language_prefixes"] = list(config.language_prefixes)
+    if report is not None:
+        provenance["synthesized"] = list(report.words_synthesized)
+        provenance["shortfalls"] = len(report.shortfalls)
+        provenance["skipped"] = len(report.skipped)
+    return MetaEmbedding(space, provenance)
+
+
+def _mean_rows(spaces: Sequence[EmbeddingSpace], policy: str) -> tuple[list[str], np.ndarray]:
     """Per-word mean across spaces under the given missing-word policy.
 
     ``spaces`` already share coordinates. For "available" the denominator
     is the number of spaces holding the word; for "zero" (and for fully
-    extended inputs under "nn") it is the source count.
+    extended inputs under "nn") it is the source count. A word's rows are
+    added in the order of their byte images, so the result is bitwise
+    independent of the order the sources were given in. Union rows are
+    taken in blocks whose stacked rows fit in ``_BLOCK_BYTES``.
     """
-    union = _union_tokens(spaces)
-    indexes = [s.index for s in spaces]
-    matrix = np.empty((len(union), spaces[0].dim))
-    for r, token in enumerate(union):
-        rows = [s.matrix[idx[token]] for s, idx in zip(spaces, indexes) if token in idx]
-        denominator = len(rows) if policy == "available" else n_sources
-        matrix[r] = _canonical_mean(rows, denominator)
-    return EmbeddingSpace(union, matrix)
+    union, places = _union_positions(spaces)
+    n, dim = len(spaces), spaces[0].dim
+    rows_at = np.full((n, len(union)), -1, dtype=np.intp)
+    for at, place in zip(rows_at, places):
+        at[place] = np.arange(len(place))
+    row_type = np.dtype((np.void, 8 * dim))
+    matrix = np.empty((len(union), dim))
+    step = max(1, _BLOCK_BYTES // (8 * n * dim))
+    for start in range(0, len(union), step):
+        at = rows_at[:, start : start + step]
+        held = at >= 0
+        # All-0xff bytes are a NaN, which no space holds, so an absent row
+        # sorts after every present one.
+        stack = np.empty((at.shape[1], n, dim))
+        stack.view(np.int64)[...] = -1
+        for i, space in enumerate(spaces):
+            stack[held[i], i] = space.matrix[at[i, held[i]]]
+        order = np.argsort(stack.view(row_type)[..., 0], axis=1)
+        counts = held.sum(axis=0)
+        block = np.arange(len(stack))
+        total = stack[block, order[:, 0]]
+        for j in range(1, n):
+            np.add(total, stack[block, order[:, j]], out=total, where=(j < counts)[:, np.newaxis])
+        denominator = counts[:, np.newaxis] if policy == "available" else n
+        np.divide(total, denominator, out=matrix[start : start + step])
+    return union, matrix
 
 
 def combine_mvm(
@@ -209,7 +253,6 @@ def combine_mvm(
     config = _check_method(config, "mvm")
     if len(sources) < 2:
         raise ValueError("mvm needs at least two sources")
-    labels = _source_labels(sources)
     spaces = _prefixed(sources, config)
     dictionaries = _prefixed_dictionaries(dictionaries, config, len(spaces))
     if not config.target_index < len(spaces):
@@ -218,36 +261,15 @@ def combine_mvm(
     # Only ``members`` holds each set of spaces, so a replaced set is freed.
     members, infos = list(aligned.mapped), aligned.infos
     del aligned
-
-    policy = config.oov_policy
-    synthesis_report = None
-    if policy == "nn":
-        members, synthesis_report = _extend_with_provenance(members, config.k_neighbors)
-    averaged = _mean_rows(members, policy, len(members))
+    members, report = _extended(members, config)
+    union, matrix = _mean_rows(members, config.oov_policy)
     del members
-    normalized, _ = _unit_rows(averaged.matrix)
-    space = EmbeddingSpace(averaged.tokens, normalized, meta="mvm")
-
-    provenance = {
-        "method": "mvm",
-        "sources": labels,
-        "vocabulary": len(space),
-        "dim": space.dim,
-        "target_index": config.target_index,
-        "oov": policy,
-        "k_neighbors": config.k_neighbors if policy == "nn" else None,
-        "dictionary_sizes": [
-            info.dictionary_size if info else None for info in infos
-        ],
-        "alignment_residuals": [
-            info.residual if info else None for info in infos
-        ],
-    }
-    if config.language_prefixes is not None:
-        provenance["language_prefixes"] = list(config.language_prefixes)
-    if synthesis_report is not None:
-        provenance.update(synthesis_report)
-    return MetaEmbedding(space, provenance)
+    matrix, _ = _unit_rows(matrix)
+    return _combined(
+        sources, config, union, matrix, report,
+        dictionary_sizes=[info.dictionary_size if info else None for info in infos],
+        alignment_residuals=[info.residual if info else None for info in infos],
+    )
 
 
 def combine_average(
@@ -259,35 +281,13 @@ def combine_average(
     config = _check_method(config, "average")
     if not sources:
         raise ValueError("need at least one source")
-    labels = _source_labels(sources)
     spaces = _prefixed(sources, config)
     dims = {s.dim for s in spaces}
     if len(dims) != 1:
         raise ValueError(f"averaging needs one shared dim, got {sorted(dims)}")
-    normalized = [
-        EmbeddingSpace(s.tokens, _unit_rows(s.matrix)[0], meta=s.meta) for s in spaces
-    ]
-    policy = config.oov_policy
-    synthesis_report = None
-    if policy == "nn":
-        normalized, synthesis_report = _extend_with_provenance(
-            normalized, config.k_neighbors
-        )
-    averaged = _mean_rows(normalized, policy, len(normalized))
-    space = EmbeddingSpace(averaged.tokens, averaged.matrix, meta="average")
-    provenance = {
-        "method": "average",
-        "sources": labels,
-        "vocabulary": len(space),
-        "dim": space.dim,
-        "oov": policy,
-        "k_neighbors": config.k_neighbors if policy == "nn" else None,
-    }
-    if config.language_prefixes is not None:
-        provenance["language_prefixes"] = list(config.language_prefixes)
-    if synthesis_report is not None:
-        provenance.update(synthesis_report)
-    return MetaEmbedding(space, provenance)
+    spaces, report = _extended(_unit_spaces(spaces), config)
+    union, matrix = _mean_rows(spaces, config.oov_policy)
+    return _combined(sources, config, union, matrix, report)
 
 
 def combine_concat(
@@ -296,53 +296,24 @@ def combine_concat(
     """Concatenate each word's row-normalized vectors over the union
     vocabulary; a block whose source lacks the word is zero-filled, or
     NN-synthesized under the "nn" policy."""
-    config = _check_method(config, "concat")
-    return _concat(sources, config, method="concat")
+    return _concat(sources, _check_method(config, "concat"))
 
 
-def _concat(
-    sources: Sequence[EmbeddingSpace], config: CombineConfig, method: str
-) -> MetaEmbedding:
+def _concat(sources: Sequence[EmbeddingSpace], config: CombineConfig) -> MetaEmbedding:
     if not sources:
         raise ValueError("need at least one source")
-    policy = config.oov_policy
-    if policy == "available":
+    if config.oov_policy == "available":
         raise ValueError("concatenation has no 'available' policy; use zero or nn")
-    labels = _source_labels(sources)
-    spaces = _prefixed(sources, config)
-    normalized = [
-        EmbeddingSpace(s.tokens, _unit_rows(s.matrix)[0], meta=s.meta) for s in spaces
-    ]
-    synthesis_report = None
-    if policy == "nn":
-        normalized, synthesis_report = _extend_with_provenance(
-            normalized, config.k_neighbors
-        )
-    union = _union_tokens(normalized)
-    blocks = []
-    for space in normalized:
-        index = space.index
-        block = np.zeros((len(union), space.dim))
-        for r, token in enumerate(union):
-            if token in index:
-                block[r] = space.matrix[index[token]]
-        blocks.append(block)
-    matrix = np.hstack(blocks)
-    space = EmbeddingSpace(union, matrix, meta=method)
-    provenance = {
-        "method": method,
-        "sources": labels,
-        "vocabulary": len(space),
-        "dim": space.dim,
-        "oov": policy,
-        "k_neighbors": config.k_neighbors if policy == "nn" else None,
-        "block_dims": [s.dim for s in normalized],
-    }
-    if config.language_prefixes is not None:
-        provenance["language_prefixes"] = list(config.language_prefixes)
-    if synthesis_report is not None:
-        provenance.update(synthesis_report)
-    return MetaEmbedding(space, provenance)
+    spaces, report = _extended(_unit_spaces(_prefixed(sources, config)), config)
+    union, places = _union_positions(spaces)
+    matrix = np.zeros((len(union), sum(s.dim for s in spaces)))
+    offset = 0
+    for space, place in zip(spaces, places):
+        matrix[place, offset : offset + space.dim] = space.matrix
+        offset += space.dim
+    return _combined(
+        sources, config, union, matrix, report, block_dims=[s.dim for s in spaces]
+    )
 
 
 def combine_concat_reduce(
@@ -351,20 +322,14 @@ def combine_concat_reduce(
     """Concatenate, then reduce the concatenation to ``reduce_dim``
     dimensions (optionally stripping top components afterwards)."""
     config = _check_method(config, "concat-reduce")
-    base = _concat(sources, config, method="concat-reduce")
+    base = _concat(sources, config)
     rmap = fit_reduction(base.space, config.reduce_dim, post_remove=config.post_remove)
-    reduced = apply_reduction(base.space, rmap)
-    space = EmbeddingSpace(reduced.tokens, reduced.matrix, meta="concat-reduce")
-    provenance = dict(base.provenance)
-    provenance.update(
-        {
-            "dim": space.dim,
-            "reduce_dim": config.reduce_dim,
-            "post_remove": config.post_remove,
-            "concat_dim": base.space.dim,
-        }
+    space = apply_reduction(base.space, rmap)
+    base.provenance.update(
+        dim=space.dim, reduce_dim=config.reduce_dim, post_remove=config.post_remove,
+        concat_dim=base.space.dim,
     )
-    return MetaEmbedding(space, provenance)
+    return MetaEmbedding(space, base.provenance)
 
 
 def combine(

@@ -9,7 +9,8 @@ import numpy as np
 from metavec.embeddings import EmbeddingSpace
 
 DEFAULT_K = 10
-# Score bytes per block of queries in ``_rank``.
+# Bytes per block: a block of queries' scores in ``_rank``, a block of
+# words' stacked rows in ``combine._mean_rows``.
 _BLOCK_BYTES = 8 << 20
 
 __all__ = [
@@ -181,8 +182,15 @@ def synthesize_word(
     return rows.mean(axis=0)
 
 
-def _union_tokens(spaces: Sequence[EmbeddingSpace]) -> list[str]:
-    return list(dict.fromkeys(t for space in spaces for t in space.tokens))
+def _union_positions(spaces: Sequence[EmbeddingSpace]) -> tuple[list[str], list[np.ndarray]]:
+    """The union vocabulary in first-seen order, and for each space the
+    union position of each of its rows."""
+    position: dict[str, int] = {}
+    places = [
+        np.array([position.setdefault(t, len(position)) for t in space.tokens], dtype=np.intp)
+        for space in spaces
+    ]
+    return list(position), places
 
 
 def _extend_all_to_union(
@@ -202,7 +210,7 @@ def _extend_all_to_union(
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    union = _union_tokens(spaces)
+    union, places = _union_positions(spaces)
     # Every space's missing words are ranked before any union-sized output
     # is allocated, so score matrices and outputs never coexist.
     plans: list[tuple[list[str], dict]] = []
@@ -231,10 +239,10 @@ def _extend_all_to_union(
     shortfalls: list[tuple[str, int]] = []
     skipped: list[str] = []
     extended: list[EmbeddingSpace] = []
-    for space, (missing, best) in zip(spaces, plans):
+    for space, place, (missing, best) in zip(spaces, places, plans):
         own = space.index
         rows = np.zeros((len(union), space.dim))
-        rows[[position[t] for t in space.tokens]] = space.matrix
+        rows[place] = space.matrix
         for word in missing:
             if word not in best:
                 skipped.append(word)

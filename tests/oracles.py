@@ -96,3 +96,24 @@ def exhaustive_neighbors(space, query, k):
         scored.append((-float(np.dot(vector / norm, unit_query)), token))
     scored.sort()
     return tuple(token for _, token in scored[:k])
+
+
+def canonical_mean(rows, denominator):
+    # Summands are added in byte-image order so the result is bitwise
+    # independent of the order the sources were given in.
+    ordered = sorted(rows, key=lambda r: r.tobytes())
+    total = ordered[0].copy()
+    for row in ordered[1:]:
+        total += row
+    return total / denominator
+
+
+def union_mean(spaces, policy):
+    """Per-word mean over the first-seen union, one ``canonical_mean`` per
+    word: over the spaces holding it under "available", else over all."""
+    union = list(dict.fromkeys(t for space in spaces for t in space.tokens))
+    rows = []
+    for token in union:
+        held = [space.vector(token) for space in spaces if token in space]
+        rows.append(canonical_mean(held, len(held) if policy == "available" else len(spaces)))
+    return union, np.array(rows).reshape(len(union), spaces[0].dim)

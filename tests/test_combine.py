@@ -10,6 +10,7 @@ from metavec.combine import (
     combine_concat,
     combine_concat_reduce,
     combine_mvm,
+    provenance_json,
 )
 from metavec.embeddings import EmbeddingSpace
 from metavec.linalg import cosine, normalize_step0
@@ -337,3 +338,67 @@ class TestCombineDispatch:
         md = MappingDictionary([(space.tokens[0], space.tokens[0])])
         with pytest.raises(ValueError, match="only apply"):
             combine([space, space], CombineConfig(method="average"), dictionaries=[None, md])
+
+
+class TestProvenanceLayout:
+    # Sidecars are compared byte for byte across runs and versions, so the
+    # key order is part of the format.
+    COMMON = ["method", "sources", "vocabulary", "dim"]
+    SYNTHESIS = ["synthesized", "shortfalls", "skipped"]
+
+    def test_key_order_per_method(self, make_space):
+        e1 = make_space(n=12, dim=4, seed=100)
+        e2 = make_space(n=10, dim=4, seed=101)
+        pairs = MappingDictionary([(t, t) for t in e2.tokens[:8]])
+        mvm_keys = self.COMMON + [
+            "target_index", "oov", "k_neighbors", "dictionary_sizes", "alignment_residuals",
+        ]
+        cases = [
+            (
+                combine_mvm(
+                    [e1, e2],
+                    CombineConfig(method="mvm", k_neighbors=3, language_prefixes=["en:", "de:"]),
+                    dictionaries=[None, pairs],
+                ),
+                mvm_keys + ["language_prefixes"] + self.SYNTHESIS,
+            ),
+            (
+                combine_mvm([e1, e2], CombineConfig(method="mvm", oov="available")),
+                mvm_keys,
+            ),
+            (combine_average([e1, e2]), self.COMMON + ["oov", "k_neighbors"]),
+            (
+                combine_average(
+                    [e1, e2],
+                    CombineConfig(method="average", oov="nn", language_prefixes=["x", "y"]),
+                ),
+                self.COMMON + ["oov", "k_neighbors", "language_prefixes"] + self.SYNTHESIS,
+            ),
+            (combine_concat([e1, e2]), self.COMMON + ["oov", "k_neighbors", "block_dims"]),
+            (
+                combine_concat_reduce(
+                    [e1, e2], CombineConfig(method="concat-reduce", reduce_dim=3, oov="nn")
+                ),
+                self.COMMON
+                + ["oov", "k_neighbors", "block_dims"]
+                + self.SYNTHESIS
+                + ["reduce_dim", "post_remove", "concat_dim"],
+            ),
+        ]
+        for meta, keys in cases:
+            assert list(meta.provenance) == keys
+
+    def test_mvm_sidecar_bytes(self):
+        # One dimension keeps every number exact: rows normalize to +-1 and
+        # the map is the identity, so the residual is exactly zero.
+        e1 = EmbeddingSpace(["a", "b", "c", "x"], [[1.0], [-1.0], [2.0], [-3.0]], meta="en.vec")
+        e2 = EmbeddingSpace(["a", "b", "c", "y"], [[2.0], [-2.0], [1.0], [-1.0]])
+        pairs = MappingDictionary([("a", "a"), ("b", "b"), ("c", "c")])
+        meta = combine_mvm([e1, e2], CombineConfig(method="mvm", k_neighbors=4), [None, pairs])
+        assert provenance_json(meta) == (
+            '{\n  "method": "mvm",\n  "sources": [\n    "en.vec",\n    "source-1"\n  ],\n'
+            '  "vocabulary": 5,\n  "dim": 1,\n  "target_index": 0,\n  "oov": "nn",\n'
+            '  "k_neighbors": 4,\n  "dictionary_sizes": [\n    null,\n    3\n  ],\n'
+            '  "alignment_residuals": [\n    null,\n    0.0\n  ],\n'
+            '  "synthesized": [\n    1,\n    1\n  ],\n  "shortfalls": 2,\n  "skipped": 0\n}\n'
+        )

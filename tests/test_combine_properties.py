@@ -1,0 +1,81 @@
+"""Property tests: the union mean of the combiners against a per-word
+oracle that sums each word's rows in byte-image order."""
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from metavec.combine import CombineConfig, combine_average
+from metavec.embeddings import EmbeddingSpace
+from metavec.oov import _extend_all_to_union
+from oracles import union_mean
+
+
+@st.composite
+def overlapping_sources(draw, n_sources=st.integers(1, 4)):
+    """Sources over one small vocabulary, each holding a random subset of it
+    (possibly none) in random order. Many rows come from a shared pool, so
+    a word often has equal or negated rows in several sources; pool rows
+    carry +0.0 and -0.0 entries, and one is all -0.0."""
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.normal(size=(6, dim))
+    pool[1] = -pool[0]
+    pool[2, 0] = -0.0
+    pool[3] = -0.0
+    pool[4, -1] = 0.0
+    words = [f"w{i}" for i in range(draw(st.integers(1, 10)))]
+    sources = []
+    for _ in range(draw(n_sources)):
+        tokens = draw(st.lists(st.sampled_from(words), unique=True))
+        matrix = rng.normal(size=(len(tokens), dim))
+        picks = draw(st.lists(st.integers(-1, 5), min_size=len(tokens), max_size=len(tokens)))
+        for row, pick in enumerate(picks):
+            if pick >= 0:
+                matrix[row] = pool[pick]
+        sources.append(EmbeddingSpace(tokens, matrix))
+    return sources
+
+
+def unit(space):
+    norms = np.linalg.norm(space.matrix, axis=1)
+    return EmbeddingSpace(space.tokens, space.matrix / np.where(norms == 0.0, 1.0, norms)[:, None])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    overlapping_sources(),
+    st.sampled_from(["available", "zero", "nn"]),
+    st.integers(1, 3),
+    st.sampled_from([1, 100, 8 << 20]),
+)
+def test_average_matches_per_word_oracle(sources, policy, k, block_bytes):
+    spaces = [unit(s) for s in sources]
+    if policy == "nn":
+        spaces, _ = _extend_all_to_union(spaces, k)
+    tokens, expected = union_mean(spaces, policy)
+    config = CombineConfig(method="average", oov=policy, k_neighbors=k)
+    # Tiny budgets split the union into blocks of one or a few words.
+    with patch.dict(combine_average.__globals__, _BLOCK_BYTES=block_bytes):
+        meta = combine_average(sources, config)
+    assert meta.space.tokens == tuple(tokens)
+    assert meta.space.matrix.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    overlapping_sources(n_sources=st.just(4)),
+    st.permutations(range(4)),
+    st.sampled_from(["available", "zero"]),
+)
+def test_permuting_four_sources_is_bitwise_invariant(sources, order, policy):
+    config = CombineConfig(method="average", oov=policy)
+    forward = combine_average(sources, config).space
+    permuted = combine_average([sources[i] for i in order], config).space
+    assert sorted(forward.tokens) == sorted(permuted.tokens)
+    for token in forward.tokens:
+        assert forward.vector(token).tobytes() == permuted.vector(token).tobytes()
