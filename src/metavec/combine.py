@@ -100,9 +100,7 @@ def apply_language_prefixes(space: EmbeddingSpace, prefix: str) -> EmbeddingSpac
         raise ValueError(f"prefix {prefix!r} must not contain whitespace")
     if not prefix:
         return space
-    return EmbeddingSpace(
-        [prefix + t for t in space.tokens], space.matrix, meta=space.meta
-    )
+    return EmbeddingSpace._own([prefix + t for t in space.tokens], space.matrix, meta=space.meta)
 
 
 def _prefixed(
@@ -149,7 +147,7 @@ def _check_method(config: CombineConfig | None, method: str) -> CombineConfig:
 
 
 def _unit_spaces(spaces: Sequence[EmbeddingSpace]) -> list[EmbeddingSpace]:
-    return [EmbeddingSpace(s.tokens, _unit_rows(s.matrix)[0], meta=s.meta) for s in spaces]
+    return [EmbeddingSpace._own(s.tokens, _unit_rows(s.matrix)[0], meta=s.meta) for s in spaces]
 
 
 def _extended(
@@ -175,7 +173,7 @@ def _combined(
     ``target_index`` before ``oov``), the method's ``own`` keys, the
     language prefixes, then the synthesis report.
     """
-    space = EmbeddingSpace(tokens, matrix, meta=config.method)
+    space = EmbeddingSpace._own(tokens, matrix, meta=config.method)
     policy = config.oov_policy
     provenance = {
         "method": config.method,

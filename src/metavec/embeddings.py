@@ -3,13 +3,16 @@ from __future__ import annotations
 
 import io
 import logging
-import math
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Sequence
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
+
+# Bytes of matrix rows per block: the growth step and finiteness-check span
+# of the parsers, and the rows formatted per block by the text writer.
+_BLOCK_BYTES = 1 << 20
 
 __all__ = [
     "EmbeddingSpace",
@@ -49,8 +52,21 @@ class EmbeddingSpace:
     """
 
     def __init__(self, tokens: Iterable[str], matrix, meta: str | None = None):
+        self._setup(tokens, np.array(matrix, dtype=np.float64), meta)
+
+    @classmethod
+    def _own(cls, tokens: Iterable[str], matrix: np.ndarray, meta: str | None = None):
+        """Wrap a float64 array without copying it; the array becomes read-only.
+
+        For arrays the library has just made and holds nowhere else, or for
+        another space's (already read-only) matrix.
+        """
+        space = cls.__new__(cls)
+        space._setup(tokens, np.asarray(matrix, dtype=np.float64), meta)
+        return space
+
+    def _setup(self, tokens: Iterable[str], matrix: np.ndarray, meta: str | None) -> None:
         tokens = tuple(tokens)
-        matrix = np.array(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ValueError(f"matrix must be 2-dimensional, got shape {matrix.shape}")
         if matrix.shape[0] != len(tokens):
@@ -107,6 +123,50 @@ def _parse_header_fields(fields: Sequence[str]) -> tuple[int, int] | None:
     return None
 
 
+class _Rows:
+    """A float64 matrix filled one row at a time and checked for finiteness
+    one block of rows at a time.
+
+    The matrix grows in place by half (at least a block) when full, and
+    ``finish`` cuts it in place to the rows appended. Each row carries a
+    mark (a line number, or a token and offset); ``error`` turns the mark of
+    the first non-finite row into the exception to raise.
+    """
+
+    def __init__(self, dim: int, capacity: int, error: Callable[[object], ParseError]):
+        self.matrix = np.empty((capacity, dim))
+        self.count = 0
+        self.checked = 0
+        self.marks: list = []
+        self.error = error
+        self.block = max(1, _BLOCK_BYTES // (8 * dim))
+
+    def append(self, values, mark) -> None:
+        if self.count == len(self.matrix):
+            grown = self.count + max(self.block, self.count // 2)
+            self.matrix.resize((grown, self.matrix.shape[1]), refcheck=False)
+        self.matrix[self.count] = values
+        self.count += 1
+        self.marks.append(mark)
+        if len(self.marks) == self.block:
+            self.check()
+
+    def check(self, values=None, mark=None) -> None:
+        """Raise for the first non-finite row not yet checked, then for
+        ``values``, a row that is read but not appended."""
+        pending = self.matrix[self.checked : self.count]
+        marks, self.marks, self.checked = self.marks, [], self.count
+        if not np.isfinite(pending).all():
+            raise self.error(marks[np.flatnonzero(~np.isfinite(pending).all(axis=1))[0]])
+        if values is not None and not np.isfinite(values).all():
+            raise self.error(mark)
+
+    def finish(self) -> np.ndarray:
+        self.check()
+        self.matrix.resize((self.count, self.matrix.shape[1]), refcheck=False)
+        return self.matrix
+
+
 def parse_text_embeddings(
     source: bytes | BinaryIO,
     *,
@@ -122,15 +182,20 @@ def parse_text_embeddings(
     two integers); ``True`` requires it, ``False`` treats every line as data.
     ``on_duplicate`` is ``"keep-first"`` (drop and count repeats) or
     ``"error"``. ``max_vocab`` caps the number of tokens kept.
+
+    Values are read with Python's ``float`` into a matrix that grows as
+    lines arrive; the header's word count is never used to size it.
     """
     if on_duplicate not in ("keep-first", "error"):
         raise ValueError(f"unknown duplicate policy: {on_duplicate!r}")
     text = io.TextIOWrapper(_binary_stream(source), encoding="utf-8")
 
-    dim: int | None = None
+    def non_finite(line: int) -> ParseError:
+        return ParseError("non-finite value", line=line)
+
+    rows: _Rows | None = None
     header: tuple[int, int] | None = None
     tokens: list[str] = []
-    rows: list[list[float]] = []
     seen: set[str] = set()
     duplicates = 0
     lineno = 0
@@ -151,39 +216,49 @@ def parse_text_embeddings(
                         raise ParseError(
                             "header dimensionality must be at least 1", line=lineno
                         )
+                    rows = _Rows(dim, 0, non_finite)
                     continue
             token, values = fields[0], fields[1:]
-            if dim is None:
+            if rows is None:
                 dim = len(values)
                 if dim < 1:
                     raise ParseError("no vector values on first data line", line=lineno)
+                rows = _Rows(dim, 0, non_finite)
             if len(values) != dim:
                 raise ParseError(
                     f"expected {dim} values, found {len(values)}", line=lineno
                 )
             try:
-                vector = [float(v) for v in values]
+                vector = list(map(float, values))
             except ValueError:
                 raise ParseError("malformed number", line=lineno) from None
-            if not all(math.isfinite(v) for v in vector):
-                raise ParseError("non-finite value", line=lineno)
             if token in seen:
+                rows.check(vector, lineno)
                 if on_duplicate == "error":
                     raise ParseError(f"duplicate token {token!r}", line=lineno)
                 duplicates += 1
                 continue
             if max_vocab is not None and len(tokens) >= max_vocab:
+                rows.check(vector, lineno)
                 break
             seen.add(token)
             tokens.append(token)
-            rows.append(vector)
+            rows.append(vector, lineno)
     except UnicodeDecodeError as exc:
+        # A non-finite row read before the bad bytes is reported first.
+        if rows is not None:
+            rows.check()
         raise ParseError(f"not valid UTF-8: {exc}", line=lineno + 1) from None
+    except ParseError:
+        if rows is not None:
+            rows.check()
+        raise
     finally:
         text.detach()
 
-    if dim is None:
+    if rows is None:
         raise ParseError("empty stream")
+    matrix = rows.finish()
     if duplicates:
         logger.warning("dropped %d duplicate token(s), kept first occurrence", duplicates)
     if header is not None and max_vocab is None and len(tokens) + duplicates != header[0]:
@@ -191,8 +266,7 @@ def parse_text_embeddings(
             "header announces %d words but %d data lines were read",
             header[0], len(tokens) + duplicates,
         )
-    matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, dim))
-    return EmbeddingSpace(tokens, matrix, meta=meta)
+    return EmbeddingSpace._own(tokens, matrix, meta=meta)
 
 
 def parse_binary_embeddings(
@@ -207,7 +281,9 @@ def parse_binary_embeddings(
     float32 values with no separator after them.
 
     Newline bytes before a token are tolerated for compatibility with files
-    written by the original C tooling; canonical files contain none.
+    written by the original C tooling; canonical files contain none. The
+    matrix is allocated once, for no more words than the bytes after the
+    header can hold (each takes at least ``4 * dim + 1``).
     """
     if on_duplicate not in ("keep-first", "error"):
         raise ValueError(f"unknown duplicate policy: {on_duplicate!r}")
@@ -223,41 +299,56 @@ def parse_binary_embeddings(
     if dim < 1:
         raise ParseError("header dimensionality must be at least 1", offset=0)
 
+    vector_bytes = 4 * dim
+    # Every word takes at least 4 * dim + 1 bytes, so a header announcing
+    # more words than the stream can hold gets only what it can hold, then
+    # fails below at the offset where the stream runs out.
+    capacity = min(vocab_size, (len(data) - nl - 1) // (vector_bytes + 1))
+    if max_vocab is not None:
+        capacity = min(capacity, max(max_vocab, 1))
+
+    def non_finite(mark: tuple[str, int]) -> ParseError:
+        return ParseError(f"non-finite value for token {mark[0]!r}", offset=mark[1])
+
+    rows = _Rows(dim, capacity, non_finite)
     tokens: list[str] = []
-    rows: list[np.ndarray] = []
     seen: set[str] = set()
     duplicates = 0
     pos = nl + 1
-    vector_bytes = 4 * dim
-    for _ in range(vocab_size):
-        while pos < len(data) and data[pos] == 0x0A:
-            pos += 1
-        sp = data.find(b" ", pos)
-        if sp < 0:
-            raise ParseError("truncated stream while reading a token", offset=pos)
-        try:
-            token = data[pos:sp].decode("utf-8")
-        except UnicodeDecodeError:
-            raise ParseError("token is not valid UTF-8", offset=pos) from None
-        start = sp + 1
-        if start + vector_bytes > len(data):
-            raise ParseError(
-                f"truncated stream while reading the vector for {token!r}", offset=start
-            )
-        vector = np.frombuffer(data, dtype="<f4", count=dim, offset=start).astype(np.float64)
-        pos = start + vector_bytes
-        if not np.isfinite(vector).all():
-            raise ParseError(f"non-finite value for token {token!r}", offset=start)
-        if token in seen:
-            if on_duplicate == "error":
-                raise ParseError(f"duplicate token {token!r}", offset=sp + 1)
-            duplicates += 1
-            continue
-        seen.add(token)
-        tokens.append(token)
-        rows.append(vector)
-        if max_vocab is not None and len(tokens) >= max_vocab:
-            break
+    try:
+        for _ in range(vocab_size):
+            while pos < len(data) and data[pos] == 0x0A:
+                pos += 1
+            sp = data.find(b" ", pos)
+            if sp < 0:
+                raise ParseError("truncated stream while reading a token", offset=pos)
+            try:
+                token = data[pos:sp].decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError("token is not valid UTF-8", offset=pos) from None
+            start = sp + 1
+            if start + vector_bytes > len(data):
+                raise ParseError(
+                    f"truncated stream while reading the vector for {token!r}", offset=start
+                )
+            vector = np.frombuffer(data, dtype="<f4", count=dim, offset=start)
+            pos = start + vector_bytes
+            if token in seen:
+                rows.check(vector, (token, start))
+                if on_duplicate == "error":
+                    raise ParseError(f"duplicate token {token!r}", offset=sp + 1)
+                duplicates += 1
+                continue
+            seen.add(token)
+            tokens.append(token)
+            rows.append(vector, (token, start))
+            if max_vocab is not None and len(tokens) >= max_vocab:
+                break
+    except ParseError:
+        # A non-finite row read before the failure is reported first.
+        rows.check()
+        raise
+    matrix = rows.finish()
 
     if duplicates:
         logger.warning("dropped %d duplicate token(s), kept first occurrence", duplicates)
@@ -269,8 +360,7 @@ def parse_binary_embeddings(
                 f"header announces {vocab_size} words but {len(data) - pos} bytes remain",
                 offset=pos,
             )
-    matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, dim))
-    return EmbeddingSpace(tokens, matrix, meta=meta)
+    return EmbeddingSpace._own(tokens, matrix, meta=meta)
 
 
 def _check_writable_token(token: str) -> None:
@@ -281,25 +371,42 @@ def _check_writable_token(token: str) -> None:
         )
 
 
+def _positional(value, precision: int) -> str:
+    return np.format_float_positional(
+        value, precision=precision, unique=True, fractional=False, trim="0"
+    )
+
+
 def write_text_embeddings(space: EmbeddingSpace, precision: int = 17) -> bytes:
     """Serialize to the text format with ``precision`` significant digits.
 
     At the default full precision the emitted values parse back to the
-    exact same float64 values.
+    exact same float64 values. Values are written in positional notation:
+    from 17 digits on, that is ``repr``'s shortest round-trip digits, and
+    only the values ``repr`` would write with an exponent (nonzero below
+    1e-4 or at least 1e16 in magnitude) go through the positional formatter.
     """
     if precision < 1:
         raise ValueError("precision must be at least 1")
-    lines = [f"{len(space)} {space.dim}\n"]
-    for token, row in zip(space.tokens, space.matrix):
-        _check_writable_token(token)
-        formatted = (
-            np.format_float_positional(
-                v, precision=precision, unique=True, fractional=False, trim="0"
-            )
-            for v in row
-        )
-        lines.append(token + " " + " ".join(formatted) + "\n")
-    return "".join(lines).encode("utf-8")
+    matrix = space.matrix
+    lines = [f"{len(space)} {space.dim}\n".encode("utf-8")]
+    step = max(1, _BLOCK_BYTES // (8 * space.dim))
+    for start in range(0, len(space), step):
+        block = matrix[start : start + step]
+        if precision >= 17:
+            magnitude = np.abs(block)
+            exponent = (magnitude >= 1e16) | ((magnitude < 1e-4) & (magnitude > 0.0))
+            fixes = {i: np.flatnonzero(exponent[i]) for i in np.flatnonzero(exponent.any(axis=1))}
+        for i, (token, row) in enumerate(zip(space.tokens[start : start + step], block)):
+            _check_writable_token(token)
+            if precision < 17:
+                values = [_positional(v, precision) for v in row]
+            else:
+                values = list(map(repr, row.tolist()))
+                for j in fixes.get(i, ()):
+                    values[j] = _positional(row[j], precision)
+            lines.append((token + " " + " ".join(values) + "\n").encode("utf-8"))
+    return b"".join(lines)
 
 
 def write_binary_embeddings(space: EmbeddingSpace) -> bytes:

@@ -122,7 +122,7 @@ def l2_normalize_rows(space: EmbeddingSpace) -> EmbeddingSpace:
     scaled, zeros = _unit_rows(space.matrix)
     if zeros:
         logger.warning("%d zero row(s) left unnormalized", zeros)
-    return EmbeddingSpace(space.tokens, scaled, meta=space.meta)
+    return EmbeddingSpace._own(space.tokens, scaled, meta=space.meta)
 
 
 def mean_center_columns(space: EmbeddingSpace) -> EmbeddingSpace:
@@ -130,7 +130,7 @@ def mean_center_columns(space: EmbeddingSpace) -> EmbeddingSpace:
     if len(space) == 0:
         return space
     centered = space.matrix - space.matrix.mean(axis=0)
-    return EmbeddingSpace(space.tokens, centered, meta=space.meta)
+    return EmbeddingSpace._own(space.tokens, centered, meta=space.meta)
 
 
 def normalize_step0(space: EmbeddingSpace, *, renormalize: bool = True) -> EmbeddingSpace:
@@ -152,7 +152,7 @@ def normalize_step0(space: EmbeddingSpace, *, renormalize: bool = True) -> Embed
         zeros = int((np.linalg.norm(matrix, axis=1) == 0.0).sum())
     if zeros:
         logger.warning("%d row(s) degenerated to zero after centering", zeros)
-    return EmbeddingSpace(space.tokens, matrix, meta=space.meta)
+    return EmbeddingSpace._own(space.tokens, matrix, meta=space.meta)
 
 
 def solve_procrustes(x, z) -> OrthogonalMap:
@@ -176,7 +176,7 @@ def apply_map(space: EmbeddingSpace, omap: OrthogonalMap) -> EmbeddingSpace:
     """Rotate a space into the map's output coordinates (rows become r·w)."""
     if omap.dim != space.dim:
         raise ValueError(f"map dim {omap.dim} does not match space dim {space.dim}")
-    return EmbeddingSpace(space.tokens, space.matrix @ omap.matrix, meta=space.meta)
+    return EmbeddingSpace._own(space.tokens, space.matrix @ omap.matrix, meta=space.meta)
 
 
 def _orient_columns(basis: np.ndarray) -> np.ndarray:
@@ -225,7 +225,7 @@ def apply_reduction(space: EmbeddingSpace, rmap: ReductionMap) -> EmbeddingSpace
         _, _, vt = np.linalg.svd(centered, full_matrices=False)
         directions = _orient_columns(vt[: rmap.post_remove].T)
         reduced = reduced - (reduced @ directions) @ directions.T
-    return EmbeddingSpace(space.tokens, reduced, meta=space.meta)
+    return EmbeddingSpace._own(space.tokens, reduced, meta=space.meta)
 
 
 def cosine(u, v) -> float:

@@ -254,9 +254,9 @@ def _extend_all_to_union(
             rows[position[word]] = space.matrix[[own[t] for t in neighbor_tokens]].mean(axis=0)
             if audit is not None:
                 audit[word] = neighbor_tokens
-        extended.append(EmbeddingSpace(union, rows, meta=space.meta))
+        extended.append(EmbeddingSpace._own(union, rows, meta=space.meta))
     report = SynthesisReport(
-        words_synthesized=tuple(len(missing) for missing, _ in plans),
+        words_synthesized=tuple(len(best) for _, best in plans),
         neighbors=audit,
         shortfalls=tuple(shortfalls),
         skipped=tuple(skipped),

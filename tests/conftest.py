@@ -3,6 +3,16 @@ import pytest
 
 from metavec.embeddings import EmbeddingSpace
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # Property tests draw the same examples on every run, so a run's
+    # outcome never depends on a random seed; no example has a time limit.
+    settings.register_profile("metavec", derandomize=True, deadline=None)
+    settings.load_profile("metavec")
+
 
 @pytest.fixture
 def make_space():

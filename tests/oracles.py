@@ -6,6 +6,8 @@ agreement between the two is evidence, not tautology.
 """
 import numpy as np
 
+from metavec.embeddings import EmbeddingSpace, _check_writable_token
+
 
 def grid_best_orthogonal(x, z, step=1e-4):
     """Dense scan over every 2-D rotation and reflection.
@@ -117,3 +119,24 @@ def union_mean(spaces, policy):
         held = [space.vector(token) for space in spaces if token in space]
         rows.append(canonical_mean(held, len(held) if policy == "available" else len(spaces)))
     return union, np.array(rows).reshape(len(union), spaces[0].dim)
+
+
+def write_text_embeddings(space: EmbeddingSpace, precision: int = 17) -> bytes:
+    """Serialize to the text format with ``precision`` significant digits.
+
+    At the default full precision the emitted values parse back to the
+    exact same float64 values.
+    """
+    if precision < 1:
+        raise ValueError("precision must be at least 1")
+    lines = [f"{len(space)} {space.dim}\n"]
+    for token, row in zip(space.tokens, space.matrix):
+        _check_writable_token(token)
+        formatted = (
+            np.format_float_positional(
+                v, precision=precision, unique=True, fractional=False, trim="0"
+            )
+            for v in row
+        )
+        lines.append(token + " " + " ".join(formatted) + "\n")
+    return "".join(lines).encode("utf-8")

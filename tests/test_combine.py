@@ -402,3 +402,19 @@ class TestProvenanceLayout:
             '  "alignment_residuals": [\n    null,\n    0.0\n  ],\n'
             '  "synthesized": [\n    1,\n    1\n  ],\n  "shortfalls": 2,\n  "skipped": 0\n}\n'
         )
+
+
+class TestSynthesisProvenance:
+    def test_prefixed_mvm_counts_only_words_that_got_a_vector(self, make_space):
+        # Prefixed vocabularies share no token, so no missing word has a
+        # neighbor candidate: every one is skipped and none synthesized.
+        e1 = make_space(n=12, dim=4, seed=110)
+        e2 = make_space(n=10, dim=4, seed=111)
+        pairs = MappingDictionary([(t, t) for t in e2.tokens[:8]])
+        meta = combine_mvm(
+            [e1, e2],
+            CombineConfig(method="mvm", k_neighbors=3, language_prefixes=["en:", "de:"]),
+            dictionaries=[None, pairs],
+        )
+        assert meta.provenance["skipped"] == 22
+        assert meta.provenance["synthesized"] == [0, 0]

@@ -1,0 +1,98 @@
+"""Memory of the parsers and of space construction: tracemalloc peaks
+against the bytes of the matrix a parser returns, hostile headers, and
+which constructions copy their matrix."""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from metavec.embeddings import (
+    EmbeddingSpace,
+    ParseError,
+    load_embeddings,
+    parse_binary_embeddings,
+    parse_text_embeddings,
+    write_binary_embeddings,
+    write_text_embeddings,
+)
+
+ROWS, DIM = 2000, 100
+
+
+@pytest.fixture(scope="module")
+def space():
+    rng = np.random.default_rng(7)
+    return EmbeddingSpace([f"word{i}" for i in range(ROWS)], rng.normal(size=(ROWS, DIM)))
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(result, peak bytes tracemalloc saw during the call)."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_text_parse_peak_is_bounded(space, tmp_path):
+    path = tmp_path / "e.vec"
+    path.write_bytes(write_text_embeddings(space, precision=7))
+    parsed, peak = traced_peak(load_embeddings, path)
+    assert len(parsed) == ROWS
+    assert peak <= 2.5 * parsed.matrix.nbytes
+    # The grown buffer is cut to the rows read, not kept alive behind a view.
+    assert parsed.matrix.flags.owndata
+
+
+def test_text_parse_ignores_header_count_when_sizing(space, caplog):
+    payload = write_text_embeddings(space, precision=7)
+    lying = f"{100 * ROWS} {DIM}".encode() + payload[payload.index(b"\n"):]
+    parsed, peak = traced_peak(parse_text_embeddings, lying)
+    assert len(parsed) == ROWS
+    assert peak <= 2.5 * parsed.matrix.nbytes
+    assert any("header announces" in r.getMessage() for r in caplog.records)
+
+
+def test_binary_parse_peak_is_bounded(space):
+    # The input bytes are allocated before tracing starts.
+    payload = write_binary_embeddings(space)
+    parsed, peak = traced_peak(parse_binary_embeddings, payload)
+    assert len(parsed) == ROWS
+    assert peak <= 1.5 * parsed.matrix.nbytes
+
+
+@pytest.mark.parametrize(
+    "header, offset",
+    # 10^12 words: the stream ends where the second token should start.
+    # 10^6 dims: it ends inside the first vector, which starts at byte 18.
+    [(b"1000000000000 300\n", 1220), (b"1000000 1000000\n", 18)],
+)
+def test_binary_oversized_header_fails_without_allocating(header, offset):
+    payload = header + b"a " + bytes(4 * 300)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="truncated") as exc_info:
+            parse_binary_embeddings(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc_info.value.offset == offset
+    assert peak < 1 << 20
+
+
+def test_public_constructor_copies_the_callers_array():
+    matrix = np.ones((2, 3))
+    space = EmbeddingSpace(["a", "b"], matrix)
+    assert not np.shares_memory(space.matrix, matrix)
+    assert matrix.flags.writeable
+    matrix[0, 0] = 5.0
+    assert space.matrix[0, 0] == 1.0
+
+
+def test_internal_path_takes_the_array_over():
+    matrix = np.ones((2, 3))
+    space = EmbeddingSpace._own(["a", "b"], matrix)
+    assert space.matrix is matrix
+    assert not matrix.flags.writeable
+    with pytest.raises(ValueError, match="non-finite"):
+        EmbeddingSpace._own(["a"], np.array([[np.nan]]))

@@ -374,3 +374,16 @@ class TestQueryBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+
+class TestSynthesisCount:
+    def test_skipped_words_are_not_counted_as_synthesized(self):
+        # e2 lacks "dead" (a zero vector in e1, so it cannot be ranked) and
+        # "x"; only "x" gets a vector. e1 lacks "y", which it gets.
+        e1 = EmbeddingSpace(
+            ["s1", "s2", "dead", "x"], [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]]
+        )
+        e2 = EmbeddingSpace(["s1", "s2", "y"], [[1.0, 1.0], [2.0, 2.0], [1.0, 2.0]])
+        _, _, report = extend_to_union(e1, e2, k=2)
+        assert report.skipped == ("dead",)
+        assert report.words_synthesized == (1, 1)
