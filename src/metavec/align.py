@@ -47,6 +47,10 @@ class MappingDictionary:
     def __repr__(self) -> str:
         return f"<MappingDictionary {len(self)} pairs>"
 
+    def prefixed(self, source_prefix: str, target_prefix: str) -> MappingDictionary:
+        """The same pairs with each side under its language prefix."""
+        return MappingDictionary((source_prefix + s, target_prefix + t) for s, t in self)
+
 
 @dataclass(frozen=True)
 class AlignmentInfo:

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from metavec import __version__
-from metavec.align import MappingDictionary, align_to_target, load_bilingual_dictionary
+from metavec.align import align_to_target, load_bilingual_dictionary
 from metavec.combine import (
     OOV_POLICIES,
     CombineConfig,
@@ -70,6 +70,8 @@ def _thread_limit(threads: int | None):
 
 
 def _load(path: str, fmt: str | None) -> EmbeddingSpace:
+    # Vector inputs are parsed by detected format (fmt None): --format picks
+    # only the output encoding, except for eval, which writes no vectors.
     return load_embeddings(path, format=fmt or "auto")
 
 
@@ -109,30 +111,22 @@ def _check_prefix_count(paths, prefixes, parser) -> None:
         parser.error(f"expected one --prefix per input ({len(paths)}), got {len(prefixes)}")
 
 
-def _load_prefixed(paths, prefixes, parser) -> list[EmbeddingSpace]:
-    # Inputs are always parsed by detected format; --format only picks the
-    # output encoding (and the input one for eval, which writes no vectors).
-    _check_prefix_count(paths, prefixes, parser)
-    spaces = [_load(p, None) for p in paths]
-    if prefixes:
-        spaces = [apply_language_prefixes(s, pfx) for s, pfx in zip(spaces, prefixes)]
-    return spaces
-
-
 def cmd_map(args, parser) -> int:
     prefixes = args.prefix or []
     dict_paths = args.dicts or []
     if len(dict_paths) > 1:
         parser.error("map takes at most one --dict")
-    source, target = _load_prefixed([args.source, args.target], prefixes, parser)
+    _check_prefix_count([args.source, args.target], prefixes, parser)
+    source, target = _load(args.source, None), _load(args.target, None)
+    if prefixes:
+        source = apply_language_prefixes(source, prefixes[0])
+        target = apply_language_prefixes(target, prefixes[1])
     dictionaries = None
     if dict_paths:
         with open(dict_paths[0], "rb") as handle:
             dictionary = load_bilingual_dictionary(handle)
         if prefixes:
-            dictionary = MappingDictionary(
-                (prefixes[0] + s, prefixes[1] + t) for s, t in dictionary
-            )
+            dictionary = dictionary.prefixed(*prefixes)
         dictionaries = [dictionary, None]
     collection = align_to_target([source, target], target_index=1, dictionaries=dictionaries)
     info = collection.infos[0]
@@ -191,12 +185,14 @@ def cmd_baseline(args, parser) -> int:
     if args.method != "concat-reduce" and args.dim is not None:
         parser.error("--dim only applies to --method concat-reduce")
     prefixes = args.prefix or []
-    spaces = _load_prefixed(args.sources, prefixes, parser)
+    _check_prefix_count(args.sources, prefixes, parser)
+    spaces = [_load(p, None) for p in args.sources]
     config = CombineConfig(
         method=args.method,
         k_neighbors=args.k,
         reduce_dim=args.dim,
         post_remove=args.post_remove,
+        language_prefixes=tuple(prefixes) or None,
         oov="nn" if args.nn_oov else None,
     )
     meta = combine(spaces, config)

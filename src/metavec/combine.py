@@ -125,17 +125,10 @@ def _prefixed_dictionaries(
         raise ValueError("dictionaries must be parallel to sources")
     prefixes = config.language_prefixes
     target_prefix = prefixes[config.target_index]
-    out: list[MappingDictionary | None] = []
-    for prefix, dictionary in zip(prefixes, dictionaries):
-        if dictionary is None:
-            out.append(None)
-        else:
-            out.append(
-                MappingDictionary(
-                    (prefix + s, target_prefix + t) for s, t in dictionary
-                )
-            )
-    return out
+    return [
+        None if dictionary is None else dictionary.prefixed(prefix, target_prefix)
+        for prefix, dictionary in zip(prefixes, dictionaries)
+    ]
 
 
 def _check_method(config: CombineConfig | None, method: str) -> CombineConfig:
@@ -206,16 +199,13 @@ def _mean_rows(spaces: Sequence[EmbeddingSpace], policy: str) -> tuple[list[str]
     independent of the order the sources were given in. Union rows are
     taken in blocks whose stacked rows fit in ``_BLOCK_BYTES``.
     """
-    union, places = _union_positions(spaces)
+    union, table = _union_positions(spaces)
     n, dim = len(spaces), spaces[0].dim
-    rows_at = np.full((n, len(union)), -1, dtype=np.intp)
-    for at, place in zip(rows_at, places):
-        at[place] = np.arange(len(place))
     row_type = np.dtype((np.void, 8 * dim))
     matrix = np.empty((len(union), dim))
     step = max(1, _BLOCK_BYTES // (8 * n * dim))
     for start in range(0, len(union), step):
-        at = rows_at[:, start : start + step]
+        at = table[:, start : start + step]
         held = at >= 0
         # All-0xff bytes are a NaN, which no space holds, so an absent row
         # sorts after every present one.
@@ -303,11 +293,12 @@ def _concat(sources: Sequence[EmbeddingSpace], config: CombineConfig) -> MetaEmb
     if config.oov_policy == "available":
         raise ValueError("concatenation has no 'available' policy; use zero or nn")
     spaces, report = _extended(_unit_spaces(_prefixed(sources, config)), config)
-    union, places = _union_positions(spaces)
+    union, table = _union_positions(spaces)
     matrix = np.zeros((len(union), sum(s.dim for s in spaces)))
     offset = 0
-    for space, place in zip(spaces, places):
-        matrix[place, offset : offset + space.dim] = space.matrix
+    for space, at in zip(spaces, table):
+        held = at >= 0
+        matrix[held, offset : offset + space.dim] = space.matrix[at[held]]
         offset += space.dim
     return _combined(
         sources, config, union, matrix, report, block_dims=[s.dim for s in spaces]

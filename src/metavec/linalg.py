@@ -181,13 +181,10 @@ def apply_map(space: EmbeddingSpace, omap: OrthogonalMap) -> EmbeddingSpace:
 
 def _orient_columns(basis: np.ndarray) -> np.ndarray:
     # Deterministic sign: the entry of largest magnitude in each column is
-    # made non-negative.
-    basis = basis.copy()
-    for j in range(basis.shape[1]):
-        anchor = np.argmax(np.abs(basis[:, j]))
-        if basis[anchor, j] < 0:
-            basis[:, j] = -basis[:, j]
-    return basis
+    # made non-negative. Multiplying by -1.0 negates exactly; the result is
+    # C-ordered whatever the layout of ``basis``.
+    anchors = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
+    return np.multiply(basis, np.where(anchors < 0, -1.0, 1.0), order="C")
 
 
 def fit_reduction(space: EmbeddingSpace, k: int, post_remove: int = 0) -> ReductionMap:

@@ -67,31 +67,27 @@ class SynthesisReport:
 
 
 def _rank(
-    donor: EmbeddingSpace,
-    words: Sequence[str],
-    candidate_tokens: Sequence[str],
-    k: int,
-) -> tuple[list[str], list[tuple[np.ndarray, np.ndarray] | None]]:
-    """Rank sorted candidates by cosine against each word's donor vector.
+    matrix: np.ndarray, query_rows: np.ndarray, candidate_rows: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank candidate rows of ``matrix`` by cosine against each query row.
 
-    Returns the candidate tokens that have a defined direction plus, parallel
-    to ``words``, each word's k best cosines and their indices into those
-    tokens, best first (None for a zero-vector query, or when no candidate
-    has a direction). Queries are ranked in blocks whose scores fit in
-    ``_BLOCK_BYTES``: per block, ``np.partition`` finds each row's k-th best
-    score, every candidate scoring at least that is kept (a tie across the
-    k-th place stays whole), and ``np.lexsort`` by (row, -score, candidate
-    index) orders them before each row is cut to k. Exact ties thus break
-    by candidate index, so sorted candidates break them by token.
+    Returns ``live``, the positions in ``query_rows`` of the queries that
+    have a direction, and for those queries (len(live) × min(k, n)) arrays
+    of the best cosines and their positions in ``candidate_rows``, best
+    first, where n counts the candidates that have a direction. Queries are
+    ranked in blocks whose scores fit in ``_BLOCK_BYTES``: per block,
+    ``np.partition`` finds each row's k-th best score, every candidate
+    scoring at least that is kept (a tie across the k-th place stays whole),
+    and ``np.lexsort`` by (row, -score, candidate position) orders them
+    before each row is cut to k. Exact ties thus break by candidate
+    position, so candidates sorted by token break them by token.
     """
-    candidates = donor.matrix[[donor.index[t] for t in candidate_tokens]]
+    candidates = matrix[candidate_rows]
     norms = np.linalg.norm(candidates, axis=1)
-    defined = norms > 0.0
-    kept = [t for t, ok in zip(candidate_tokens, defined) if ok]
-    if not kept:
-        return kept, [None] * len(words)
+    defined = np.flatnonzero(norms > 0.0)
     unit_candidates = candidates[defined] / norms[defined][:, np.newaxis]
     del candidates
+    n = len(defined)
     # Equal directions tie exactly, but BLAS may round one row differently
     # in different columns: each repeated row takes its first occurrence's
     # scores after the product. Only rows whose first coordinate repeats
@@ -100,7 +96,7 @@ def _rank(
         unit_candidates[:, 0], return_inverse=True, return_counts=True
     )
     maybe = np.flatnonzero(lead_counts[lead_group] > 1)
-    row_type = np.dtype((np.void, unit_candidates.itemsize * donor.dim))
+    row_type = np.dtype((np.void, unit_candidates.itemsize * matrix.shape[1]))
     _, first, group = np.unique(
         unit_candidates[maybe].view(row_type).ravel(), return_index=True, return_inverse=True
     )
@@ -108,14 +104,15 @@ def _rank(
     repeat = firsts != maybe
     repeats, firsts = maybe[repeat], firsts[repeat]
 
-    queries = donor.matrix[[donor.index[w] for w in words]]
+    queries = matrix[query_rows]
     query_norms = np.linalg.norm(queries, axis=1)
     live = np.flatnonzero(query_norms > 0.0)
     unit_queries = queries[live] / query_norms[live][:, np.newaxis]
     del queries
-    n = len(kept)
-    step = max(1, _BLOCK_BYTES // (8 * n))
-    ranked: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(words)
+    width = min(k, n)
+    best = np.empty((len(live), width))
+    positions = np.empty((len(live), width), dtype=np.intp)
+    step = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
     for start in range(0, len(live), step):
         scores = unit_queries[start : start + step] @ unit_candidates.T
         scores[:, repeats] = scores[:, firsts]
@@ -126,10 +123,10 @@ def _rank(
         row_starts = np.searchsorted(rows, np.arange(len(scores)))
         del scores
         order = np.lexsort((cols, -values, rows))
-        top = order[row_starts[:, np.newaxis] + np.arange(min(k, n))]
-        for i, row_scores, row_top in zip(live[start : start + step], values[top], cols[top]):
-            ranked[i] = (row_scores, row_top)
-    return kept, ranked
+        top = order[row_starts[:, np.newaxis] + np.arange(width)]
+        best[start : start + step] = values[top]
+        positions[start : start + step] = defined[cols[top]]
+    return live, best, positions
 
 
 def nearest_neighbors(
@@ -154,13 +151,13 @@ def nearest_neighbors(
     tokens = sorted(t for t in pool if t in index and t != query)
     if not tokens:
         raise ValueError("no candidate tokens to search")
-    kept, (hit,) = _rank(space, [query], tokens, k)
-    if not kept:
+    rows = np.array([index[t] for t in [query, *tokens]])
+    live, scores, top = _rank(space.matrix, rows[:1], rows[1:], k)
+    if not scores.shape[1]:
         raise ValueError("no candidates with a defined similarity")
-    if hit is None:
+    if not len(live):
         raise ValueError(f"query token {query!r} has a zero vector; cosine undefined")
-    scores, top = hit
-    return NeighborList(query, tuple((kept[i], float(s)) for i, s in zip(top, scores)))
+    return NeighborList(query, tuple(zip([tokens[i] for i in top[0]], scores[0].tolist())))
 
 
 def synthesize_word(
@@ -182,15 +179,15 @@ def synthesize_word(
     return rows.mean(axis=0)
 
 
-def _union_positions(spaces: Sequence[EmbeddingSpace]) -> tuple[list[str], list[np.ndarray]]:
-    """The union vocabulary in first-seen order, and for each space the
-    union position of each of its rows."""
+def _union_positions(spaces: Sequence[EmbeddingSpace]) -> tuple[list[str], np.ndarray]:
+    """The union vocabulary in first-seen order, and a (spaces × union)
+    table of each space's row for each union word (-1 where it lacks it)."""
     position: dict[str, int] = {}
-    places = [
-        np.array([position.setdefault(t, len(position)) for t in space.tokens], dtype=np.intp)
-        for space in spaces
-    ]
-    return list(position), places
+    places = [[position.setdefault(t, len(position)) for t in space.tokens] for space in spaces]
+    table = np.full((len(spaces), len(position)), -1, dtype=np.intp)
+    for at, place in zip(table, places):
+        at[place] = np.arange(len(place))
+    return list(position), table
 
 
 def _extend_all_to_union(
@@ -210,53 +207,64 @@ def _extend_all_to_union(
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    union, places = _union_positions(spaces)
+    union, table = _union_positions(spaces)
+    by_token = np.array(sorted(range(len(union)), key=union.__getitem__), dtype=np.intp)
     # Every space's missing words are ranked before any union-sized output
-    # is allocated, so score matrices and outputs never coexist.
-    plans: list[tuple[list[str], dict]] = []
+    # is allocated, so score matrices and outputs never coexist. Per missing
+    # word a plan keeps the best cosine, its neighbors' rows in the
+    # deficient space and how many there are (0: no donor could rank it).
+    plans: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for i, space in enumerate(spaces):
-        own = space.index
-        missing = [t for t in union if t not in own]
-        best: dict[str, tuple[float, list[str], np.ndarray]] = {}
+        missing = np.flatnonzero(table[i] < 0)
+        best = np.empty(len(missing))
+        neighbors = np.empty((len(missing), min(k, len(space))), dtype=np.intp)
+        counts = np.zeros(len(missing), dtype=np.intp)
         for j, donor in enumerate(spaces):
-            if j == i:
+            # The deficient space itself holds none of its missing words.
+            words = np.flatnonzero(table[j, missing] >= 0)
+            if not len(words):
                 continue
-            donor_index = donor.index
-            words = [w for w in missing if w in donor_index]
-            if not words:
+            shared = by_token[(table[i, by_token] >= 0) & (table[j, by_token] >= 0)]
+            live, scores, top = _rank(donor.matrix, table[j, missing[words]], table[j, shared], k)
+            if not top.shape[1]:
                 continue
-            candidate_tokens = sorted(t for t in own if t in donor_index)
-            if not candidate_tokens:
-                continue
-            kept, ranked = _rank(donor, words, candidate_tokens, k)
-            for word, hit in zip(words, ranked):
-                if hit is not None and (word not in best or hit[0][0] > best[word][0]):
-                    best[word] = (hit[0][0], kept, hit[1])
-        plans.append((missing, best))
+            words = words[live]
+            won = (counts[words] == 0) | (scores[:, 0] > best[words])
+            words = words[won]
+            best[words] = scores[won, 0]
+            neighbors[words, : top.shape[1]] = table[i, shared[top[won]]]
+            counts[words] = top.shape[1]
+        plans.append((missing, neighbors, counts))
 
-    position = {t: i for i, t in enumerate(union)}
     audit: dict[str, tuple[str, ...]] | None = {} if record_neighbors else None
     shortfalls: list[tuple[str, int]] = []
     skipped: list[str] = []
     extended: list[EmbeddingSpace] = []
-    for space, place, (missing, best) in zip(spaces, places, plans):
-        own = space.index
+    for space, at, (missing, neighbors, counts) in zip(spaces, table, plans):
         rows = np.zeros((len(union), space.dim))
+        # The table row, inverted, places the own rows without a gathered copy.
+        held = np.flatnonzero(at >= 0)
+        place = np.empty_like(held)
+        place[at[held]] = held
         rows[place] = space.matrix
-        for word in missing:
-            if word not in best:
-                skipped.append(word)
-                continue
-            _, kept, top = best[word]
-            if len(top) < k:
-                shortfalls.append((word, len(top)))
-            neighbor_tokens = tuple(kept[x] for x in top)
-            rows[position[word]] = space.matrix[[own[t] for t in neighbor_tokens]].mean(axis=0)
-            if audit is not None:
-                audit[word] = neighbor_tokens
+        # ``mean(axis=1)`` over words with one neighbor count adds each
+        # word's rows as ``mean(axis=0)`` on that word alone would.
+        for count in np.flatnonzero(np.bincount(counts)[1:]) + 1:
+            group = np.flatnonzero(counts == count)
+            step = max(1, _BLOCK_BYTES // (8 * count * space.dim))
+            for start in range(0, len(group), step):
+                block = group[start : start + step]
+                rows[missing[block]] = space.matrix[neighbors[block, :count]].mean(axis=1)
+        skipped.extend(union[w] for w in missing[counts == 0])
+        short = np.flatnonzero((counts > 0) & (counts < k))
+        shortfalls.extend((union[w], c) for w, c in zip(missing[short], counts[short].tolist()))
+        if audit is not None:
+            found = np.flatnonzero(counts)
+            for w, row, count in zip(missing[found], neighbors[found].tolist(), counts[found]):
+                audit[union[w]] = tuple(space.tokens[r] for r in row[:count])
         extended.append(EmbeddingSpace._own(union, rows, meta=space.meta))
     report = SynthesisReport(
-        words_synthesized=tuple(len(best) for _, best in plans),
+        words_synthesized=tuple(int(np.count_nonzero(counts)) for _, _, counts in plans),
         neighbors=audit,
         shortfalls=tuple(shortfalls),
         skipped=tuple(skipped),

@@ -6,7 +6,9 @@ agreement between the two is evidence, not tautology.
 """
 import numpy as np
 
+from metavec import oov
 from metavec.embeddings import EmbeddingSpace, _check_writable_token
+from metavec.oov import SynthesisReport
 
 
 def grid_best_orthogonal(x, z, step=1e-4):
@@ -140,3 +142,91 @@ def write_text_embeddings(space: EmbeddingSpace, precision: int = 17) -> bytes:
         )
         lines.append(token + " " + " ".join(formatted) + "\n")
     return "".join(lines).encode("utf-8")
+
+
+def _union_positions(spaces):
+    """The union vocabulary in first-seen order, and for each space the
+    union position of each of its rows."""
+    position = {}
+    places = [
+        np.array([position.setdefault(t, len(position)) for t in space.tokens], dtype=np.intp)
+        for space in spaces
+    ]
+    return list(position), places
+
+
+def _rank(donor, words, candidate_tokens, k):
+    """The ranking kernel behind a token interface: the candidate tokens
+    plus, parallel to ``words``, each word's best cosines and their indices
+    into those tokens (None for a word that cannot be ranked)."""
+    index = donor.index
+    live, scores, top = oov._rank(
+        donor.matrix,
+        np.array([index[w] for w in words], dtype=np.intp),
+        np.array([index[t] for t in candidate_tokens], dtype=np.intp),
+        k,
+    )
+    ranked = [None] * len(words)
+    if top.shape[1]:
+        for i, row_scores, row_top in zip(live, scores, top):
+            ranked[i] = (row_scores, row_top)
+    return list(candidate_tokens), ranked
+
+
+def extend_all_to_union(spaces, k, *, record_neighbors=False):
+    """Union extension that plans each missing word with token lists and
+    builds its centroid on its own, one ``mean(axis=0)`` per word."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    union, places = _union_positions(spaces)
+    # Every space's missing words are ranked before any union-sized output
+    # is allocated, so score matrices and outputs never coexist.
+    plans: list[tuple[list[str], dict]] = []
+    for i, space in enumerate(spaces):
+        own = space.index
+        missing = [t for t in union if t not in own]
+        best: dict[str, tuple[float, list[str], np.ndarray]] = {}
+        for j, donor in enumerate(spaces):
+            if j == i:
+                continue
+            donor_index = donor.index
+            words = [w for w in missing if w in donor_index]
+            if not words:
+                continue
+            candidate_tokens = sorted(t for t in own if t in donor_index)
+            if not candidate_tokens:
+                continue
+            kept, ranked = _rank(donor, words, candidate_tokens, k)
+            for word, hit in zip(words, ranked):
+                if hit is not None and (word not in best or hit[0][0] > best[word][0]):
+                    best[word] = (hit[0][0], kept, hit[1])
+        plans.append((missing, best))
+
+    position = {t: i for i, t in enumerate(union)}
+    audit: dict[str, tuple[str, ...]] | None = {} if record_neighbors else None
+    shortfalls: list[tuple[str, int]] = []
+    skipped: list[str] = []
+    extended: list[EmbeddingSpace] = []
+    for space, place, (missing, best) in zip(spaces, places, plans):
+        own = space.index
+        rows = np.zeros((len(union), space.dim))
+        rows[place] = space.matrix
+        for word in missing:
+            if word not in best:
+                skipped.append(word)
+                continue
+            _, kept, top = best[word]
+            if len(top) < k:
+                shortfalls.append((word, len(top)))
+            neighbor_tokens = tuple(kept[x] for x in top)
+            rows[position[word]] = space.matrix[[own[t] for t in neighbor_tokens]].mean(axis=0)
+            if audit is not None:
+                audit[word] = neighbor_tokens
+        extended.append(EmbeddingSpace._own(union, rows, meta=space.meta))
+    report = SynthesisReport(
+        words_synthesized=tuple(len(best) for _, best in plans),
+        neighbors=audit,
+        shortfalls=tuple(shortfalls),
+        skipped=tuple(skipped),
+    )
+    return extended, report

@@ -32,6 +32,10 @@ class TestMappingDictionary:
         md = MappingDictionary([("a", "x"), ("a", "y")])
         assert len(md) == 2
 
+    def test_prefixed_puts_each_side_under_its_prefix(self):
+        md = MappingDictionary([("b", "x"), ("a", "x")]).prefixed("en/", "de/")
+        assert md.pairs == (("en/b", "de/x"), ("en/a", "de/x"))
+
 
 class TestBuildIntersectionDictionary:
     def test_source_order_intersection(self, make_space):

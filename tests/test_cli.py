@@ -1,6 +1,11 @@
-"""End-to-end tests for the command-line interface (in-process)."""
+"""End-to-end tests for the command-line interface (in-process, except one
+import check that needs a fresh interpreter)."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +265,26 @@ class TestBaseline:
         assert main(argv) == 0
         assert set(load_embeddings(out).tokens) == {"a", "b", "c", "d", "e"}
 
+    @pytest.mark.parametrize("method", ["average", "concat"])
+    def test_prefixes_apply_to_tokens(self, pair, tmp_path, method):
+        p1, p2 = pair
+        out = tmp_path / "pre.vec"
+        argv = ["baseline", str(p1), str(p2), "-o", str(out), "--method", method,
+                "--prefix", "en/", "--prefix", "de/"]
+        assert main(argv) == 0
+        assert load_embeddings(out).tokens == (
+            "en/a", "en/b", "en/c", "en/d", "de/b", "de/c", "de/d", "de/e"
+        )
+
+    def test_prefix_count_mismatch_is_usage_error(self, pair, tmp_path):
+        p1, p2 = pair
+        out = tmp_path / "pre.vec"
+        with pytest.raises(SystemExit) as exc:
+            main(["baseline", str(p1), str(p2), "-o", str(out), "--method", "average",
+                  "--prefix", "en/"])
+        assert exc.value.code == 2
+        assert not out.exists()
+
 
 class TestSynthOov:
     def test_identical_vocab_outputs_equal_inputs(self, tmp_path, capsys):
@@ -441,6 +466,31 @@ class TestCommonFlags:
         assert main(["mvm", str(p1), str(p2), "-o", str(free)]) == 0
         assert main(["mvm", str(p1), str(p2), "-o", str(capped), "--threads", "1"]) == 0
         assert free.read_bytes() == capped.read_bytes()
+
+    def test_pipeline_leaves_numpy_ma_unimported(self, pair, tmp_path):
+        # numpy imports numpy.ma lazily, e.g. from ``np.unique`` without
+        # ``return_*`` arguments; the import's allocations outlive the run's
+        # largest arrays and can keep the heap from shrinking after them.
+        p1, p2 = pair
+        runs = [
+            ["mvm", str(p1), str(p2), "-o", str(tmp_path / "meta.vec")],
+            ["synth-oov", str(p1), str(p2), str(tmp_path / "x1.vec"), str(tmp_path / "x2.vec"),
+             "--audit", str(tmp_path / "audit.tsv")],
+        ]
+        script = (
+            "import json, sys\n"
+            "from metavec.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(runs)],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0], False]
 
     def test_precision_flag_shortens_text_output(self, tmp_path):
         rng = np.random.default_rng(21)

@@ -122,6 +122,12 @@ class TestNearestNeighbors:
         with pytest.raises(ValueError, match="zero vector"):
             nearest_neighbors(zero_query, "q", k=1)
 
+    @pytest.mark.parametrize("query", [[1.0, 0.0], [0.0, 0.0]])
+    def test_only_zero_candidates_rejected(self, query):
+        space = EmbeddingSpace(["q", "a", "b"], [query, [0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="no candidates with a defined similarity"):
+            nearest_neighbors(space, "q", k=3)
+
     def test_repeat_runs_identical(self, make_space):
         space = make_space(n=60, dim=6, seed=45)
         first = nearest_neighbors(space, space.tokens[7], k=12)

@@ -1,5 +1,6 @@
 """Property tests: neighbor ranking against the exhaustive-scan oracle on
-random spaces with planted exact ties."""
+random spaces with planted exact ties, and the union extension against a
+per-word oracle."""
 from unittest.mock import patch
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from metavec import oov
 from metavec.embeddings import EmbeddingSpace
 from metavec.oov import extend_to_union, nearest_neighbors
-from oracles import exhaustive_neighbors
+from oracles import extend_all_to_union, exhaustive_neighbors
 
 
 @st.composite
@@ -96,3 +97,47 @@ def test_audit_lists_match_exhaustive_scan_in_small_query_blocks(
         test_audit_lists_match_exhaustive_scan_over_shared_words.hypothesis.inner_test(
             matrix, k, n_only, seed
         )
+
+
+@st.composite
+def overlapping_spaces(draw):
+    """Two to four spaces, each holding a random subset (possibly none) of
+    one small vocabulary, in random order and of its own dim (often 1,
+    where every direction is one of two). Some rows repeat another row's
+    direction scaled by a power of two; some are zero."""
+    vocabulary = [f"w{i:02d}" for i in range(draw(st.sampled_from([30, 12, 3, 1])))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spaces = []
+    for _ in range(draw(st.integers(2, 4))):
+        share = draw(st.sampled_from([0.9, 0.6, 0.3, 0.0]))
+        tokens = [vocabulary[i] for i in rng.permutation(len(vocabulary)) if rng.random() < share]
+        matrix = rng.normal(size=(len(tokens), draw(st.sampled_from([1, 2, 1, 5]))))
+        if tokens:
+            rows = st.integers(0, len(tokens) - 1)
+            for source, copy, exponent in draw(
+                st.lists(st.tuples(rows, rows, st.integers(-3, 3)), max_size=len(tokens))
+            ):
+                matrix[copy] = matrix[source] * 2.0**exponent
+            matrix[draw(st.lists(rows, max_size=2))] = 0.0
+        spaces.append(EmbeddingSpace(tokens, matrix))
+    return spaces
+
+
+@settings(max_examples=150, deadline=None)
+@given(overlapping_spaces(), st.integers(1, 12), st.integers(1, 1000), st.booleans())
+def test_extension_matches_per_word_oracle(spaces, k, block_bytes, record_neighbors):
+    # Tiny budgets split both the ranked queries and each neighbor count's
+    # centroids into blocks of one or a few words.
+    with patch.object(oov, "_BLOCK_BYTES", block_bytes):
+        got, report = oov._extend_all_to_union(spaces, k, record_neighbors=record_neighbors)
+        want, expected = extend_all_to_union(spaces, k, record_neighbors=record_neighbors)
+    for out, reference in zip(got, want, strict=True):
+        assert out.tokens == reference.tokens
+        assert out.matrix.tobytes() == reference.matrix.tobytes()
+    assert report.words_synthesized == expected.words_synthesized
+    assert report.shortfalls == expected.shortfalls
+    assert report.skipped == expected.skipped
+    if record_neighbors:
+        assert list(report.neighbors.items()) == list(expected.neighbors.items())
+    else:
+        assert report.neighbors is expected.neighbors is None
