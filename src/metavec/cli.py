@@ -8,12 +8,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import logging
 import os
+import pickle
+import signal
 import sys
+from collections import deque
+from collections.abc import Iterable, Iterator
 from pathlib import Path
+from typing import BinaryIO
 
-from metavec import __version__
+from metavec import __version__, embeddings
 from metavec.align import align_to_target, load_bilingual_dictionary
 from metavec.combine import (
     OOV_POLICIES,
@@ -27,8 +33,6 @@ from metavec.embeddings import (
     ParseError,
     detect_format,
     load_embeddings,
-    write_binary_embeddings,
-    write_text_embeddings,
 )
 from metavec.evaluate import (
     evaluate_suite,
@@ -64,44 +68,191 @@ def _thread_limit(threads: int | None):
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
-        logger.warning("threadpoolctl is not installed; --threads has no effect")
+        logger.warning(
+            "threadpoolctl is not installed; --threads caps only the I/O worker"
+            " processes, not BLAS threads"
+        )
         return contextlib.nullcontext()
     return threadpool_limits(limits=threads)
 
 
-def _load(path: str, fmt: str | None) -> EmbeddingSpace:
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _io_workers(args) -> int:
+    """Worker processes for parsing and formatting text: the usable CPUs,
+    capped by --threads."""
+    return min(_cpu_count(), args.threads or sys.maxsize)
+
+
+class _RecordList(logging.Handler):
+    """Collects a worker's log records, their messages formatted so that
+    they pickle."""
+
+    def __init__(self):
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        record.msg = self.format(record)
+        record.args = record.exc_info = record.exc_text = record.stack_info = None
+        self.records.append(record)
+
+
+def _fork(fn, item) -> tuple[int, BinaryIO]:
+    """Run ``fn(item)`` in a forked child; return its pid and the read end
+    of the pipe that carries back its log records and result or exception."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+    # The child: os._exit skips every cleanup the parent's stack and atexit
+    # handlers would run, and flushes none of the parent's file buffers.
+    code = 1
+    try:
+        os.close(read_fd)
+        handler = _RecordList()
+        logging.root.handlers = [handler]
+        try:
+            reply = (True, fn(item))
+        except BaseException as exc:  # re-raised by the parent
+            reply = (False, exc)
+        with open(write_fd, "wb") as pipe:
+            pickle.dump((handler.records, *reply), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _collect(running: deque):
+    """Read, reap and retire the oldest child in ``running``; re-emit its
+    log records and return its result or raise its exception."""
+    pid, pipe = running[0]
+    try:
+        reply = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        reply = None
+    pipe.close()
+    _, status = os.waitpid(pid, 0)
+    running.popleft()
+    if reply is None:
+        raise ChildProcessError(
+            f"worker process {pid} exited with status {os.waitstatus_to_exitcode(status)}"
+        )
+    records, ok, value = reply
+    for record in records:
+        logging.getLogger(record.name).handle(record)
+    if not ok:
+        raise value
+    return value
+
+
+def _forked_map(fn, items, workers: int):
+    """Yield ``fn(item)`` for each item, in item order, each computed in a
+    child made with ``os.fork``, at most ``workers`` children at a time.
+
+    Forked children share the parent's arrays without copying them; only
+    results travel back, pickled through a pipe that this process reads.
+    ``fn`` must make no BLAS call: a forked copy of a threaded BLAS pool can
+    hang. With one worker, or without ``os.fork``, this is plain ``map``.
+    On an error, ``close()`` or an interrupt, every child still running is
+    killed and reaped.
+    """
+    if workers < 2 or not hasattr(os, "fork"):
+        yield from map(fn, items)
+        return
+    pending = iter(items)
+    running: deque = deque()
+    try:
+        for item in itertools.islice(pending, workers):
+            running.append(_fork(fn, item))
+        while running:
+            result = _collect(running)
+            for item in itertools.islice(pending, 1):
+                running.append(_fork(fn, item))
+            yield result
+    finally:
+        for pid, pipe in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+
+
+def _load(path: str, fmt: str | None = None) -> EmbeddingSpace:
     # Vector inputs are parsed by detected format (fmt None): --format picks
     # only the output encoding, except for eval, which writes no vectors.
     return load_embeddings(path, format=fmt or "auto")
 
 
-def _render(space: EmbeddingSpace, fmt: str, precision: int) -> bytes:
+def _load_sources(paths, workers: int) -> list[EmbeddingSpace]:
+    """Load embedding inputs in order: text files are parsed in worker
+    processes, binary files in this one (shipping a parsed binary matrix
+    back costs as much as parsing it)."""
+    text = [path for path in paths if detect_format(path) == "text"]
+    with contextlib.closing(_forked_map(_load, text, workers)) as parsed:
+        return [next(parsed) if detect_format(p) == "text" else _load(p) for p in paths]
+
+
+def _chunks(space: EmbeddingSpace, fmt: str, precision: int, workers: int) -> Iterator[bytes]:
+    """The encoded output, one chunk at a time. Text rows are formatted in
+    worker processes, in equal blocks of at most ``embeddings._BLOCK_BYTES``
+    of matrix, as many as a multiple of ``workers``, so that the workers
+    finish together."""
     if fmt == "binary":
-        return write_binary_embeddings(space)
-    return write_text_embeddings(space, precision=precision)
+        yield from embeddings._binary_chunks(space)
+        return
+    rows = len(space)
+    per_block = max(1, embeddings._BLOCK_BYTES // (8 * space.dim))
+    count = -(-rows // per_block)
+    count = min(rows, -(-count // workers) * workers)
+    bounds = [rows * i // count for i in range(count + 1)]
+
+    def block(i: int) -> bytes:
+        start, end = bounds[i], bounds[i + 1]
+        return embeddings._text_rows(space.tokens[start:end], space.matrix[start:end], precision)
+
+    yield embeddings._header(space)
+    yield from _forked_map(block, range(count), workers)
 
 
 def _output_format(args, first_source: str) -> str:
     return args.format or detect_format(first_source)
 
 
-def _commit_outputs(staged: list[tuple[Path, bytes]]) -> None:
-    """Write all staged payloads, or none: tmp file + rename per target,
-    and every file already renamed is removed again if a later one fails.
+def _commit_outputs(staged: list[tuple[Path, Iterable[bytes]]]) -> None:
+    """Write all outputs, or none. Each output's chunks stream into a
+    temporary file next to it; only when every temporary file is complete
+    are they renamed over their targets. If a rename fails, the targets
+    already renamed are removed again.
     """
-    written: list[Path] = []
-    tmp: Path | None = None
+    temps: list[Path] = []
+    renamed: list[Path] = []
     try:
-        for path, payload in staged:
-            tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-            tmp.write_bytes(payload)
+        for index, (path, chunks) in enumerate(staged):
+            temps.append(path.with_name(path.name + f".tmp.{os.getpid()}.{index}"))
+            with open(temps[-1], "wb") as handle:
+                for chunk in chunks:
+                    handle.write(chunk)
+        for (path, _), tmp in zip(staged, temps):
             os.replace(tmp, path)
-            tmp = None
-            written.append(path)
+            renamed.append(path)
     except BaseException:
-        if tmp is not None:
+        for _, chunks in staged:
+            if hasattr(chunks, "close"):  # stops a generator's worker processes
+                chunks.close()
+        for tmp in temps:
             tmp.unlink(missing_ok=True)
-        for path in written:
+        for path in renamed:
             path.unlink(missing_ok=True)
         raise
 
@@ -117,7 +268,8 @@ def cmd_map(args, parser) -> int:
     if len(dict_paths) > 1:
         parser.error("map takes at most one --dict")
     _check_prefix_count([args.source, args.target], prefixes, parser)
-    source, target = _load(args.source, None), _load(args.target, None)
+    workers = _io_workers(args)
+    source, target = _load_sources([args.source, args.target], workers)
     if prefixes:
         source = apply_language_prefixes(source, prefixes[0])
         target = apply_language_prefixes(target, prefixes[1])
@@ -131,7 +283,9 @@ def cmd_map(args, parser) -> int:
     collection = align_to_target([source, target], target_index=1, dictionaries=dictionaries)
     info = collection.infos[0]
     fmt = _output_format(args, args.source)
-    _commit_outputs([(Path(args.output), _render(collection.mapped[0], fmt, args.precision))])
+    _commit_outputs([
+        (Path(args.output), _chunks(collection.mapped[0], fmt, args.precision, workers)),
+    ])
     print(f"dictionary size: {info.dictionary_size}")
     print(f"residual: {info.residual}")
     return 0
@@ -157,7 +311,8 @@ def cmd_mvm(args, parser) -> int:
         dictionaries = []
         for index in range(len(args.sources)):
             dictionaries.append(None if index == args.target_index else loaded.pop(0))
-    spaces = [_load(p, None) for p in args.sources]
+    workers = _io_workers(args)
+    spaces = _load_sources(args.sources, workers)
     config = CombineConfig(
         method="mvm",
         target_index=args.target_index,
@@ -170,8 +325,8 @@ def cmd_mvm(args, parser) -> int:
     out = Path(args.output)
     sidecar = out.with_name(out.name + ".provenance.json")
     _commit_outputs([
-        (out, _render(meta.space, fmt, args.precision)),
-        (sidecar, provenance_json(meta).encode("utf-8")),
+        (out, _chunks(meta.space, fmt, args.precision, workers)),
+        (sidecar, [provenance_json(meta).encode("utf-8")]),
     ])
     print(f"wrote {out} ({len(meta.space)} words, dim {meta.space.dim})", file=sys.stderr)
     return 0
@@ -186,7 +341,8 @@ def cmd_baseline(args, parser) -> int:
         parser.error("--dim only applies to --method concat-reduce")
     prefixes = args.prefix or []
     _check_prefix_count(args.sources, prefixes, parser)
-    spaces = [_load(p, None) for p in args.sources]
+    workers = _io_workers(args)
+    spaces = _load_sources(args.sources, workers)
     config = CombineConfig(
         method=args.method,
         k_neighbors=args.k,
@@ -197,7 +353,7 @@ def cmd_baseline(args, parser) -> int:
     )
     meta = combine(spaces, config)
     fmt = _output_format(args, args.sources[0])
-    _commit_outputs([(Path(args.output), _render(meta.space, fmt, args.precision))])
+    _commit_outputs([(Path(args.output), _chunks(meta.space, fmt, args.precision, workers))])
     print(
         f"wrote {args.output} ({len(meta.space)} words, dim {meta.space.dim})",
         file=sys.stderr,
@@ -206,18 +362,18 @@ def cmd_baseline(args, parser) -> int:
 
 
 def cmd_synth_oov(args, parser) -> int:
-    e1 = _load(args.embedding1, None)
-    e2 = _load(args.embedding2, None)
+    workers = _io_workers(args)
+    e1, e2 = _load_sources([args.embedding1, args.embedding2], workers)
     ext1, ext2, report = extend_to_union(
         e1, e2, k=args.k, record_neighbors=args.audit is not None
     )
     fmt = _output_format(args, args.embedding1)
     staged = [
-        (Path(args.out1), _render(ext1, fmt, args.precision)),
-        (Path(args.out2), _render(ext2, fmt, args.precision)),
+        (Path(args.out1), _chunks(ext1, fmt, args.precision, workers)),
+        (Path(args.out2), _chunks(ext2, fmt, args.precision, workers)),
     ]
     if args.audit is not None:
-        staged.append((Path(args.audit), format_audit_dump(report)))
+        staged.append((Path(args.audit), [format_audit_dump(report)]))
     _commit_outputs(staged)
     into_first, into_second = report.words_synthesized
     print(f"synthesized into {args.out1}: {into_first}")
@@ -266,7 +422,7 @@ def cmd_eval(args, parser) -> int:
         lowercase_fallback=args.lowercase_fallback,
     )
     if args.report:
-        _commit_outputs([(Path(args.report), report_records(summary).encode("utf-8"))])
+        _commit_outputs([(Path(args.report), [report_records(summary).encode("utf-8")])])
     sys.stdout.write(format_report_table(summary))
     return 0
 
@@ -292,8 +448,8 @@ def _add_common(parser, *, precision=True, prefix=False, dicts=False, fmt_help=N
         type=_positive_int,
         default=None,
         metavar="N",
-        help="cap BLAS thread pools (default: all cores); needs threadpoolctl, "
-        "without it the flag only logs a warning",
+        help="cap the worker processes that parse and format text (default: one "
+        "per usable CPU); also caps BLAS thread pools when threadpoolctl is installed",
     )
     if prefix:
         parser.add_argument(

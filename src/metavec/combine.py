@@ -252,7 +252,7 @@ def combine_mvm(
     members, report = _extended(members, config)
     union, matrix = _mean_rows(members, config.oov_policy)
     del members
-    matrix, _ = _unit_rows(matrix)
+    _unit_rows(matrix, out=matrix)
     return _combined(
         sources, config, union, matrix, report,
         dictionary_sizes=[info.dictionary_size if info else None for info in infos],

@@ -4,7 +4,7 @@ from __future__ import annotations
 import io
 import logging
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -377,6 +377,30 @@ def _positional(value, precision: int) -> str:
     )
 
 
+def _header(space: EmbeddingSpace) -> bytes:
+    return f"{len(space)} {space.dim}\n".encode("ascii")
+
+
+def _text_rows(tokens: Sequence[str], block: np.ndarray, precision: int) -> bytes:
+    """The text-format lines of one block of rows, ``tokens`` parallel to
+    ``block``; :func:`write_text_embeddings` joins these after its header."""
+    if precision >= 17:
+        magnitude = np.abs(block)
+        exponent = (magnitude >= 1e16) | ((magnitude < 1e-4) & (magnitude > 0.0))
+        fixes = {i: np.flatnonzero(exponent[i]) for i in np.flatnonzero(exponent.any(axis=1))}
+    lines = []
+    for i, (token, row) in enumerate(zip(tokens, block)):
+        _check_writable_token(token)
+        if precision < 17:
+            values = [_positional(v, precision) for v in row]
+        else:
+            values = list(map(repr, row.tolist()))
+            for j in fixes.get(i, ()):
+                values[j] = _positional(row[j], precision)
+        lines.append((token + " " + " ".join(values) + "\n").encode("utf-8"))
+    return b"".join(lines)
+
+
 def write_text_embeddings(space: EmbeddingSpace, precision: int = 17) -> bytes:
     """Serialize to the text format with ``precision`` significant digits.
 
@@ -388,38 +412,34 @@ def write_text_embeddings(space: EmbeddingSpace, precision: int = 17) -> bytes:
     """
     if precision < 1:
         raise ValueError("precision must be at least 1")
-    matrix = space.matrix
-    lines = [f"{len(space)} {space.dim}\n".encode("utf-8")]
+    step = max(1, _BLOCK_BYTES // (8 * space.dim))
+    chunks = [_header(space)]
+    for start in range(0, len(space), step):
+        end = start + step
+        chunks.append(_text_rows(space.tokens[start:end], space.matrix[start:end], precision))
+    return b"".join(chunks)
+
+
+def _binary_chunks(space: EmbeddingSpace) -> Iterator[bytes]:
+    """The binary format of ``space``: the header, then one chunk per block
+    of rows, each narrowed to float32 and checked before it is yielded."""
+    yield _header(space)
     step = max(1, _BLOCK_BYTES // (8 * space.dim))
     for start in range(0, len(space), step):
-        block = matrix[start : start + step]
-        if precision >= 17:
-            magnitude = np.abs(block)
-            exponent = (magnitude >= 1e16) | ((magnitude < 1e-4) & (magnitude > 0.0))
-            fixes = {i: np.flatnonzero(exponent[i]) for i in np.flatnonzero(exponent.any(axis=1))}
-        for i, (token, row) in enumerate(zip(space.tokens[start : start + step], block)):
+        with np.errstate(over="ignore"):
+            narrowed = space.matrix[start : start + step].astype("<f4")
+        if not np.isfinite(narrowed).all():
+            raise ValueError("matrix contains values outside single-precision range")
+        chunk = []
+        for token, row in zip(space.tokens[start : start + step], narrowed):
             _check_writable_token(token)
-            if precision < 17:
-                values = [_positional(v, precision) for v in row]
-            else:
-                values = list(map(repr, row.tolist()))
-                for j in fixes.get(i, ()):
-                    values[j] = _positional(row[j], precision)
-            lines.append((token + " " + " ".join(values) + "\n").encode("utf-8"))
-    return b"".join(lines)
+            chunk.append(token.encode("utf-8") + b" " + row.tobytes())
+        yield b"".join(chunk)
 
 
 def write_binary_embeddings(space: EmbeddingSpace) -> bytes:
     """Serialize to the binary format (header, then token + float32 values)."""
-    out = [f"{len(space)} {space.dim}\n".encode("ascii")]
-    with np.errstate(over="ignore"):
-        narrowed = space.matrix.astype("<f4")
-    if len(space) and not np.isfinite(narrowed).all():
-        raise ValueError("matrix contains values outside single-precision range")
-    for token, row in zip(space.tokens, narrowed):
-        _check_writable_token(token)
-        out.append(token.encode("utf-8") + b" " + row.tobytes())
-    return b"".join(out)
+    return b"".join(_binary_chunks(space))
 
 
 def detect_format(path: str | Path) -> str:

@@ -109,11 +109,12 @@ class ReductionMap:
         )
 
 
-def _unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, int]:
-    # Zero rows stay zero rather than dividing by zero.
+def _unit_rows(matrix: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    # Zero rows stay zero rather than dividing by zero. ``out=matrix``
+    # scales in place, with the same bits.
     norms = np.linalg.norm(matrix, axis=1)
     zero = norms == 0.0
-    scaled = matrix / np.where(zero, 1.0, norms)[:, np.newaxis]
+    scaled = np.divide(matrix, np.where(zero, 1.0, norms)[:, np.newaxis], out=out)
     return scaled, int(zero.sum())
 
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -25,3 +27,16 @@ def make_space():
         return EmbeddingSpace(tokens, matrix, meta=meta)
 
     return factory
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_children():
+    """Fail a test that leaves a child process running or unreaped (the
+    CLI's I/O workers must all be reaped, on success and on failure)."""
+    yield
+    if hasattr(os, "fork"):
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        pytest.fail(f"test left an unreaped child process ({pid or 'still running'})")
