@@ -117,6 +117,13 @@ def _binary_stream(source: bytes | bytearray | memoryview | BinaryIO) -> BinaryI
     return source
 
 
+def _check_parse_options(on_duplicate: str, max_vocab: int | None) -> None:
+    if on_duplicate not in ("keep-first", "error"):
+        raise ValueError(f"unknown duplicate policy: {on_duplicate!r}")
+    if max_vocab is not None and max_vocab < 0:
+        raise ValueError(f"max_vocab must be at least 0, got {max_vocab}")
+
+
 def _parse_header_fields(fields: Sequence[str]) -> tuple[int, int] | None:
     if len(fields) == 2 and all(f.isdigit() for f in fields):
         return int(fields[0]), int(fields[1])
@@ -186,8 +193,7 @@ def parse_text_embeddings(
     Values are read with Python's ``float`` into a matrix that grows as
     lines arrive; the header's word count is never used to size it.
     """
-    if on_duplicate not in ("keep-first", "error"):
-        raise ValueError(f"unknown duplicate policy: {on_duplicate!r}")
+    _check_parse_options(on_duplicate, max_vocab)
     text = io.TextIOWrapper(_binary_stream(source), encoding="utf-8")
 
     def non_finite(line: int) -> ParseError:
@@ -285,8 +291,7 @@ def parse_binary_embeddings(
     matrix is allocated once, for no more words than the bytes after the
     header can hold (each takes at least ``4 * dim + 1``).
     """
-    if on_duplicate not in ("keep-first", "error"):
-        raise ValueError(f"unknown duplicate policy: {on_duplicate!r}")
+    _check_parse_options(on_duplicate, max_vocab)
     data = _binary_stream(source).read()
 
     nl = data.find(b"\n")
@@ -305,7 +310,7 @@ def parse_binary_embeddings(
     # fails below at the offset where the stream runs out.
     capacity = min(vocab_size, (len(data) - nl - 1) // (vector_bytes + 1))
     if max_vocab is not None:
-        capacity = min(capacity, max(max_vocab, 1))
+        capacity = min(capacity, max_vocab)
 
     def non_finite(mark: tuple[str, int]) -> ParseError:
         return ParseError(f"non-finite value for token {mark[0]!r}", offset=mark[1])
@@ -317,6 +322,8 @@ def parse_binary_embeddings(
     pos = nl + 1
     try:
         for _ in range(vocab_size):
+            if max_vocab is not None and len(tokens) >= max_vocab:
+                break
             while pos < len(data) and data[pos] == 0x0A:
                 pos += 1
             sp = data.find(b" ", pos)
@@ -342,8 +349,6 @@ def parse_binary_embeddings(
             seen.add(token)
             tokens.append(token)
             rows.append(vector, (token, start))
-            if max_vocab is not None and len(tokens) >= max_vocab:
-                break
     except ParseError:
         # A non-finite row read before the failure is reported first.
         rows.check()

@@ -9,9 +9,16 @@ import numpy as np
 from metavec.embeddings import EmbeddingSpace
 
 DEFAULT_K = 10
-# Bytes per block: a block of queries' scores in ``_rank``, a block of
-# words' stacked rows in ``combine._mean_rows``.
+# Bytes per block: one tile of queries × candidates' scores in ``_rank``,
+# a block of words' stacked rows in ``combine._mean_rows``.
 _BLOCK_BYTES = 8 << 20
+# ``_rank`` tiles the candidate axis rather than rank blocks of fewer
+# queries than this: a BLAS product of a few query rows streams the whole
+# candidate matrix for little work, several times the cost per query of a
+# block of a few hundred.
+_MIN_QUERIES = 256
+# Strided chunks of a score row whose maxima bound its k-th best in ``_rank``.
+_CHUNKS = 64
 
 __all__ = [
     "DEFAULT_K",
@@ -66,6 +73,34 @@ class SynthesisReport:
     skipped: tuple[str, ...] = ()
 
 
+def _unit_rows_of(matrix: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``matrix[rows]`` that have a direction, scaled to unit
+    length, and their positions in ``rows``."""
+    picked = matrix[rows]
+    norms = np.linalg.norm(picked, axis=1)
+    defined = np.flatnonzero(norms > 0.0)
+    return picked[defined] / norms[defined][:, np.newaxis], defined
+
+
+def _kth_bound(scores: np.ndarray, k: int) -> np.ndarray:
+    """A lower bound on each row's k-th best score, as a column.
+
+    With more than k strided chunks of columns, the k-th largest chunk
+    maximum is the k-th largest of k or more distinct scores of the row, so
+    it cannot exceed the row's k-th best; one reduction finds the maxima
+    without copying the scores. Otherwise the k-th best itself, found by
+    partition (-inf when the row holds at most k scores).
+    """
+    n = scores.shape[1]
+    if k < _CHUNKS <= n:
+        chunked = scores[:, : n - n % _CHUNKS].reshape(len(scores), -1, _CHUNKS)
+        maxima = chunked.max(axis=1)
+        return np.partition(maxima, _CHUNKS - k, axis=1)[:, _CHUNKS - k, np.newaxis]
+    if n <= k:
+        return np.full((len(scores), 1), -np.inf)
+    return np.partition(scores, n - k, axis=1)[:, n - k, np.newaxis]
+
+
 def _rank(
     matrix: np.ndarray, query_rows: np.ndarray, candidate_rows: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -74,24 +109,29 @@ def _rank(
     Returns ``live``, the positions in ``query_rows`` of the queries that
     have a direction, and for those queries (len(live) × min(k, n)) arrays
     of the best cosines and their positions in ``candidate_rows``, best
-    first, where n counts the candidates that have a direction. Queries are
-    ranked in blocks whose scores fit in ``_BLOCK_BYTES``: per block,
-    ``np.partition`` finds each row's k-th best score, every candidate
-    scoring at least that is kept (a tie across the k-th place stays whole),
-    and ``np.lexsort`` by (row, -score, candidate position) orders them
-    before each row is cut to k. Exact ties thus break by candidate
-    position, so candidates sorted by token break them by token.
+    first, where n counts the candidates that have a direction. Exact ties
+    break by candidate position, so candidates sorted by token break them
+    by token.
+
+    Scores are computed one tile of queries × candidates at a time, each
+    within ``_BLOCK_BYTES``. While a block of ``_MIN_QUERIES`` queries (or
+    of all of them, if fewer) can score every candidate at once, there is
+    one tile per query block, as large as the budget allows; beyond that,
+    blocks of ``_MIN_QUERIES`` queries meet candidate tiles sized to the
+    budget. Each query keeps a running list of its best min(k, n)
+    candidates. In a tile, only scores that reach both the tile's bound on
+    the row's k-th best (``_kth_bound``) and the running list's last score
+    can enter it, so a tie across the k-th place stays whole; those and the
+    running list are ordered by ``np.lexsort`` on (row, -score, candidate
+    position) and each row is cut back to min(k, n).
     """
-    candidates = matrix[candidate_rows]
-    norms = np.linalg.norm(candidates, axis=1)
-    defined = np.flatnonzero(norms > 0.0)
-    unit_candidates = candidates[defined] / norms[defined][:, np.newaxis]
-    del candidates
+    unit_candidates, defined = _unit_rows_of(matrix, candidate_rows)
     n = len(defined)
     # Equal directions tie exactly, but BLAS may round one row differently
-    # in different columns: each repeated row takes its first occurrence's
-    # scores after the product. Only rows whose first coordinate repeats
-    # are compared whole, which keeps the check cheap on real vocabularies.
+    # in different columns: each distinct direction is scored at its first
+    # occurrence only, and its repeats take that score when a tile's kept
+    # scores are merged. Only rows whose first coordinate repeats are
+    # compared whole, which keeps the check cheap on real vocabularies.
     _, lead_group, lead_counts = np.unique(
         unit_candidates[:, 0], return_inverse=True, return_counts=True
     )
@@ -103,29 +143,54 @@ def _rank(
     firsts = maybe[first[group]]
     repeat = firsts != maybe
     repeats, firsts = maybe[repeat], firsts[repeat]
+    # Each first's repeats, ascending, from ``twin_start[first]`` in ``twins``.
+    twins = repeats[np.argsort(firsts, kind="stable")]
+    twin_counts = np.bincount(firsts, minlength=n)
+    twin_start = np.cumsum(twin_counts) - twin_counts
 
-    queries = matrix[query_rows]
-    query_norms = np.linalg.norm(queries, axis=1)
-    live = np.flatnonzero(query_norms > 0.0)
-    unit_queries = queries[live] / query_norms[live][:, np.newaxis]
-    del queries
+    unit_queries, live = _unit_rows_of(matrix, query_rows)
     width = min(k, n)
     best = np.empty((len(live), width))
     positions = np.empty((len(live), width), dtype=np.intp)
-    step = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
+    if not width:
+        return live, best, positions
+    step = _BLOCK_BYTES // (8 * n)
+    tile = n
+    if step < min(len(live), _MIN_QUERIES):
+        step = min(len(live), _MIN_QUERIES)
+        tile = max(1, _BLOCK_BYTES // (8 * step))
+    step = max(1, step)
     for start in range(0, len(live), step):
-        scores = unit_queries[start : start + step] @ unit_candidates.T
-        scores[:, repeats] = scores[:, firsts]
-        kth = -np.inf if n <= k else np.partition(scores, n - k, axis=1)[:, n - k, np.newaxis]
-        rows, cols = np.divmod(np.flatnonzero(scores >= kth), n)
-        values = scores[rows, cols]
-        # ``rows`` is sorted and holds each block row at least min(k, n) times.
-        row_starts = np.searchsorted(rows, np.arange(len(scores)))
-        del scores
-        order = np.lexsort((cols, -values, rows))
-        top = order[row_starts[:, np.newaxis] + np.arange(width)]
-        best[start : start + step] = values[top]
-        positions[start : start + step] = defined[cols[top]]
+        block = unit_queries[start : start + step]
+        # Empty places score -inf at position n, behind every candidate.
+        top_scores = np.full((len(block), width), -np.inf)
+        top = np.full((len(block), width), n, dtype=np.intp)
+        for lo in range(0, n, tile):
+            scores = block @ unit_candidates[lo : lo + tile].T
+            scores[:, repeats[(repeats >= lo) & (repeats < lo + tile)] - lo] = -np.inf
+            # Masked repeats never pass the floor, whatever the bounds.
+            floor = np.maximum(_kth_bound(scores, k), top_scores[:, -1:])
+            np.maximum(floor, np.finfo(scores.dtype).min, out=floor)
+            rows, cols = np.divmod(np.flatnonzero(scores >= floor), scores.shape[1])
+            values = scores[rows, cols]
+            del scores
+            cols += lo
+            counts = twin_counts[cols]
+            if counts.any():
+                kept = np.repeat(np.arange(len(cols)), counts)
+                nth = np.arange(len(kept)) - np.repeat(np.cumsum(counts) - counts, counts)
+                rows = np.concatenate([rows, rows[kept]])
+                values = np.concatenate([values, values[kept]])
+                cols = np.concatenate([cols, twins[twin_start[cols[kept]] + nth]])
+            rows = np.concatenate([np.repeat(np.arange(len(block)), width), rows])
+            values = np.concatenate([top_scores.ravel(), values])
+            cols = np.concatenate([top.ravel(), cols])
+            order = np.lexsort((cols, -values, rows))
+            per_row = np.bincount(rows, minlength=len(block))
+            taken = order[(np.cumsum(per_row) - per_row)[:, np.newaxis] + np.arange(width)]
+            top_scores, top = values[taken], cols[taken]
+        best[start : start + step] = top_scores
+        positions[start : start + step] = defined[top]
     return live, best, positions
 
 

@@ -86,7 +86,9 @@ def covariance_spectrum(matrix):
     return np.linalg.eigvalsh(cov)[::-1]
 
 
-def exhaustive_neighbors(space, query, k):
+def exhaustive_scores(space, query):
+    """(-cosine, token) against ``query`` for every other token that has a
+    direction, ascending: best first, exact ties by token."""
     unit_query = space.vector(query)
     unit_query = unit_query / np.linalg.norm(unit_query)
     scored = []
@@ -99,7 +101,11 @@ def exhaustive_neighbors(space, query, k):
             continue
         scored.append((-float(np.dot(vector / norm, unit_query)), token))
     scored.sort()
-    return tuple(token for _, token in scored[:k])
+    return scored
+
+
+def exhaustive_neighbors(space, query, k):
+    return tuple(token for _, token in exhaustive_scores(space, query)[:k])
 
 
 def canonical_mean(rows, denominator):

@@ -269,6 +269,33 @@ class TestBinaryFormat:
         assert parsed.tokens == ("naïve", "枝")
 
 
+_THREE_WORDS = EmbeddingSpace(["a", "b", "c"], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
+
+@pytest.mark.parametrize(
+    "parse, payload",
+    [
+        (parse_text_embeddings, write_text_embeddings(_THREE_WORDS)),
+        (parse_binary_embeddings, write_binary_embeddings(_THREE_WORDS)),
+    ],
+    ids=["text", "binary"],
+)
+class TestMaxVocab:
+    def test_zero_gives_an_empty_space(self, parse, payload):
+        space = parse(payload, max_vocab=0)
+        assert space.tokens == ()
+        assert space.matrix.shape == (0, 2)
+
+    def test_one_keeps_the_first_word(self, parse, payload):
+        space = parse(payload, max_vocab=1)
+        assert space.tokens == ("a",)
+        assert space.matrix.tolist() == [[1.0, 2.0]]
+
+    def test_negative_is_rejected(self, parse, payload):
+        with pytest.raises(ValueError, match="max_vocab must be at least 0, got -1"):
+            parse(payload, max_vocab=-1)
+
+
 class TestPathHelpers:
     def test_detect_format(self):
         assert detect_format("vectors.bin") == "binary"

@@ -6,6 +6,7 @@ import pytest
 
 from metavec.embeddings import EmbeddingSpace
 from metavec.linalg import (
+    ORTHOGONALITY_TOL,
     OrthogonalMap,
     ReductionMap,
     apply_map,
@@ -156,6 +157,28 @@ class TestSolveProcrustes:
         omap = solve_procrustes(x, x @ reflection)
         assert np.allclose(omap.matrix, reflection, atol=1e-8)
         assert np.linalg.det(omap.matrix) < 0
+
+    @pytest.mark.parametrize(
+        "case", ["one-pair", "fewer-pairs-than-dims", "duplicate-rows", "all-duplicates"]
+    )
+    def test_rank_deficient_anchors_give_an_isometry(self, case):
+        rng = np.random.default_rng(13)
+        dim = 12
+        rows = rng.normal(size=(5, dim))
+        picks = {
+            "one-pair": [0],
+            "fewer-pairs-than-dims": [0, 1, 2, 3, 4],
+            "duplicate-rows": [0, 1, 0, 2, 1, 1, 3, 0, 2, 4, 4, 1, 3, 0, 2, 1, 3],
+            "all-duplicates": [2] * 20,
+        }[case]
+        x = rows[picks]
+        z = x @ np.linalg.qr(rng.normal(size=(dim, dim)))[0] + rng.normal(size=x.shape) * 0.1
+        assert np.linalg.matrix_rank(x) < dim
+        w = solve_procrustes(x, z).matrix
+        assert np.linalg.norm(w.T @ w - np.eye(dim)) <= ORTHOGONALITY_TOL
+        mapped = rng.normal(size=(30, dim)) * 3.0
+        gram = mapped @ mapped.T
+        assert np.allclose((mapped @ w) @ (mapped @ w).T, gram, rtol=0, atol=1e-10 * abs(gram).max())
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):

@@ -381,6 +381,33 @@ class TestQueryBlocks:
             tracemalloc.stop()
         assert peak < 40e6
 
+    @pytest.mark.parametrize("min_queries", [4, 7])
+    @pytest.mark.parametrize("rows_per_block", [1, 3])
+    def test_straddling_ties_match_exhaustive_scan_in_candidate_tiles(
+        self, monkeypatch, rows_per_block, min_queries
+    ):
+        # Blocks of 4 or 7 queries against tiles of 3, 9, 1 and 5 of the 12
+        # candidates: the six twins always span several tiles.
+        monkeypatch.setattr(oov, "_MIN_QUERIES", min_queries)
+        self.test_straddling_ties_match_exhaustive_scan(monkeypatch, rows_per_block)
+
+    def test_kernel_memory_stays_flat_with_candidate_tiles(self):
+        # 1000 queries against 30000 candidates: one block of 256 queries'
+        # scores alone would be 61 MB, so the candidate axis is tiled.
+        rng = np.random.default_rng(74)
+        shared = [f"s{i:05d}" for i in range(30000)]
+        missing = [f"m{i:04d}" for i in range(1000)]
+        e1 = EmbeddingSpace(shared + missing, rng.normal(size=(31000, 16)))
+        e2 = EmbeddingSpace(shared, rng.normal(size=(30000, 16)))
+        tracemalloc.start()
+        try:
+            oov._extend_all_to_union([e1, e2], k=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # About 17 MB: the normalized candidates and one 8 MiB score tile.
+        assert peak < 25e6
+
 
 class TestSynthesisCount:
     def test_skipped_words_are_not_counted_as_synthesized(self):

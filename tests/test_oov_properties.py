@@ -1,6 +1,6 @@
 """Property tests: neighbor ranking against the exhaustive-scan oracle on
-random spaces with planted exact ties, and the union extension against a
-per-word oracle."""
+random spaces with planted exact ties, in every tiling of queries and
+candidates, and the union extension against a per-word oracle."""
 from unittest.mock import patch
 
 import numpy as np
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from metavec import oov
 from metavec.embeddings import EmbeddingSpace
 from metavec.oov import extend_to_union, nearest_neighbors
-from oracles import extend_all_to_union, exhaustive_neighbors
+from oracles import exhaustive_neighbors, exhaustive_scores, extend_all_to_union
 
 
 @st.composite
@@ -92,11 +92,87 @@ def test_audit_lists_match_exhaustive_scan_over_shared_words(matrix, k, n_only, 
 def test_audit_lists_match_exhaustive_scan_in_small_query_blocks(
     matrix, k, n_only, seed, block_bytes
 ):
-    # 8 bytes per score: blocks of one query up to a few hundred.
+    # 8 bytes per score: tiles of one candidate up to blocks of several
+    # queries against every candidate.
     with patch.object(oov, "_BLOCK_BYTES", block_bytes):
         test_audit_lists_match_exhaustive_scan_over_shared_words.hypothesis.inner_test(
             matrix, k, n_only, seed
         )
+
+
+@st.composite
+def tiled_rankings(draw):
+    """A ranking call and a tiling for it: a tied matrix split into
+    candidates (shuffled, so position is not row order) and queries, k, the
+    chunk count of the k-th bound, and a budget that gives blocks of
+    ``queries_per_block`` queries against tiles of ``tile`` candidates:
+    one-candidate tiles, several tiles or a single one."""
+    matrix = draw(tied_matrices(max_rows=90))
+    n_queries = draw(st.integers(1, min(8, len(matrix) - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    candidate_rows = rng.permutation(len(matrix) - n_queries)
+    query_rows = np.arange(len(matrix) - n_queries, len(matrix))
+    queries_per_block = draw(st.integers(1, n_queries))
+    tile = draw(st.integers(1, len(candidate_rows)))
+    return (
+        matrix,
+        query_rows,
+        candidate_rows,
+        draw(st.integers(1, 20)),
+        dict(
+            _BLOCK_BYTES=8 * queries_per_block * tile,
+            _MIN_QUERIES=queries_per_block,
+            _CHUNKS=draw(st.sampled_from([2, 5, 16, 64])),
+        ),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiled_rankings())
+def test_rank_matches_exhaustive_scan_in_any_tiling(case):
+    matrix, query_rows, candidate_rows, k, tiling = case
+    with patch.multiple(oov, **tiling):
+        live, scores, top = oov._rank(matrix, query_rows, candidate_rows, k)
+    assert live.tolist() == [i for i, row in enumerate(matrix[query_rows]) if row.any()]
+    defined = int(np.count_nonzero(matrix[candidate_rows].any(axis=1)))
+    assert scores.shape == top.shape == (len(live), min(k, defined))
+    tokens = [f"c{p:03d}" for p in range(len(candidate_rows))]
+    for i, row_scores, row_top in zip(live, scores, top):
+        pool = EmbeddingSpace(["q", *tokens], matrix[[query_rows[i], *candidate_rows]])
+        expected = exhaustive_scores(pool, "q")[:k]
+        assert [tokens[p] for p in row_top] == [t for _, t in expected]
+        want = np.array([-score for score, _ in expected])
+        assert np.allclose(row_scores, want, rtol=0, atol=1e-12)
+        # Equal directions tie exactly, wherever their tiles fall.
+        tied = want[1:] == want[:-1]
+        assert np.array_equal(row_scores[1:][tied], row_scores[:-1][tied])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 200),
+    st.integers(1, 12),
+    st.sampled_from([2, 5, 16, 64]),
+    st.integers(0, 2**32 - 1),
+)
+def test_kth_bound_is_the_kth_strided_chunk_maximum(rows, n, k, chunks, seed):
+    rng = np.random.default_rng(seed)
+    # Few distinct values, so ties are common; some masked (-inf) scores.
+    scores = np.round(rng.normal(size=(rows, n)), 1)
+    scores[rng.random(size=scores.shape) < 0.2] = -np.inf
+    with patch.object(oov, "_CHUNKS", chunks):
+        bound = oov._kth_bound(scores, k)
+    assert bound.shape == (rows, 1)
+    for row, got in zip(scores, bound[:, 0]):
+        kth = sorted(row, reverse=True)[k - 1] if n > k else -np.inf
+        assert got <= kth
+        if k < chunks <= n:
+            strided = row[: n - n % chunks]
+            maxima = [strided[c::chunks].max() for c in range(chunks)]
+            assert got == sorted(maxima, reverse=True)[k - 1]
+        else:
+            assert got == kth
 
 
 @st.composite
@@ -126,8 +202,9 @@ def overlapping_spaces(draw):
 @settings(max_examples=150, deadline=None)
 @given(overlapping_spaces(), st.integers(1, 12), st.integers(1, 1000), st.booleans())
 def test_extension_matches_per_word_oracle(spaces, k, block_bytes, record_neighbors):
-    # Tiny budgets split both the ranked queries and each neighbor count's
-    # centroids into blocks of one or a few words.
+    # Tiny budgets split the ranking into tiles of one or a few candidates
+    # (or leave one tile), and each neighbor count's centroids into blocks
+    # of one or a few words.
     with patch.object(oov, "_BLOCK_BYTES", block_bytes):
         got, report = oov._extend_all_to_union(spaces, k, record_neighbors=record_neighbors)
         want, expected = extend_all_to_union(spaces, k, record_neighbors=record_neighbors)
