@@ -15,7 +15,7 @@ import pickle
 import signal
 import sys
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from pathlib import Path
 from typing import BinaryIO
 
@@ -31,6 +31,7 @@ from metavec.combine import (
 from metavec.embeddings import (
     EmbeddingSpace,
     ParseError,
+    _commit_outputs,
     detect_format,
     load_embeddings,
 )
@@ -227,34 +228,6 @@ def _chunks(space: EmbeddingSpace, fmt: str, precision: int, workers: int) -> It
 
 def _output_format(args, first_source: str) -> str:
     return args.format or detect_format(first_source)
-
-
-def _commit_outputs(staged: list[tuple[Path, Iterable[bytes]]]) -> None:
-    """Write all outputs, or none. Each output's chunks stream into a
-    temporary file next to it; only when every temporary file is complete
-    are they renamed over their targets. If a rename fails, the targets
-    already renamed are removed again.
-    """
-    temps: list[Path] = []
-    renamed: list[Path] = []
-    try:
-        for index, (path, chunks) in enumerate(staged):
-            temps.append(path.with_name(path.name + f".tmp.{os.getpid()}.{index}"))
-            with open(temps[-1], "wb") as handle:
-                for chunk in chunks:
-                    handle.write(chunk)
-        for (path, _), tmp in zip(staged, temps):
-            os.replace(tmp, path)
-            renamed.append(path)
-    except BaseException:
-        for _, chunks in staged:
-            if hasattr(chunks, "close"):  # stops a generator's worker processes
-                chunks.close()
-        for tmp in temps:
-            tmp.unlink(missing_ok=True)
-        for path in renamed:
-            path.unlink(missing_ok=True)
-        raise
 
 
 def _check_prefix_count(paths, prefixes, parser) -> None:

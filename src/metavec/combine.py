@@ -13,7 +13,8 @@ from metavec.align import MappingDictionary, align_to_target
 from metavec.embeddings import EmbeddingSpace
 from metavec.linalg import _unit_rows, apply_reduction, fit_reduction
 from metavec.oov import (
-    _BLOCK_BYTES, DEFAULT_K, SynthesisReport, _extend_all_to_union, _union_positions
+    _BLOCK_BYTES, DEFAULT_K, SynthesisReport, _plan_synthesis, _union_positions,
+    _write_centroids,
 )
 
 VALID_METHODS = ("mvm", "average", "concat", "concat-reduce")
@@ -143,13 +144,39 @@ def _unit_spaces(spaces: Sequence[EmbeddingSpace]) -> list[EmbeddingSpace]:
     return [EmbeddingSpace._own(s.tokens, _unit_rows(s.matrix)[0], meta=s.meta) for s in spaces]
 
 
-def _extended(
+def _union_rows(
     spaces: Sequence[EmbeddingSpace], config: CombineConfig
-) -> tuple[list[EmbeddingSpace], SynthesisReport | None]:
-    """Under the "nn" policy, NN-synthesize every space's missing words."""
+) -> tuple[list[str], np.ndarray, list[np.ndarray], SynthesisReport | None]:
+    """The union vocabulary, its row table and each space's synthesized rows.
+
+    Under the "nn" policy every missing word is synthesized
+    (``_plan_synthesis``) into a block of rows of its own space, zero for
+    a skipped word, and its table entry points past the space's own rows:
+    ``len(space) + j`` names row j of that block. Otherwise the blocks are
+    empty and missing words keep -1.
+    """
     if config.oov_policy != "nn":
-        return list(spaces), None
-    return _extend_all_to_union(spaces, config.k_neighbors)
+        union, table = _union_positions(spaces)
+        return union, table, [np.empty((0, s.dim)) for s in spaces], None
+    union, table, plans, report = _plan_synthesis(spaces, config.k_neighbors)
+    synthesized = []
+    for space, at, plan in zip(spaces, table, plans):
+        missing, block = plan[0], np.arange(len(plan[0]))
+        rows = np.zeros((len(missing), space.dim))
+        _write_centroids(space.matrix, plan, rows, block)
+        at[missing] = len(space) + block
+        synthesized.append(rows)
+    return union, table, synthesized, report
+
+
+def _place(out: np.ndarray, at: np.ndarray, matrix: np.ndarray, synthesized: np.ndarray) -> None:
+    """Set ``out[w]`` to the row that table entry ``at[w]`` names: a row of
+    ``matrix``, or past its end a row of ``synthesized``; -1 leaves
+    ``out[w]`` alone."""
+    own = (at >= 0) & (at < len(matrix))
+    out[own] = matrix[at[own]]
+    drawn = at >= len(matrix)
+    out[drawn] = synthesized[at[drawn] - len(matrix)]
 
 
 def _combined(
@@ -189,39 +216,49 @@ def _combined(
     return MetaEmbedding(space, provenance)
 
 
-def _mean_rows(spaces: Sequence[EmbeddingSpace], policy: str) -> tuple[list[str], np.ndarray]:
-    """Per-word mean across spaces under the given missing-word policy.
+def _mean_rows(
+    spaces: Sequence[EmbeddingSpace],
+    table: np.ndarray,
+    synthesized: Sequence[np.ndarray],
+    policy: str,
+) -> np.ndarray:
+    """Per-word mean across spaces under the given missing-word policy,
+    one row per column of the row table (``_union_rows``).
 
     ``spaces`` already share coordinates. For "available" the denominator
-    is the number of spaces holding the word; for "zero" (and for fully
-    extended inputs under "nn") it is the source count. A word's rows are
-    added in the order of their byte images, so the result is bitwise
-    independent of the order the sources were given in. Union rows are
-    taken in blocks whose stacked rows fit in ``_BLOCK_BYTES``.
+    is the number of spaces holding the word; for "zero" and "nn" (where
+    every word has a row in every space) it is the source count. A word's
+    rows are added in the order of their byte images, so the result is
+    bitwise independent of the order the sources were given in. Union rows
+    are taken in blocks whose stacked rows fit in ``_BLOCK_BYTES // 8``
+    (1 MiB): the union matrix, the inputs and the synthesized rows are
+    all held meanwhile, and the stack and its temporaries come on top.
     """
-    union, table = _union_positions(spaces)
     n, dim = len(spaces), spaces[0].dim
     row_type = np.dtype((np.void, 8 * dim))
-    matrix = np.empty((len(union), dim))
-    step = max(1, _BLOCK_BYTES // (8 * n * dim))
-    for start in range(0, len(union), step):
+    matrix = np.empty((table.shape[1], dim))
+    step = max(1, _BLOCK_BYTES // 8 // (8 * n * dim))
+    # One stack for every block; each block's sum is built in its output rows.
+    buffer = np.empty((min(step, table.shape[1]), n, dim))
+    for start in range(0, table.shape[1], step):
         at = table[:, start : start + step]
         held = at >= 0
         # All-0xff bytes are a NaN, which no space holds, so an absent row
         # sorts after every present one.
-        stack = np.empty((at.shape[1], n, dim))
+        stack = buffer[: at.shape[1]]
         stack.view(np.int64)[...] = -1
         for i, space in enumerate(spaces):
-            stack[held[i], i] = space.matrix[at[i, held[i]]]
+            _place(stack[:, i], at[i], space.matrix, synthesized[i])
         order = np.argsort(stack.view(row_type)[..., 0], axis=1)
         counts = held.sum(axis=0)
         block = np.arange(len(stack))
-        total = stack[block, order[:, 0]]
+        total = matrix[start : start + step]
+        total[...] = stack[block, order[:, 0]]
         for j in range(1, n):
             np.add(total, stack[block, order[:, j]], out=total, where=(j < counts)[:, np.newaxis])
         denominator = counts[:, np.newaxis] if policy == "available" else n
-        np.divide(total, denominator, out=matrix[start : start + step])
-    return union, matrix
+        np.divide(total, denominator, out=total)
+    return matrix
 
 
 def combine_mvm(
@@ -246,12 +283,12 @@ def combine_mvm(
     if not config.target_index < len(spaces):
         raise ValueError(f"target_index {config.target_index} out of range")
     aligned = align_to_target(spaces, config.target_index, dictionaries)
-    # Only ``members`` holds each set of spaces, so a replaced set is freed.
+    # Only ``members`` holds the mapped spaces, so deleting it frees them.
     members, infos = list(aligned.mapped), aligned.infos
     del aligned
-    members, report = _extended(members, config)
-    union, matrix = _mean_rows(members, config.oov_policy)
-    del members
+    union, table, synthesized, report = _union_rows(members, config)
+    matrix = _mean_rows(members, table, synthesized, config.oov_policy)
+    del members, synthesized
     _unit_rows(matrix, out=matrix)
     return _combined(
         sources, config, union, matrix, report,
@@ -273,8 +310,9 @@ def combine_average(
     dims = {s.dim for s in spaces}
     if len(dims) != 1:
         raise ValueError(f"averaging needs one shared dim, got {sorted(dims)}")
-    spaces, report = _extended(_unit_spaces(spaces), config)
-    union, matrix = _mean_rows(spaces, config.oov_policy)
+    spaces = _unit_spaces(spaces)
+    union, table, synthesized, report = _union_rows(spaces, config)
+    matrix = _mean_rows(spaces, table, synthesized, config.oov_policy)
     return _combined(sources, config, union, matrix, report)
 
 
@@ -292,13 +330,12 @@ def _concat(sources: Sequence[EmbeddingSpace], config: CombineConfig) -> MetaEmb
         raise ValueError("need at least one source")
     if config.oov_policy == "available":
         raise ValueError("concatenation has no 'available' policy; use zero or nn")
-    spaces, report = _extended(_unit_spaces(_prefixed(sources, config)), config)
-    union, table = _union_positions(spaces)
+    spaces = _unit_spaces(_prefixed(sources, config))
+    union, table, synthesized, report = _union_rows(spaces, config)
     matrix = np.zeros((len(union), sum(s.dim for s in spaces)))
     offset = 0
-    for space, at in zip(spaces, table):
-        held = at >= 0
-        matrix[held, offset : offset + space.dim] = space.matrix[at[held]]
+    for space, at, rows in zip(spaces, table, synthesized):
+        _place(matrix[:, offset : offset + space.dim], at, space.matrix, rows)
         offset += space.dim
     return _combined(
         sources, config, union, matrix, report, block_dims=[s.dim for s in spaces]

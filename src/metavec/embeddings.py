@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import logging
+import os
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
@@ -388,7 +389,7 @@ def _header(space: EmbeddingSpace) -> bytes:
 
 def _text_rows(tokens: Sequence[str], block: np.ndarray, precision: int) -> bytes:
     """The text-format lines of one block of rows, ``tokens`` parallel to
-    ``block``; :func:`write_text_embeddings` joins these after its header."""
+    ``block``; ``_text_chunks`` yields these after its header."""
     if precision >= 17:
         magnitude = np.abs(block)
         exponent = (magnitude >= 1e16) | ((magnitude < 1e-4) & (magnitude > 0.0))
@@ -406,6 +407,18 @@ def _text_rows(tokens: Sequence[str], block: np.ndarray, precision: int) -> byte
     return b"".join(lines)
 
 
+def _text_chunks(space: EmbeddingSpace, precision: int) -> Iterator[bytes]:
+    """The text format of ``space``: the header, then one chunk per block
+    of rows."""
+    if precision < 1:
+        raise ValueError("precision must be at least 1")
+    yield _header(space)
+    step = max(1, _BLOCK_BYTES // (8 * space.dim))
+    for start in range(0, len(space), step):
+        end = start + step
+        yield _text_rows(space.tokens[start:end], space.matrix[start:end], precision)
+
+
 def write_text_embeddings(space: EmbeddingSpace, precision: int = 17) -> bytes:
     """Serialize to the text format with ``precision`` significant digits.
 
@@ -415,14 +428,7 @@ def write_text_embeddings(space: EmbeddingSpace, precision: int = 17) -> bytes:
     only the values ``repr`` would write with an exponent (nonzero below
     1e-4 or at least 1e16 in magnitude) go through the positional formatter.
     """
-    if precision < 1:
-        raise ValueError("precision must be at least 1")
-    step = max(1, _BLOCK_BYTES // (8 * space.dim))
-    chunks = [_header(space)]
-    for start in range(0, len(space), step):
-        end = start + step
-        chunks.append(_text_rows(space.tokens[start:end], space.matrix[start:end], precision))
-    return b"".join(chunks)
+    return b"".join(_text_chunks(space, precision))
 
 
 def _binary_chunks(space: EmbeddingSpace) -> Iterator[bytes]:
@@ -472,14 +478,47 @@ def save_embeddings(
     format: str = "auto",
     precision: int = 17,
 ) -> None:
-    """Write an embedding file; ``format`` as in :func:`load_embeddings`."""
+    """Write an embedding file; ``format`` as in :func:`load_embeddings`.
+
+    The file is streamed block by block into a temporary file next to
+    ``path`` and renamed over it when complete, so a failed write leaves
+    an existing file as it was.
+    """
     path = Path(path)
     if format == "auto":
         format = detect_format(path)
     if format == "binary":
-        payload = write_binary_embeddings(space)
+        chunks = _binary_chunks(space)
     elif format == "text":
-        payload = write_text_embeddings(space, precision=precision)
+        chunks = _text_chunks(space, precision)
     else:
         raise ValueError(f"unknown format: {format!r}")
-    path.write_bytes(payload)
+    _commit_outputs([(path, chunks)])
+
+
+def _commit_outputs(staged: Sequence[tuple[Path, Iterable[bytes]]]) -> None:
+    """Write all outputs, or none. Each output's chunks stream into a
+    temporary file next to it; only when every temporary file is complete
+    are they renamed over their targets. If a rename fails, the targets
+    already renamed are removed again.
+    """
+    temps: list[Path] = []
+    renamed: list[Path] = []
+    try:
+        for index, (path, chunks) in enumerate(staged):
+            temps.append(path.with_name(path.name + f".tmp.{os.getpid()}.{index}"))
+            with open(temps[-1], "wb") as handle:
+                for chunk in chunks:
+                    handle.write(chunk)
+        for (path, _), tmp in zip(staged, temps):
+            os.replace(tmp, path)
+            renamed.append(path)
+    except BaseException:
+        for _, chunks in staged:
+            if hasattr(chunks, "close"):  # stops a generator and any workers behind it
+                chunks.close()
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
+        for path in renamed:
+            path.unlink(missing_ok=True)
+        raise

@@ -10,7 +10,10 @@ from metavec.embeddings import EmbeddingSpace
 
 DEFAULT_K = 10
 # Bytes per block: one tile of queries × candidates' scores in ``_rank``,
-# a block of words' stacked rows in ``combine._mean_rows``.
+# one block of gathered neighbor rows in ``_write_centroids``. Both run
+# before any union-sized matrix exists. ``combine._mean_rows`` runs while
+# the union matrix, the aligned inputs and the synthesized rows are all
+# held, so it stacks its blocks of words' rows within an eighth of this.
 _BLOCK_BYTES = 8 << 20
 # ``_rank`` tiles the candidate axis rather than rank blocks of fewer
 # queries than this: a BLAS product of a few query rows streams the whole
@@ -255,10 +258,15 @@ def _union_positions(spaces: Sequence[EmbeddingSpace]) -> tuple[list[str], np.nd
     return list(position), table
 
 
-def _extend_all_to_union(
+# Per space: the union positions of its missing words, their neighbors'
+# rows in the space, and how many neighbors each has.
+_Plan = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _plan_synthesis(
     spaces: Sequence[EmbeddingSpace], k: int, *, record_neighbors: bool = False
-) -> tuple[list[EmbeddingSpace], SynthesisReport]:
-    """Extend every space to the union vocabulary with NN synthesis.
+) -> tuple[list[str], np.ndarray, list[_Plan], SynthesisReport]:
+    """Rank every space's missing words for NN synthesis.
 
     Every missing word is synthesized from originally-present words only.
     With several donor spaces holding a word, the donor whose best
@@ -267,18 +275,20 @@ def _extend_all_to_union(
     deficient space. Centroids always come from the deficient space's own
     original vectors, so spaces of different dimensionality can still
     donate neighbors to each other. A word no donor can rank (zero vector,
-    or no candidate with a direction) is filled with zeros and listed as
+    or no candidate with a direction) gets no neighbors and is listed as
     skipped. Union order: first-seen across ``spaces``.
+
+    Returns the union, its row table (``_union_positions``), one plan per
+    space for ``_write_centroids`` (a neighbor count of 0: no donor could
+    rank the word), and the report.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     union, table = _union_positions(spaces)
     by_token = np.array(sorted(range(len(union)), key=union.__getitem__), dtype=np.intp)
-    # Every space's missing words are ranked before any union-sized output
-    # is allocated, so score matrices and outputs never coexist. Per missing
-    # word a plan keeps the best cosine, its neighbors' rows in the
-    # deficient space and how many there are (0: no donor could rank it).
-    plans: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    # Per missing word a plan keeps the best cosine, its neighbors' rows in
+    # the deficient space and how many there are.
+    plans: list[_Plan] = []
     for i, space in enumerate(spaces):
         missing = np.flatnonzero(table[i] < 0)
         best = np.empty(len(missing))
@@ -304,22 +314,7 @@ def _extend_all_to_union(
     audit: dict[str, tuple[str, ...]] | None = {} if record_neighbors else None
     shortfalls: list[tuple[str, int]] = []
     skipped: list[str] = []
-    extended: list[EmbeddingSpace] = []
-    for space, at, (missing, neighbors, counts) in zip(spaces, table, plans):
-        rows = np.zeros((len(union), space.dim))
-        # The table row, inverted, places the own rows without a gathered copy.
-        held = np.flatnonzero(at >= 0)
-        place = np.empty_like(held)
-        place[at[held]] = held
-        rows[place] = space.matrix
-        # ``mean(axis=1)`` over words with one neighbor count adds each
-        # word's rows as ``mean(axis=0)`` on that word alone would.
-        for count in np.flatnonzero(np.bincount(counts)[1:]) + 1:
-            group = np.flatnonzero(counts == count)
-            step = max(1, _BLOCK_BYTES // (8 * count * space.dim))
-            for start in range(0, len(group), step):
-                block = group[start : start + step]
-                rows[missing[block]] = space.matrix[neighbors[block, :count]].mean(axis=1)
+    for space, (missing, neighbors, counts) in zip(spaces, plans):
         skipped.extend(union[w] for w in missing[counts == 0])
         short = np.flatnonzero((counts > 0) & (counts < k))
         shortfalls.extend((union[w], c) for w, c in zip(missing[short], counts[short].tolist()))
@@ -327,13 +322,53 @@ def _extend_all_to_union(
             found = np.flatnonzero(counts)
             for w, row, count in zip(missing[found], neighbors[found].tolist(), counts[found]):
                 audit[union[w]] = tuple(space.tokens[r] for r in row[:count])
-        extended.append(EmbeddingSpace._own(union, rows, meta=space.meta))
     report = SynthesisReport(
         words_synthesized=tuple(int(np.count_nonzero(counts)) for _, _, counts in plans),
         neighbors=audit,
         shortfalls=tuple(shortfalls),
         skipped=tuple(skipped),
     )
+    return union, table, plans, report
+
+
+def _write_centroids(matrix: np.ndarray, plan: _Plan, out: np.ndarray, at: np.ndarray) -> None:
+    """Set ``out[at[w]]`` to the centroid of the planned neighbors' rows of
+    ``matrix`` for each ranked missing word ``w`` of ``plan``; the rows of
+    skipped words are left alone.
+
+    ``mean(axis=1)`` over words with one neighbor count adds each word's
+    rows as ``mean(axis=0)`` on that word alone would. Each block's
+    gathered neighbor rows fit in ``_BLOCK_BYTES``.
+    """
+    _, neighbors, counts = plan
+    for count in np.flatnonzero(np.bincount(counts)[1:]) + 1:
+        group = np.flatnonzero(counts == count)
+        step = max(1, _BLOCK_BYTES // (8 * count * matrix.shape[1]))
+        for start in range(0, len(group), step):
+            block = group[start : start + step]
+            out[at[block]] = matrix[neighbors[block, :count]].mean(axis=1)
+
+
+def _extend_all_to_union(
+    spaces: Sequence[EmbeddingSpace], k: int, *, record_neighbors: bool = False
+) -> tuple[list[EmbeddingSpace], SynthesisReport]:
+    """Extend every space to the union vocabulary with NN synthesis
+    (``_plan_synthesis``); a skipped word is filled with zeros.
+
+    Every space's missing words are ranked before any union-sized output
+    is allocated, so score matrices and outputs never coexist.
+    """
+    union, table, plans, report = _plan_synthesis(spaces, k, record_neighbors=record_neighbors)
+    extended: list[EmbeddingSpace] = []
+    for space, at, plan in zip(spaces, table, plans):
+        rows = np.zeros((len(union), space.dim))
+        # The table row, inverted, places the own rows without a gathered copy.
+        held = np.flatnonzero(at >= 0)
+        place = np.empty_like(held)
+        place[at[held]] = held
+        rows[place] = space.matrix
+        _write_centroids(space.matrix, plan, rows, plan[0])
+        extended.append(EmbeddingSpace._own(union, rows, meta=space.meta))
     return extended, report
 
 

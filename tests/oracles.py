@@ -129,6 +129,19 @@ def union_mean(spaces, policy):
     return union, np.array(rows).reshape(len(union), spaces[0].dim)
 
 
+def union_concat(spaces):
+    """Each first-seen union word's rows of all spaces side by side, one
+    block per space, with a zero block where a space lacks the word."""
+    union = list(dict.fromkeys(t for space in spaces for t in space.tokens))
+    rows = [
+        np.concatenate(
+            [space.vector(t) if t in space else np.zeros(space.dim) for space in spaces]
+        )
+        for t in union
+    ]
+    return union, np.array(rows).reshape(len(union), sum(space.dim for space in spaces))
+
+
 def write_text_embeddings(space: EmbeddingSpace, precision: int = 17) -> bytes:
     """Serialize to the text format with ``precision`` significant digits.
 

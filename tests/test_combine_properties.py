@@ -1,5 +1,8 @@
 """Property tests: the union mean of the combiners against a per-word
-oracle that sums each word's rows in byte-image order."""
+oracle that sums each word's rows in byte-image order, and the "nn"
+combiners against the union-sized extended spaces of the per-word
+extension oracle."""
+import re
 from unittest.mock import patch
 
 import numpy as np
@@ -9,10 +12,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metavec.combine import CombineConfig, combine_average
+from metavec import oov
+from metavec.align import align_to_target
+from metavec.combine import CombineConfig, combine, combine_average
 from metavec.embeddings import EmbeddingSpace
 from metavec.oov import _extend_all_to_union
-from oracles import union_mean
+from oracles import extend_all_to_union, union_concat, union_mean
 
 
 @st.composite
@@ -79,3 +84,44 @@ def test_permuting_four_sources_is_bitwise_invariant(sources, order, policy):
     assert sorted(forward.tokens) == sorted(permuted.tokens)
     for token in forward.tokens:
         assert forward.vector(token).tobytes() == permuted.vector(token).tobytes()
+
+
+def extended_space_oracle(sources, method, k):
+    """The "nn" result built from whole extended spaces: align (mvm) or
+    unit-normalize the sources, extend each to the union, then average
+    (and unit-normalize, for mvm) or concatenate the extended spaces."""
+    spaces = align_to_target(sources).mapped if method == "mvm" else [unit(s) for s in sources]
+    extended, _ = extend_all_to_union(spaces, k)
+    if method == "concat":
+        return union_concat(extended)
+    tokens, matrix = union_mean(extended, "nn")
+    if method == "mvm":
+        matrix = unit(EmbeddingSpace(tokens, matrix)).matrix
+    return tokens, matrix
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    overlapping_sources(n_sources=st.integers(2, 4)),
+    st.sampled_from(["mvm", "average", "concat"]),
+    st.integers(1, 3),
+    st.sampled_from([1, 100, 8 << 20]),
+)
+def test_nn_combiners_match_extended_space_oracle(sources, method, k, block_bytes):
+    config = CombineConfig(method=method, oov="nn", k_neighbors=k)
+    # Tiny budgets split ranking, centroids and the union mean into blocks
+    # of one or a few rows. The oracle ranks through the same kernel under
+    # the same budget: which donor wins a near-tie may follow the tiling.
+    with patch.object(oov, "_BLOCK_BYTES", block_bytes), patch.dict(
+        combine_average.__globals__, _BLOCK_BYTES=block_bytes
+    ):
+        try:
+            tokens, expected = extended_space_oracle(sources, method, k)
+        except ValueError as error:
+            # Alignment needs shared words with a direction.
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                combine(sources, config)
+            return
+        meta = combine(sources, config)
+    assert meta.space.tokens == tuple(tokens)
+    assert meta.space.matrix.tobytes() == expected.tobytes()

@@ -1,9 +1,11 @@
 import io
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from metavec import embeddings
 from metavec.embeddings import (
     EmbeddingSpace,
     ParseError,
@@ -323,3 +325,42 @@ class TestPathHelpers:
         path = tmp_path / "toy.txt"
         save_embeddings(make_space(n=3, dim=2), path)
         assert load_embeddings(path).meta == "toy.txt"
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_save_writes_the_writer_bytes(self, tmp_path, monkeypatch, fmt):
+        space = space_with_awkward_values()
+        # One row per chunk.
+        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 8 * space.dim)
+        path = tmp_path / "out.vec"
+        save_embeddings(space, path, format=fmt)
+        write = write_text_embeddings if fmt == "text" else write_binary_embeddings
+        assert path.read_bytes() == write(space)
+
+    def test_save_holds_one_block_not_the_whole_file(self, tmp_path, monkeypatch, make_space):
+        space = make_space(n=4000, dim=50, seed=3)
+        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 64 << 10)
+        path = tmp_path / "big.vec"
+        tracemalloc.start()
+        try:
+            save_embeddings(space, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
+
+    @pytest.mark.parametrize(
+        "fmt, token, value, error",
+        [("text", "bad token", 1.0, "whitespace"), ("binary", "big", 1e300, "single-precision")],
+    )
+    def test_failed_save_keeps_the_existing_file(
+        self, tmp_path, monkeypatch, fmt, token, value, error
+    ):
+        # One row per chunk, so the good rows reach the temporary file first.
+        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 8 * 2)
+        space = EmbeddingSpace(["a", "b", token], [[1.0, 2.0], [3.0, 4.0], [value, 0.0]])
+        path = tmp_path / "out.vec"
+        path.write_bytes(b"kept\n")
+        with pytest.raises(ValueError, match=error):
+            save_embeddings(space, path, format=fmt)
+        assert path.read_bytes() == b"kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.vec"]

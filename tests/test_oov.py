@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from metavec import oov
+from metavec.combine import CombineConfig, combine_average
 from metavec.embeddings import EmbeddingSpace
 from metavec.linalg import cosine
 from metavec.oov import (
@@ -407,6 +408,31 @@ class TestQueryBlocks:
             tracemalloc.stop()
         # About 17 MB: the normalized candidates and one 8 MiB score tile.
         assert peak < 25e6
+
+    def test_nn_average_builds_no_union_sized_space_per_source(self):
+        # Three sources, each holding about half of 6000 words (a union of
+        # 5221). Synthesis plus mean may hold the unit-normalized inputs,
+        # the union matrix and the synthesized rows, and 2 MiB on top; one
+        # union-sized copy of each source (10.7 MB each) would not fit.
+        rng = np.random.default_rng(75)
+        union, dim = [f"w{i:04d}" for i in range(6000)], 256
+        sources = []
+        for _ in range(3):
+            tokens = [t for t in union if rng.random() < 0.5]
+            sources.append(EmbeddingSpace(tokens, rng.normal(size=(len(tokens), dim))))
+        words = set().union(*(s.tokens for s in sources))
+        held = sum(len(s) for s in sources)
+        missing = len(sources) * len(words) - held
+        bound = 8 * dim * (held + len(words) + missing) + (2 << 20)
+        config = CombineConfig(method="average", oov="nn")
+        tracemalloc.start()
+        try:
+            meta = combine_average(sources, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert meta.provenance["synthesized"] == [len(words) - len(s) for s in sources]
+        assert peak < bound
 
 
 class TestSynthesisCount:
