@@ -8,6 +8,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+import orjson
 
 logger = logging.getLogger(__name__)
 
@@ -126,7 +127,7 @@ def _check_parse_options(on_duplicate: str, max_vocab: int | None) -> None:
 
 
 def _parse_header_fields(fields: Sequence[str]) -> tuple[int, int] | None:
-    if len(fields) == 2 and all(f.isdigit() for f in fields):
+    if len(fields) == 2 and all(f.isdecimal() for f in fields):
         return int(fields[0]), int(fields[1])
     return None
 
@@ -370,7 +371,8 @@ def parse_binary_embeddings(
 
 
 def _check_writable_token(token: str) -> None:
-    if not token or any(ch.isspace() for ch in token):
+    # ``str.split`` cuts at exactly the characters ``str.isspace`` accepts.
+    if token.split() != [token]:
         raise ValueError(
             f"token {token!r} contains whitespace (or is empty) and cannot be"
             " represented in the interchange formats"
@@ -390,21 +392,27 @@ def _header(space: EmbeddingSpace) -> bytes:
 def _text_rows(tokens: Sequence[str], block: np.ndarray, precision: int) -> bytes:
     """The text-format lines of one block of rows, ``tokens`` parallel to
     ``block``; ``_text_chunks`` yields these after its header."""
-    if precision >= 17:
-        magnitude = np.abs(block)
-        exponent = (magnitude >= 1e16) | ((magnitude < 1e-4) & (magnitude > 0.0))
-        fixes = {i: np.flatnonzero(exponent[i]) for i in np.flatnonzero(exponent.any(axis=1))}
-    lines = []
-    for i, (token, row) in enumerate(zip(tokens, block)):
+    for token in tokens:
         _check_writable_token(token)
-        if precision < 17:
-            values = [_positional(v, precision) for v in row]
-        else:
-            values = list(map(repr, row.tolist()))
-            for j in fixes.get(i, ()):
-                values[j] = _positional(row[j], precision)
-        lines.append((token + " " + " ".join(values) + "\n").encode("utf-8"))
-    return b"".join(lines)
+    if precision < 17:
+        rows = [" ".join(_positional(v, precision) for v in row).encode("ascii") for row in block]
+    else:
+        # orjson writes each value's shortest round-trip digits (Ryū), the
+        # digits of ``repr``; the values it writes with an exponent (nonzero
+        # below 1e-5 or at least 1e16 in magnitude) are rewritten positionally.
+        # A 0-row block dumps to b"[]", whose one empty row meets no token.
+        dumped = orjson.dumps(np.ascontiguousarray(block), option=orjson.OPT_SERIALIZE_NUMPY)
+        rows = dumped[2:-2].replace(b",", b" ").split(b"] [")
+        for i, row in enumerate(rows):
+            if b"e" in row:
+                fields = row.split(b" ")
+                for j, field in enumerate(fields):
+                    if b"e" in field:
+                        fields[j] = _positional(block[i, j], precision).encode("ascii")
+                rows[i] = b" ".join(fields)
+    return b"".join(
+        token.encode("utf-8") + b" " + row + b"\n" for token, row in zip(tokens, rows)
+    )
 
 
 def _text_chunks(space: EmbeddingSpace, precision: int) -> Iterator[bytes]:
@@ -423,10 +431,11 @@ def write_text_embeddings(space: EmbeddingSpace, precision: int = 17) -> bytes:
     """Serialize to the text format with ``precision`` significant digits.
 
     At the default full precision the emitted values parse back to the
-    exact same float64 values. Values are written in positional notation:
-    from 17 digits on, that is ``repr``'s shortest round-trip digits, and
-    only the values ``repr`` would write with an exponent (nonzero below
-    1e-4 or at least 1e16 in magnitude) go through the positional formatter.
+    exact same float64 values. Values are written in positional notation.
+    From 17 digits on, each value gets its shortest round-trip digits, the
+    bytes ``repr`` writes: orjson formats a block of rows at once (Ryū),
+    and only the values it writes with an exponent (nonzero below 1e-5 or
+    at least 1e16 in magnitude) go through the positional formatter.
     """
     return b"".join(_text_chunks(space, precision))
 

@@ -1,5 +1,6 @@
 import io
 import logging
+import sys
 import tracemalloc
 
 import numpy as np
@@ -108,6 +109,16 @@ class TestTextFormat:
         space = parse_text_embeddings(b"2 1\na 3.0\n", expect_header=False)
         assert space.tokens == ("2", "a")
 
+    def test_header_needs_decimal_digits(self):
+        # "²" is a digit to ``str.isdigit`` but no number to ``int``: the
+        # line is data. Arabic-Indic digits are decimal and make a header.
+        space = parse_text_embeddings("² 3\na 4\n".encode())
+        assert space.tokens == ("²", "a")
+        assert space.matrix.tolist() == [[3.0], [4.0]]
+        space = parse_text_embeddings("٢ ٣\na 1 2 3\nb 4 5 6\n".encode())
+        assert space.tokens == ("a", "b")
+        assert space.dim == 3
+
     def test_blank_lines_are_skipped(self):
         space = parse_text_embeddings(b"\na 1.0\n\nb 2.0\n\n")
         assert space.tokens == ("a", "b")
@@ -177,6 +188,14 @@ class TestTextFormat:
             write_text_embeddings(EmbeddingSpace([""], [[1.0]]))
         with pytest.raises(ValueError, match="whitespace"):
             write_binary_embeddings(EmbeddingSpace(["a\nb"], [[1.0]]))
+
+    @pytest.mark.parametrize("writer", [write_text_embeddings, write_binary_embeddings])
+    def test_write_rejects_every_whitespace_character(self, writer):
+        spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        assert len(spaces) > 20
+        for ch in spaces:
+            with pytest.raises(ValueError, match="whitespace"):
+                writer(EmbeddingSpace(["ok", f"a{ch}b"], [[1.0], [2.0]]))
 
     def test_write_rejects_bad_precision(self):
         with pytest.raises(ValueError, match="precision"):

@@ -1,6 +1,7 @@
 """Property tests for the interchange formats: the text writer byte for byte
-against the per-value formatter it replaced, and parse round trips of both
-formats, with the parsers' row blocks shrunk so rows straddle them."""
+against the per-value formatter it replaced and, at full precision, against
+``repr``; and parse round trips of both formats, with the parsers' row
+blocks shrunk so rows straddle them."""
 from unittest.mock import patch
 
 import numpy as np
@@ -21,11 +22,13 @@ from metavec.embeddings import (
 from oracles import write_text_embeddings as per_value_writer
 
 # Where ``repr`` switches to an exponent (below 1e-4 and from 1e16 in
-# magnitude), the extremes of float64, and subnormals.
+# magnitude), where orjson does (below 1e-5 and from 1e16), the extremes of
+# float64, and subnormals.
 BOUNDARIES = [
     0.0, 1e-4, 9.999999999999999e-05, 1.0000000000000002e-04, 1e16, 9999999999999998.0,
     1.0000000000000002e16, 1e22, 1.7976931348623157e308, 2.2250738585072014e-308,
     2.225073858507201e-308, 5e-324, 1e-320, 0.1, 1.0 / 3.0, 123456.789,
+    1e-05, 9.999999999999999e-06, 1.0000000000000001e-05, 1.0000000000000003e-05,
 ]
 BOUNDARIES += [-v for v in BOUNDARIES]
 
@@ -60,12 +63,55 @@ def test_writer_matches_per_value_formatter_on_boundaries(precision):
     assert write_text_embeddings(space, precision) == per_value_writer(space, precision)
 
 
+def laid_out(matrix, layout):
+    """A space holding ``matrix`` in C order, in Fortran order, or as a view
+    that strides over every other row or column of a larger array."""
+    if layout == "fortran":
+        return EmbeddingSpace(words(len(matrix)), np.asfortranarray(matrix))
+    if layout == "rows":
+        wide = np.zeros((2 * len(matrix), matrix.shape[1]))
+        wide[::2] = matrix
+        return EmbeddingSpace._own(words(len(matrix)), wide[::2])
+    if layout == "columns":
+        wide = np.zeros((len(matrix), 2 * matrix.shape[1]))
+        wide[:, 1::2] = matrix
+        return EmbeddingSpace._own(words(len(matrix)), wide[:, 1::2])
+    return EmbeddingSpace(words(len(matrix)), matrix)
+
+
+LAYOUTS = ["c", "fortran", "rows", "columns"]
+
+
 @settings(max_examples=300)
-@given(matrices(), st.integers(1, 20), st.integers(1, 200))
-def test_writer_matches_per_value_formatter(matrix, precision, block_bytes):
-    space = EmbeddingSpace(words(len(matrix)), matrix)
+@given(matrices(), st.sampled_from(LAYOUTS), st.integers(1, 20), st.integers(1, 200))
+def test_writer_matches_per_value_formatter(matrix, layout, precision, block_bytes):
+    space = laid_out(matrix, layout)
+    assert np.array_equal(space.matrix, matrix)
     with patch.object(embeddings, "_BLOCK_BYTES", block_bytes):
         assert write_text_embeddings(space, precision) == per_value_writer(space, precision)
+
+
+def test_writer_matches_repr_on_a_seeded_sweep():
+    # Random bit patterns (every finite float64 is as likely as any other
+    # with its exponent), then log-uniform values across both places where
+    # orjson or ``repr`` switches to an exponent.
+    rng = np.random.default_rng(2018)
+    bits = rng.integers(0, 2**64, size=210_000, dtype=np.uint64).view(np.float64)
+    bits = bits[np.isfinite(bits)][:200_000]
+    signs = rng.choice([-1.0, 1.0], size=2 * 50_000)
+    near = np.concatenate([10.0 ** rng.uniform(-6, -3, 50_000), 10.0 ** rng.uniform(15, 17, 50_000)])
+    matrix = np.concatenate([bits, signs * near]).reshape(-1, 300)
+    space = EmbeddingSpace(words(len(matrix)), matrix)
+
+    def expected(value):
+        text = repr(value)
+        return embeddings._positional(value, 17) if "e" in text else text
+
+    lines = [f"{len(space)} 300\n"] + [
+        f"{token} {' '.join(map(expected, row.tolist()))}\n"
+        for token, row in zip(space.tokens, matrix)
+    ]
+    assert write_text_embeddings(space) == "".join(lines).encode("ascii")
 
 
 # Tokens the formats can carry: non-empty, no whitespace (which also rules
