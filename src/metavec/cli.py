@@ -267,6 +267,10 @@ def cmd_map(args, parser) -> int:
 def cmd_mvm(args, parser) -> int:
     if len(args.sources) < 2:
         parser.error("mvm needs at least two source embeddings")
+    if args.target_index >= len(args.sources):
+        parser.error(
+            f"--target-index {args.target_index} out of range for {len(args.sources)} sources"
+        )
     prefixes = args.prefix or []
     _check_prefix_count(args.sources, prefixes, parser)
     dict_paths = args.dicts or []
@@ -354,7 +358,11 @@ def cmd_synth_oov(args, parser) -> int:
     if report.shortfalls:
         logger.warning("%d word(s) had fewer than k neighbors", len(report.shortfalls))
     if report.skipped:
-        logger.warning("%d word(s) skipped (zero vector), filled with zeros", len(report.skipped))
+        logger.warning(
+            "%d word(s) skipped (a zero vector, or no shared word with a direction),"
+            " filled with zeros",
+            len(report.skipped),
+        )
     return 0
 
 

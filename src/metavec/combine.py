@@ -13,8 +13,7 @@ from metavec.align import MappingDictionary, align_to_target
 from metavec.embeddings import EmbeddingSpace
 from metavec.linalg import _unit_rows, apply_reduction, fit_reduction
 from metavec.oov import (
-    _BLOCK_BYTES, DEFAULT_K, SynthesisReport, _plan_synthesis, _union_positions,
-    _write_centroids,
+    _BLOCK_BYTES, DEFAULT_K, SynthesisReport, _place, _Plan, _plan_synthesis, _union_positions,
 )
 
 VALID_METHODS = ("mvm", "average", "concat", "concat-reduce")
@@ -146,37 +145,18 @@ def _unit_spaces(spaces: Sequence[EmbeddingSpace]) -> list[EmbeddingSpace]:
 
 def _union_rows(
     spaces: Sequence[EmbeddingSpace], config: CombineConfig
-) -> tuple[list[str], np.ndarray, list[np.ndarray], SynthesisReport | None]:
-    """The union vocabulary, its row table and each space's synthesized rows.
+) -> tuple[list[str], np.ndarray, Sequence[_Plan | None], SynthesisReport | None]:
+    """The union vocabulary, its row table and each space's synthesis plan
+    for ``_place``.
 
-    Under the "nn" policy every missing word is synthesized
-    (``_plan_synthesis``) into a block of rows of its own space, zero for
-    a skipped word, and its table entry points past the space's own rows:
-    ``len(space) + j`` names row j of that block. Otherwise the blocks are
-    empty and missing words keep -1.
+    Under the "nn" policy every missing word is planned
+    (``_plan_synthesis``) and its table entry points past its space's own
+    rows. Otherwise there are no plans and missing words keep -1.
     """
-    if config.oov_policy != "nn":
-        union, table = _union_positions(spaces)
-        return union, table, [np.empty((0, s.dim)) for s in spaces], None
-    union, table, plans, report = _plan_synthesis(spaces, config.k_neighbors)
-    synthesized = []
-    for space, at, plan in zip(spaces, table, plans):
-        missing, block = plan[0], np.arange(len(plan[0]))
-        rows = np.zeros((len(missing), space.dim))
-        _write_centroids(space.matrix, plan, rows, block)
-        at[missing] = len(space) + block
-        synthesized.append(rows)
-    return union, table, synthesized, report
-
-
-def _place(out: np.ndarray, at: np.ndarray, matrix: np.ndarray, synthesized: np.ndarray) -> None:
-    """Set ``out[w]`` to the row that table entry ``at[w]`` names: a row of
-    ``matrix``, or past its end a row of ``synthesized``; -1 leaves
-    ``out[w]`` alone."""
-    own = (at >= 0) & (at < len(matrix))
-    out[own] = matrix[at[own]]
-    drawn = at >= len(matrix)
-    out[drawn] = synthesized[at[drawn] - len(matrix)]
+    if config.oov_policy == "nn":
+        return _plan_synthesis(spaces, config.k_neighbors)
+    union, table = _union_positions(spaces)
+    return union, table, [None] * len(spaces), None
 
 
 def _combined(
@@ -219,7 +199,7 @@ def _combined(
 def _mean_rows(
     spaces: Sequence[EmbeddingSpace],
     table: np.ndarray,
-    synthesized: Sequence[np.ndarray],
+    plans: Sequence[_Plan | None],
     policy: str,
 ) -> np.ndarray:
     """Per-word mean across spaces under the given missing-word policy,
@@ -231,8 +211,10 @@ def _mean_rows(
     rows are added in the order of their byte images, so the result is
     bitwise independent of the order the sources were given in. Union rows
     are taken in blocks whose stacked rows fit in ``_BLOCK_BYTES // 8``
-    (1 MiB): the union matrix, the inputs and the synthesized rows are
-    all held meanwhile, and the stack and its temporaries come on top.
+    (1 MiB), and ``_place`` builds the centroids of a block's synthesized
+    rows as it stacks them: the union matrix and the inputs are held
+    meanwhile, and the stack, the gathered neighbor rows and the
+    temporaries come on top.
     """
     n, dim = len(spaces), spaces[0].dim
     row_type = np.dtype((np.void, 8 * dim))
@@ -248,7 +230,7 @@ def _mean_rows(
         stack = buffer[: at.shape[1]]
         stack.view(np.int64)[...] = -1
         for i, space in enumerate(spaces):
-            _place(stack[:, i], at[i], space.matrix, synthesized[i])
+            _place(stack[:, i], at[i], space.matrix, plans[i])
         order = np.argsort(stack.view(row_type)[..., 0], axis=1)
         counts = held.sum(axis=0)
         block = np.arange(len(stack))
@@ -286,9 +268,9 @@ def combine_mvm(
     # Only ``members`` holds the mapped spaces, so deleting it frees them.
     members, infos = list(aligned.mapped), aligned.infos
     del aligned
-    union, table, synthesized, report = _union_rows(members, config)
-    matrix = _mean_rows(members, table, synthesized, config.oov_policy)
-    del members, synthesized
+    union, table, plans, report = _union_rows(members, config)
+    matrix = _mean_rows(members, table, plans, config.oov_policy)
+    del members
     _unit_rows(matrix, out=matrix)
     return _combined(
         sources, config, union, matrix, report,
@@ -311,8 +293,8 @@ def combine_average(
     if len(dims) != 1:
         raise ValueError(f"averaging needs one shared dim, got {sorted(dims)}")
     spaces = _unit_spaces(spaces)
-    union, table, synthesized, report = _union_rows(spaces, config)
-    matrix = _mean_rows(spaces, table, synthesized, config.oov_policy)
+    union, table, plans, report = _union_rows(spaces, config)
+    matrix = _mean_rows(spaces, table, plans, config.oov_policy)
     return _combined(sources, config, union, matrix, report)
 
 
@@ -331,11 +313,11 @@ def _concat(sources: Sequence[EmbeddingSpace], config: CombineConfig) -> MetaEmb
     if config.oov_policy == "available":
         raise ValueError("concatenation has no 'available' policy; use zero or nn")
     spaces = _unit_spaces(_prefixed(sources, config))
-    union, table, synthesized, report = _union_rows(spaces, config)
+    union, table, plans, report = _union_rows(spaces, config)
     matrix = np.zeros((len(union), sum(s.dim for s in spaces)))
     offset = 0
-    for space, at, rows in zip(spaces, table, synthesized):
-        _place(matrix[:, offset : offset + space.dim], at, space.matrix, rows)
+    for space, at, plan in zip(spaces, table, plans):
+        _place(matrix[:, offset : offset + space.dim], at, space.matrix, plan)
         offset += space.dim
     return _combined(
         sources, config, union, matrix, report, block_dims=[s.dim for s in spaces]

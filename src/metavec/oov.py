@@ -10,10 +10,11 @@ from metavec.embeddings import EmbeddingSpace
 
 DEFAULT_K = 10
 # Bytes per block: one tile of queries × candidates' scores in ``_rank``,
-# one block of gathered neighbor rows in ``_write_centroids``. Both run
-# before any union-sized matrix exists. ``combine._mean_rows`` runs while
-# the union matrix, the aligned inputs and the synthesized rows are all
-# held, so it stacks its blocks of words' rows within an eighth of this.
+# which runs before any union-sized matrix exists, and one block of
+# gathered own or neighbor rows in ``_place``. ``combine._mean_rows`` runs
+# while the union matrix and the aligned inputs are held, and ``_place``
+# gathers on top of its stack, so it stacks its blocks of words' rows
+# within an eighth of this.
 _BLOCK_BYTES = 8 << 20
 # ``_rank`` tiles the candidate axis rather than rank blocks of fewer
 # queries than this: a BLAS product of a few query rows streams the whole
@@ -278,9 +279,10 @@ def _plan_synthesis(
     or no candidate with a direction) gets no neighbors and is listed as
     skipped. Union order: first-seen across ``spaces``.
 
-    Returns the union, its row table (``_union_positions``), one plan per
-    space for ``_write_centroids`` (a neighbor count of 0: no donor could
-    rank the word), and the report.
+    Returns the union, its row table (``_union_positions``) with the entry
+    of the j-th missing word of a space set to ``len(space) + j``, one plan
+    per space for ``_place`` (a neighbor count of 0: no donor could rank
+    the word), and the report.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -314,7 +316,9 @@ def _plan_synthesis(
     audit: dict[str, tuple[str, ...]] | None = {} if record_neighbors else None
     shortfalls: list[tuple[str, int]] = []
     skipped: list[str] = []
-    for space, (missing, neighbors, counts) in zip(spaces, plans):
+    for space, at, (missing, neighbors, counts) in zip(spaces, table, plans):
+        # Ranking reads ``table >= 0``, so entries move only now.
+        at[missing] = len(space) + np.arange(len(missing))
         skipped.extend(union[w] for w in missing[counts == 0])
         short = np.flatnonzero((counts > 0) & (counts < k))
         shortfalls.extend((union[w], c) for w, c in zip(missing[short], counts[short].tolist()))
@@ -331,45 +335,37 @@ def _plan_synthesis(
     return union, table, plans, report
 
 
-def _write_centroids(matrix: np.ndarray, plan: _Plan, out: np.ndarray, at: np.ndarray) -> None:
-    """Set ``out[at[w]]`` to the centroid of the planned neighbors' rows of
-    ``matrix`` for each ranked missing word ``w`` of ``plan``; the rows of
-    skipped words are left alone.
+def _place(out: np.ndarray, at: np.ndarray, matrix: np.ndarray, plan: _Plan | None) -> None:
+    """Set ``out[w]`` to the row that table entry ``at[w]`` names: row
+    ``at[w]`` of ``matrix``, or past its end the centroid of the planned
+    neighbors' rows of missing word ``at[w] - len(matrix)`` of ``plan``
+    (zeros for a skipped word); -1 leaves ``out[w]`` alone.
 
     ``mean(axis=1)`` over words with one neighbor count adds each word's
-    rows as ``mean(axis=0)`` on that word alone would. Each block's
-    gathered neighbor rows fit in ``_BLOCK_BYTES``.
+    rows as ``mean(axis=0)`` on that word alone would, so a centroid has
+    the same bits whichever rows ``at`` covers. Own rows are copied, and
+    neighbor rows gathered, in blocks that fit in ``_BLOCK_BYTES``.
     """
+    own = np.flatnonzero((at >= 0) & (at < len(matrix)))
+    step = max(1, _BLOCK_BYTES // (8 * matrix.shape[1]))
+    for start in range(0, len(own), step):
+        block = own[start : start + step]
+        out[block] = matrix[at[block]]
+    drawn = np.flatnonzero(at >= len(matrix))
+    if not len(drawn):
+        return
     _, neighbors, counts = plan
-    for count in np.flatnonzero(np.bincount(counts)[1:]) + 1:
-        group = np.flatnonzero(counts == count)
+    words = at[drawn] - len(matrix)
+    word_counts = counts[words]
+    for count in np.flatnonzero(np.bincount(word_counts)):
+        group = np.flatnonzero(word_counts == count)
+        if not count:
+            out[drawn[group]] = 0.0
+            continue
         step = max(1, _BLOCK_BYTES // (8 * count * matrix.shape[1]))
         for start in range(0, len(group), step):
             block = group[start : start + step]
-            out[at[block]] = matrix[neighbors[block, :count]].mean(axis=1)
-
-
-def _extend_all_to_union(
-    spaces: Sequence[EmbeddingSpace], k: int, *, record_neighbors: bool = False
-) -> tuple[list[EmbeddingSpace], SynthesisReport]:
-    """Extend every space to the union vocabulary with NN synthesis
-    (``_plan_synthesis``); a skipped word is filled with zeros.
-
-    Every space's missing words are ranked before any union-sized output
-    is allocated, so score matrices and outputs never coexist.
-    """
-    union, table, plans, report = _plan_synthesis(spaces, k, record_neighbors=record_neighbors)
-    extended: list[EmbeddingSpace] = []
-    for space, at, plan in zip(spaces, table, plans):
-        rows = np.zeros((len(union), space.dim))
-        # The table row, inverted, places the own rows without a gathered copy.
-        held = np.flatnonzero(at >= 0)
-        place = np.empty_like(held)
-        place[at[held]] = held
-        rows[place] = space.matrix
-        _write_centroids(space.matrix, plan, rows, plan[0])
-        extended.append(EmbeddingSpace._own(union, rows, meta=space.meta))
-    return extended, report
+            out[drawn[block]] = matrix[neighbors[words[block], :count]].mean(axis=1)
 
 
 def extend_to_union(
@@ -397,10 +393,18 @@ def extend_to_union(
     e2_index = e2.index
     if not any(t in e2_index for t in e1.tokens):
         raise ValueError("the spaces share no vocabulary")
-    (extended_e1, extended_e2), report = _extend_all_to_union(
+    union, table, plans, report = _plan_synthesis(
         [e1, e2], k, record_neighbors=record_neighbors
     )
-    return extended_e1, extended_e2, report
+    # Every space's missing words are ranked before any union-sized output
+    # is allocated, so score matrices and outputs never coexist; every
+    # table entry names a row, so every output row is written.
+    extended = []
+    for space, at, plan in zip((e1, e2), table, plans):
+        rows = np.empty((len(union), space.dim))
+        _place(rows, at, space.matrix, plan)
+        extended.append(EmbeddingSpace._own(union, rows, meta=space.meta))
+    return extended[0], extended[1], report
 
 
 def format_audit_dump(report: SynthesisReport) -> bytes:

@@ -189,6 +189,21 @@ class TestMvm:
                   "--prefix", "en/"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("with_dict", [False, True])
+    def test_target_index_out_of_range_is_usage_error(self, pair, tmp_path, capsys, with_dict):
+        # With --dict, the index is checked before the dictionaries are
+        # handed out by it.
+        p1, p2 = pair
+        dic = tmp_path / "d.tsv"
+        dic.write_bytes(b"a\ta\n")
+        out = tmp_path / "x.vec"
+        argv = ["mvm", str(p1), str(p2), "-o", str(out), "--target-index", "5"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + (["--dict", str(dic)] if with_dict else []))
+        assert exc.value.code == 2
+        assert "--target-index 5 out of range for 2 sources" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x.vec*"))
+
     def test_oov_policy_flag_recorded(self, pair, tmp_path):
         p1, p2 = pair
         out = tmp_path / "meta.vec"
@@ -331,6 +346,25 @@ class TestSynthOov:
         for line in lines:
             neighbors = line.split("\t")[1].split(",")
             assert 1 <= len(neighbors) <= 2
+
+    def test_shortfalls_and_skipped_words_are_warned(self, tmp_path, caplog):
+        # The shared words are zero vectors in x.vec, so neither x.vec-only
+        # word can be ranked: "dead" is a zero vector itself, and "live" has
+        # no candidate with a direction. In y.vec they have directions, and
+        # "y" gets both of them, short of k=3.
+        p1 = tmp_path / "x.vec"
+        p2 = tmp_path / "y.vec"
+        write_emb(p1, ["s1", "s2", "dead", "live"], [[0, 0], [0, 0], [0, 0], [1, 1]])
+        write_emb(p2, ["s1", "s2", "y"], [[1, 0], [0, 1], [1, 2]])
+        argv = ["synth-oov", str(p1), str(p2),
+                str(tmp_path / "o1.vec"), str(tmp_path / "o2.vec"), "--k", "3"]
+        with caplog.at_level("WARNING", logger="metavec.cli"):
+            assert main(argv) == 0
+        assert [record.getMessage() for record in caplog.records] == [
+            "1 word(s) had fewer than k neighbors",
+            "2 word(s) skipped (a zero vector, or no shared word with a direction),"
+            " filled with zeros",
+        ]
 
     def test_dim_mismatch_fails(self, tmp_path, capsys):
         rng = np.random.default_rng(16)

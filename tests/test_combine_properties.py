@@ -16,7 +16,6 @@ from metavec import oov
 from metavec.align import align_to_target
 from metavec.combine import CombineConfig, combine, combine_average
 from metavec.embeddings import EmbeddingSpace
-from metavec.oov import _extend_all_to_union
 from oracles import extend_all_to_union, union_concat, union_mean
 
 
@@ -61,7 +60,7 @@ def unit(space):
 def test_average_matches_per_word_oracle(sources, policy, k, block_bytes):
     spaces = [unit(s) for s in sources]
     if policy == "nn":
-        spaces, _ = _extend_all_to_union(spaces, k)
+        spaces, _ = extend_all_to_union(spaces, k)
     tokens, expected = union_mean(spaces, policy)
     config = CombineConfig(method="average", oov=policy, k_neighbors=k)
     # Tiny budgets split the union into blocks of one or a few words.

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from metavec import oov
-from metavec.combine import CombineConfig, combine_average
+from metavec.combine import CombineConfig, combine_average, combine_concat
 from metavec.embeddings import EmbeddingSpace
 from metavec.linalg import cosine
 from metavec.oov import (
@@ -376,7 +376,7 @@ class TestQueryBlocks:
         e2 = EmbeddingSpace(shared, rng.normal(size=(2000, 32)))
         tracemalloc.start()
         try:
-            oov._extend_all_to_union([e1, e2], k=10)
+            extend_to_union(e1, e2, k=10)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -402,7 +402,7 @@ class TestQueryBlocks:
         e2 = EmbeddingSpace(shared, rng.normal(size=(30000, 16)))
         tracemalloc.start()
         try:
-            oov._extend_all_to_union([e1, e2], k=10)
+            extend_to_union(e1, e2, k=10)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -411,9 +411,10 @@ class TestQueryBlocks:
 
     def test_nn_average_builds_no_union_sized_space_per_source(self):
         # Three sources, each holding about half of 6000 words (a union of
-        # 5221). Synthesis plus mean may hold the unit-normalized inputs,
-        # the union matrix and the synthesized rows, and 2 MiB on top; one
-        # union-sized copy of each source (10.7 MB each) would not fit.
+        # 5221). Synthesis plus mean may hold the unit-normalized inputs and
+        # the union matrix, and one block of working space on top; neither
+        # a union-sized copy of each source (10.7 MB each) nor the
+        # synthesized rows of all three held at once (13.8 MB) would fit.
         rng = np.random.default_rng(75)
         union, dim = [f"w{i:04d}" for i in range(6000)], 256
         sources = []
@@ -422,8 +423,7 @@ class TestQueryBlocks:
             sources.append(EmbeddingSpace(tokens, rng.normal(size=(len(tokens), dim))))
         words = set().union(*(s.tokens for s in sources))
         held = sum(len(s) for s in sources)
-        missing = len(sources) * len(words) - held
-        bound = 8 * dim * (held + len(words) + missing) + (2 << 20)
+        bound = 8 * dim * (held + len(words)) + oov._BLOCK_BYTES
         config = CombineConfig(method="average", oov="nn")
         tracemalloc.start()
         try:
@@ -432,6 +432,31 @@ class TestQueryBlocks:
         finally:
             tracemalloc.stop()
         assert meta.provenance["synthesized"] == [len(words) - len(s) for s in sources]
+        assert peak < bound
+
+    def test_concat_copies_own_rows_in_blocks(self, monkeypatch):
+        # Three 256-dim sources of about 2000 of 4000 words (4.1 MB each),
+        # placed in 64 KiB blocks. Besides the unit-normalized inputs and
+        # the output, the peak may hold the output's finiteness mask (one
+        # byte per value) and 0.75 MB; a gathered copy of a source may not.
+        monkeypatch.setattr(oov, "_BLOCK_BYTES", 64 << 10)
+        rng = np.random.default_rng(76)
+        union, dim = [f"w{i:04d}" for i in range(4000)], 256
+        sources = []
+        for _ in range(3):
+            tokens = [t for t in union if rng.random() < 0.5]
+            sources.append(EmbeddingSpace(tokens, rng.normal(size=(len(tokens), dim))))
+        words = len(set().union(*(s.tokens for s in sources)))
+        held = sum(len(s) for s in sources)
+        bound = 8 * dim * (held + 3 * words) + 3 * dim * words + 750_000
+        config = CombineConfig(method="concat", oov="zero")
+        tracemalloc.start()
+        try:
+            meta = combine_concat(sources, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert meta.space.dim == 3 * dim
         assert peak < bound
 
 

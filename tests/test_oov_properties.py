@@ -200,17 +200,26 @@ def overlapping_spaces(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(overlapping_spaces(), st.integers(1, 12), st.integers(1, 1000), st.booleans())
-def test_extension_matches_per_word_oracle(spaces, k, block_bytes, record_neighbors):
+@given(overlapping_spaces(), st.integers(1, 12), st.integers(1, 1000), st.booleans(), st.data())
+def test_extension_matches_per_word_oracle(spaces, k, block_bytes, record_neighbors, data):
     # Tiny budgets split the ranking into tiles of one or a few candidates
     # (or leave one tile), and each neighbor count's centroids into blocks
-    # of one or a few words.
+    # of one or a few words. Each space's union rows are placed in random
+    # slices, so a centroid's bits cannot depend on the rows placed with it.
     with patch.object(oov, "_BLOCK_BYTES", block_bytes):
-        got, report = oov._extend_all_to_union(spaces, k, record_neighbors=record_neighbors)
+        union, table, plans, report = oov._plan_synthesis(
+            spaces, k, record_neighbors=record_neighbors
+        )
         want, expected = extend_all_to_union(spaces, k, record_neighbors=record_neighbors)
-    for out, reference in zip(got, want, strict=True):
-        assert out.tokens == reference.tokens
-        assert out.matrix.tobytes() == reference.matrix.tobytes()
+        for space, at, plan, reference in zip(spaces, table, plans, want, strict=True):
+            assert reference.tokens == tuple(union)
+            cuts = data.draw(st.lists(st.integers(0, len(union)), max_size=4))
+            bounds = [0, *sorted(cuts), len(union)]
+            # Unwritten rows would keep NaN's bytes, which no oracle row has.
+            rows = np.full((len(union), space.dim), np.nan)
+            for lo, hi in zip(bounds, bounds[1:]):
+                oov._place(rows[lo:hi], at[lo:hi], space.matrix, plan)
+            assert rows.tobytes() == reference.matrix.tobytes()
     assert report.words_synthesized == expected.words_synthesized
     assert report.shortfalls == expected.shortfalls
     assert report.skipped == expected.skipped
