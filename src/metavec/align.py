@@ -106,10 +106,15 @@ def build_intersection_dictionary(
 
 
 def load_bilingual_dictionary(source: bytes | BinaryIO) -> MappingDictionary:
-    """Parse a dictionary file: UTF-8, one ``source TAB target`` pair per line."""
+    """Parse a dictionary file: UTF-8, one ``source TAB target`` pair per line.
+
+    A byte-order mark at the start is skipped, and whitespace around each
+    field is stripped; a field with whitespace inside is an error, since no
+    token can hold it.
+    """
     if isinstance(source, (bytes, bytearray, memoryview)):
         source = io.BytesIO(bytes(source))
-    text = io.TextIOWrapper(source, encoding="utf-8")
+    text = io.TextIOWrapper(source, encoding="utf-8-sig")
     pairs: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
     duplicates = 0
@@ -119,12 +124,15 @@ def load_bilingual_dictionary(source: bytes | BinaryIO) -> MappingDictionary:
             line = line.rstrip("\r\n")
             if not line:
                 continue
-            fields = line.split("\t")
+            fields = [field.strip() for field in line.split("\t")]
             if len(fields) != 2 or not fields[0] or not fields[1]:
                 raise ParseError(
                     f"expected 'source<TAB>target', got {len(fields)} field(s)",
                     line=lineno,
                 )
+            for field in fields:
+                if len(field.split()) != 1:
+                    raise ParseError(f"token {field!r} contains whitespace", line=lineno)
             pair = (fields[0], fields[1])
             if pair in seen:
                 duplicates += 1

@@ -176,6 +176,50 @@ class _Rows:
         return self.matrix
 
 
+def _header_dim_problem(dim: int) -> str | None:
+    """Why a header's dimensionality cannot be used, or None: it must be at
+    least 1, and a float64 row of it must be indexable."""
+    if dim < 1:
+        return "header dimensionality must be at least 1"
+    if dim > np.iinfo(np.intp).max // 8:
+        return "header dimensionality too large"
+    return None
+
+
+def _read_block(rests: list[str], dim: int) -> np.ndarray | None:
+    """The values of a block of data lines, each given as the text after
+    its token, read in one ``np.loadtxt`` call; None if the block cannot be
+    read whole: a token-only line, a field numpy rejects, or a row of
+    another length than ``dim``. Those blocks go line by line through
+    ``_line_vector``.
+
+    numpy's C tokenizer splits at the characters ``str.isspace`` accepts
+    and converts each field with ``PyOS_string_to_double``, the routine
+    behind ``float``, so every value has the bits ``float`` gives it.
+    """
+    # A token-only line would be skipped as empty (all of them, with a
+    # "no data" warning), so it never reaches numpy.
+    if not all(rests):
+        return None
+    try:
+        values = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape == (len(rests), dim) else None
+
+
+def _line_vector(rest: str, dim: int, lineno: int) -> list[float]:
+    """The values of one data line, read with ``float``, which also
+    accepts underscores and non-ASCII digits; or the line's error."""
+    fields = rest.split()
+    if len(fields) != dim:
+        raise ParseError(f"expected {dim} values, found {len(fields)}", line=lineno)
+    try:
+        return list(map(float, fields))
+    except ValueError:
+        raise ParseError("malformed number", line=lineno) from None
+
+
 def parse_text_embeddings(
     source: bytes | BinaryIO,
     *,
@@ -190,13 +234,18 @@ def parse_text_embeddings(
     ``expect_header=None`` auto-detects the header (a first line of exactly
     two integers); ``True`` requires it, ``False`` treats every line as data.
     ``on_duplicate`` is ``"keep-first"`` (drop and count repeats) or
-    ``"error"``. ``max_vocab`` caps the number of tokens kept.
+    ``"error"``. ``max_vocab`` caps the number of tokens kept. A UTF-8
+    byte-order mark at the start is skipped.
 
-    Values are read with Python's ``float`` into a matrix that grows as
-    lines arrive; the header's word count is never used to size it.
+    Each line is split once into its token and the rest; the rests of one
+    block of lines are read in one ``np.loadtxt`` call, with the bits
+    Python's ``float`` gives each value (see ``_read_block``). Errors
+    are those of reading every value with ``float`` as its line arrives,
+    at the same lines. The matrix grows as lines arrive; the header's word
+    count is never used to size it.
     """
     _check_parse_options(on_duplicate, max_vocab)
-    text = io.TextIOWrapper(_binary_stream(source), encoding="utf-8")
+    text = io.TextIOWrapper(_binary_stream(source), encoding="utf-8-sig")
 
     def non_finite(line: int) -> ParseError:
         return ParseError("non-finite value", line=line)
@@ -206,58 +255,79 @@ def parse_text_embeddings(
     tokens: list[str] = []
     seen: set[str] = set()
     duplicates = 0
-    lineno = 0
-    awaiting_header = expect_header is not False
-    try:
-        for lineno, line in enumerate(text, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if awaiting_header:
-                awaiting_header = False
-                header = _parse_header_fields(fields)
-                if expect_header and header is None:
-                    raise ParseError("expected 'vocab dim' header", line=lineno)
-                if header is not None:
-                    dim = header[1]
-                    if dim < 1:
-                        raise ParseError(
-                            "header dimensionality must be at least 1", line=lineno
-                        )
-                    rows = _Rows(dim, 0, non_finite)
-                    continue
-            token, values = fields[0], fields[1:]
-            if rows is None:
-                dim = len(values)
-                if dim < 1:
-                    raise ParseError("no vector values on first data line", line=lineno)
-                rows = _Rows(dim, 0, non_finite)
-            if len(values) != dim:
-                raise ParseError(
-                    f"expected {dim} values, found {len(values)}", line=lineno
-                )
-            try:
-                vector = list(map(float, values))
-            except ValueError:
-                raise ParseError("malformed number", line=lineno) from None
+    # The data lines read since the last block: (line number, token), and
+    # the text after each token.
+    pending: list[tuple[int, str]] = []
+    rests: list[str] = []
+
+    def flush() -> bool:
+        """Take the pending lines in order; False once ``max_vocab`` stops
+        the parse."""
+        nonlocal duplicates
+        dim = rows.matrix.shape[1]
+        values = _read_block(rests, dim)
+        if values is not None:
+            rests.clear()  # the text is not held while the rows are appended
+        for i, (lineno, token) in enumerate(pending):
+            vector = _line_vector(rests[i], dim, lineno) if values is None else values[i]
             if token in seen:
                 rows.check(vector, lineno)
                 if on_duplicate == "error":
                     raise ParseError(f"duplicate token {token!r}", line=lineno)
                 duplicates += 1
-                continue
-            if max_vocab is not None and len(tokens) >= max_vocab:
+            elif max_vocab is not None and len(tokens) >= max_vocab:
                 rows.check(vector, lineno)
-                break
-            seen.add(token)
-            tokens.append(token)
-            rows.append(vector, lineno)
-    except UnicodeDecodeError as exc:
-        # A non-finite row read before the bad bytes is reported first.
-        if rows is not None:
-            rows.check()
-        raise ParseError(f"not valid UTF-8: {exc}", line=lineno + 1) from None
+                return False
+            else:
+                seen.add(token)
+                tokens.append(token)
+                rows.append(vector, lineno)
+        pending.clear()
+        rests.clear()
+        return True
+
+    lineno = 0
+    awaiting_header = expect_header is not False
+    stopped = False
+    bad_bytes: UnicodeDecodeError | None = None
+    try:
+        try:
+            for lineno, line in enumerate(text, start=1):
+                parts = line.split(None, 1)
+                if not parts:
+                    continue
+                if awaiting_header:
+                    awaiting_header = False
+                    header = _parse_header_fields(line.split())
+                    if expect_header and header is None:
+                        raise ParseError("expected 'vocab dim' header", line=lineno)
+                    if header is not None:
+                        problem = _header_dim_problem(header[1])
+                        if problem is not None:
+                            raise ParseError(problem, line=lineno)
+                        rows = _Rows(header[1], 0, non_finite)
+                        continue
+                rest = parts[1] if len(parts) == 2 else ""
+                if rows is None:
+                    dim = len(rest.split())
+                    if dim < 1:
+                        raise ParseError("no vector values on first data line", line=lineno)
+                    rows = _Rows(dim, 0, non_finite)
+                pending.append((lineno, parts[0]))
+                rests.append(rest)
+                if len(pending) == rows.block and not flush():
+                    stopped = True
+                    break
+        except UnicodeDecodeError as exc:
+            bad_bytes = exc
+        # The lines read before any bad bytes are taken first, so an error
+        # among them, or reaching max_vocab, comes before the bad bytes.
+        if pending and not stopped:
+            stopped = not flush()
+        if bad_bytes is not None and not stopped:
+            raise ParseError(f"not valid UTF-8: {bad_bytes}", line=lineno + 1)
     except ParseError:
+        # A non-finite row read before the failure is reported first.
         if rows is not None:
             rows.check()
         raise
@@ -303,8 +373,9 @@ def parse_binary_embeddings(
     if header is None:
         raise ParseError("malformed 'vocab dim' header line", offset=0)
     vocab_size, dim = header
-    if dim < 1:
-        raise ParseError("header dimensionality must be at least 1", offset=0)
+    problem = _header_dim_problem(dim)
+    if problem is not None:
+        raise ParseError(problem, offset=0)
 
     vector_bytes = 4 * dim
     # Every word takes at least 4 * dim + 1 bytes, so a header announcing

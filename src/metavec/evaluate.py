@@ -81,7 +81,8 @@ def load_similarity_dataset(
 ) -> SimilarityDataset:
     """Parse ``word1 DELIM word2 DELIM score`` lines; ``#`` starts a comment.
 
-    ``source`` may be a file path, raw bytes, or a binary stream.
+    ``source`` may be a file path, raw bytes, or a binary stream. A UTF-8
+    byte-order mark at the start is skipped.
     """
     if delimiter not in _DELIMITERS:
         raise ValueError(f"delimiter must be one of {_DELIMITERS}, got {delimiter!r}")
@@ -90,7 +91,7 @@ def load_similarity_dataset(
             return load_similarity_dataset(stream, delimiter=delimiter, name=name)
     if isinstance(source, (bytes, bytearray, memoryview)):
         source = io.BytesIO(bytes(source))
-    text = io.TextIOWrapper(source, encoding="utf-8")
+    text = io.TextIOWrapper(source, encoding="utf-8-sig")
     pairs: list[tuple[str, str, float]] = []
     lineno = 0
     try:

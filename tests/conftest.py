@@ -1,4 +1,6 @@
 import os
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,25 @@ else:
     # outcome never depends on a random seed; no example has a time limit.
     settings.register_profile("metavec", derandomize=True, deadline=None)
     settings.load_profile("metavec")
+
+
+TESTS = Path(__file__).parent
+
+
+def _warnings_are_errors(item):
+    """Every Python warning raised while a test under this directory sets
+    up, runs or tears down is an error. Reporting a failure stays outside:
+    hypothesis imports modules that warn there."""
+    if TESTS not in item.path.parents:
+        return (yield)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return (yield)
+
+
+pytest_runtest_setup = pytest.hookimpl(wrapper=True, tryfirst=True)(_warnings_are_errors)
+pytest_runtest_call = pytest_runtest_setup
+pytest_runtest_teardown = pytest_runtest_setup
 
 
 @pytest.fixture

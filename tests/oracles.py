@@ -4,11 +4,25 @@ Everything here is deliberately written with different algorithms than the
 library (dense grids, double argsort, explicit eigendecompositions) so that
 agreement between the two is evidence, not tautology.
 """
+import io
+import logging
+from typing import BinaryIO
+
 import numpy as np
 
 from metavec import oov
-from metavec.embeddings import EmbeddingSpace, _check_writable_token
+from metavec.embeddings import (
+    EmbeddingSpace,
+    ParseError,
+    _binary_stream,
+    _check_parse_options,
+    _check_writable_token,
+    _parse_header_fields,
+    _Rows,
+)
 from metavec.oov import SynthesisReport
+
+logger = logging.getLogger(__name__)
 
 
 def grid_best_orthogonal(x, z, step=1e-4):
@@ -161,6 +175,110 @@ def write_text_embeddings(space: EmbeddingSpace, precision: int = 17) -> bytes:
         )
         lines.append(token + " " + " ".join(formatted) + "\n")
     return "".join(lines).encode("utf-8")
+
+
+# The text parser as it was before it read the values of a block of lines
+# with one ``np.loadtxt`` call: every line is split into fields and every
+# value is read with ``float`` as the line arrives.
+def parse_text_per_line(
+    source: bytes | BinaryIO,
+    *,
+    expect_header: bool | None = None,
+    on_duplicate: str = "keep-first",
+    max_vocab: int | None = None,
+    meta: str | None = None,
+) -> EmbeddingSpace:
+    """Parse the text interchange format: optional ``vocab dim`` header,
+    then one ``token v1 v2 ... vd`` line per word.
+
+    ``expect_header=None`` auto-detects the header (a first line of exactly
+    two integers); ``True`` requires it, ``False`` treats every line as data.
+    ``on_duplicate`` is ``"keep-first"`` (drop and count repeats) or
+    ``"error"``. ``max_vocab`` caps the number of tokens kept.
+
+    Values are read with Python's ``float`` into a matrix that grows as
+    lines arrive; the header's word count is never used to size it.
+    """
+    _check_parse_options(on_duplicate, max_vocab)
+    text = io.TextIOWrapper(_binary_stream(source), encoding="utf-8-sig")
+
+    def non_finite(line: int) -> ParseError:
+        return ParseError("non-finite value", line=line)
+
+    rows: _Rows | None = None
+    header: tuple[int, int] | None = None
+    tokens: list[str] = []
+    seen: set[str] = set()
+    duplicates = 0
+    lineno = 0
+    awaiting_header = expect_header is not False
+    try:
+        for lineno, line in enumerate(text, start=1):
+            fields = line.split()
+            if not fields:
+                continue
+            if awaiting_header:
+                awaiting_header = False
+                header = _parse_header_fields(fields)
+                if expect_header and header is None:
+                    raise ParseError("expected 'vocab dim' header", line=lineno)
+                if header is not None:
+                    dim = header[1]
+                    if dim < 1:
+                        raise ParseError(
+                            "header dimensionality must be at least 1", line=lineno
+                        )
+                    rows = _Rows(dim, 0, non_finite)
+                    continue
+            token, values = fields[0], fields[1:]
+            if rows is None:
+                dim = len(values)
+                if dim < 1:
+                    raise ParseError("no vector values on first data line", line=lineno)
+                rows = _Rows(dim, 0, non_finite)
+            if len(values) != dim:
+                raise ParseError(
+                    f"expected {dim} values, found {len(values)}", line=lineno
+                )
+            try:
+                vector = list(map(float, values))
+            except ValueError:
+                raise ParseError("malformed number", line=lineno) from None
+            if token in seen:
+                rows.check(vector, lineno)
+                if on_duplicate == "error":
+                    raise ParseError(f"duplicate token {token!r}", line=lineno)
+                duplicates += 1
+                continue
+            if max_vocab is not None and len(tokens) >= max_vocab:
+                rows.check(vector, lineno)
+                break
+            seen.add(token)
+            tokens.append(token)
+            rows.append(vector, lineno)
+    except UnicodeDecodeError as exc:
+        # A non-finite row read before the bad bytes is reported first.
+        if rows is not None:
+            rows.check()
+        raise ParseError(f"not valid UTF-8: {exc}", line=lineno + 1) from None
+    except ParseError:
+        if rows is not None:
+            rows.check()
+        raise
+    finally:
+        text.detach()
+
+    if rows is None:
+        raise ParseError("empty stream")
+    matrix = rows.finish()
+    if duplicates:
+        logger.warning("dropped %d duplicate token(s), kept first occurrence", duplicates)
+    if header is not None and max_vocab is None and len(tokens) + duplicates != header[0]:
+        logger.warning(
+            "header announces %d words but %d data lines were read",
+            header[0], len(tokens) + duplicates,
+        )
+    return EmbeddingSpace._own(tokens, matrix, meta=meta)
 
 
 def _union_positions(spaces):

@@ -74,6 +74,20 @@ class TestLoadBilingualDictionary:
         with pytest.raises(ParseError, match="line 1"):
             load_bilingual_dictionary(b"\tperro\n")
 
+    def test_byte_order_mark_is_skipped(self):
+        md = load_bilingual_dictionary("\ufeffdog\tperro\ncat\tgato\n".encode())
+        assert md.pairs == (("dog", "perro"), ("cat", "gato"))
+
+    def test_whitespace_around_fields_is_stripped(self):
+        md = load_bilingual_dictionary(b"a\tx \n b \t\xc2\xa0y\n")
+        assert md.pairs == (("a", "x"), ("b", "y"))
+
+    @pytest.mark.parametrize("line", [b"dog\tel perro\n", b"el perro\tdog\n", b"a\x0bb\tc\n"])
+    def test_whitespace_inside_a_field_rejected_with_line(self, line):
+        with pytest.raises(ParseError, match="whitespace") as exc_info:
+            load_bilingual_dictionary(b"cat\tgato\n" + line)
+        assert exc_info.value.line == 2
+
     def test_blank_lines_and_crlf_tolerated(self):
         md = load_bilingual_dictionary(b"dog\tperro\r\n\ncat\tgato\n")
         assert len(md) == 2

@@ -181,6 +181,41 @@ class TestTextFormat:
         space = parse_text_embeddings(io.BytesIO(b"a 1.0 2.0\n"))
         assert space.tokens == ("a",)
 
+    def test_byte_order_mark_is_skipped(self):
+        space = parse_text_embeddings("\ufeffthe 1 2\nof 3 4\n".encode())
+        assert space.tokens == ("the", "of")
+        # Before a header it no longer turns the header into a data line.
+        space = parse_text_embeddings("\ufeff2 2\nthe 1 2\nof 3 4\n".encode())
+        assert space.tokens == ("the", "of")
+        assert space.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_byte_order_mark_is_only_skipped_at_the_start(self):
+        space = parse_text_embeddings("a 1\n\ufeffb 2\n".encode())
+        assert space.tokens == ("a", "\ufeffb")
+
+    @pytest.mark.parametrize("dim", [2**60, 10**30])
+    def test_header_dimension_too_large_for_a_row(self, dim):
+        # A float64 row of 2**60 values is 2**63 bytes, one more than numpy
+        # can index.
+        with pytest.raises(ParseError, match="too large") as exc_info:
+            parse_text_embeddings(f"3 {dim}\na 1 2\n".encode())
+        assert exc_info.value.line == 1
+        assert str(exc_info.value) == "line 1: header dimensionality too large"
+
+    def test_largest_indexable_header_dimension_reads_the_lines(self):
+        with pytest.raises(ParseError, match="expected 1152921504606846975 values") as exc_info:
+            parse_text_embeddings(b"3 1152921504606846975\na 1 2\n")
+        assert exc_info.value.line == 2
+
+    def test_values_outside_the_block_reader_use_float(self):
+        # numpy rejects underscores and non-ASCII digits; ``float`` takes both.
+        space = parse_text_embeddings("a 1_0 ٣\nb 2 3\n".encode())
+        assert space.matrix.tolist() == [[10.0, 3.0], [2.0, 3.0]]
+
+    def test_hash_is_not_a_comment(self):
+        with pytest.raises(ParseError, match="line 2: expected 2 values, found 3"):
+            parse_text_embeddings(b"a 1 2\nb 3 4 #5\n")
+
     def test_write_rejects_unrepresentable_tokens(self):
         with pytest.raises(ValueError, match="whitespace"):
             write_text_embeddings(EmbeddingSpace(["a b"], [[1.0]]))
@@ -224,6 +259,13 @@ class TestBinaryFormat:
     def test_malformed_header(self):
         with pytest.raises(ParseError, match="header"):
             parse_binary_embeddings(b"2 x\nabc")
+
+    @pytest.mark.parametrize("dim", [2**60, 10**30])
+    def test_header_dimension_too_large_for_a_row(self, dim):
+        with pytest.raises(ParseError, match="too large") as exc_info:
+            parse_binary_embeddings(f"3 {dim}\na ".encode() + bytes(8))
+        assert exc_info.value.offset == 0
+        assert str(exc_info.value) == "byte 0: header dimensionality too large"
 
     def test_truncated_vector_reports_offset(self):
         space = EmbeddingSpace(["ab"], [[1.0, -2.0]])

@@ -113,6 +113,13 @@ class TestLoadSimilarityDataset:
         with pytest.raises(ParseError):
             load_similarity_dataset(b"a\tb\xff\t1\n")
 
+    @pytest.mark.parametrize("delimiter", ["tab", "comma", "whitespace"])
+    def test_byte_order_mark_is_skipped(self, delimiter):
+        sep = {"tab": "\t", "comma": ",", "whitespace": " "}[delimiter]
+        data = f"\ufeffdog{sep}cat{sep}7.5\n".encode()
+        ds = load_similarity_dataset(data, delimiter=delimiter)
+        assert ds.pairs == (("dog", "cat", 7.5),)
+
     def test_unknown_delimiter_rejected(self):
         with pytest.raises(ValueError, match="delimiter"):
             load_similarity_dataset(b"a\tb\t1\n", delimiter="pipe")

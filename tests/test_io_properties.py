@@ -1,7 +1,12 @@
 """Property tests for the interchange formats: the text writer byte for byte
 against the per-value formatter it replaced and, at full precision, against
-``repr``; and parse round trips of both formats, with the parsers' row
-blocks shrunk so rows straddle them."""
+``repr``; the text parser against the per-line parser it replaced, on
+hostile payloads; and parse round trips of both formats, with the parsers'
+row blocks shrunk so rows straddle them."""
+import itertools
+import logging
+import sys
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -19,6 +24,7 @@ from metavec.embeddings import (
     write_binary_embeddings,
     write_text_embeddings,
 )
+from oracles import parse_text_per_line
 from oracles import write_text_embeddings as per_value_writer
 
 # Where ``repr`` switches to an exponent (below 1e-4 and from 1e16 in
@@ -163,3 +169,124 @@ def test_non_finite_row_is_reported_before_a_later_error():
     with pytest.raises(embeddings.ParseError, match="non-finite") as exc_info:
         parse_text_embeddings("\n".join(lines).encode())
     assert exc_info.value.line == 4
+
+
+# Every character ``str.split`` cuts at; "\n" and "\r" also end a line.
+SEPARATORS = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+numbers = st.builds(
+    lambda value, digits, style: (
+        np.format_float_positional(value, precision=digits, unique=True, fractional=False, trim="0")
+        if style
+        else f"{value:.{digits}g}"
+    ),
+    values,
+    st.sampled_from([5, 7, 17]),
+    st.booleans(),
+)
+# Fields ``float`` reads and numpy does not (underscores, non-ASCII digits),
+# non-finite ones, and fields neither reads; "#" must not start a comment.
+odd_fields = st.sampled_from([
+    "1_000", "2_5.0_1", "\u0663", "\u0661\u066b\u0665", "\uff11\uff12", "inf", "-Infinity",
+    "nan", "-nan", "1e999", "-1e999", "1e-999", "_1", "1__0", "0x10", "1e", ".", "+", "",
+    "1,5", "#", "#5", "1#", "0.5#x", "x", "\x00", "1\x00",
+])
+vocabulary = st.sampled_from(["a", "b", "c", "d", "\u00e9", "\u679d", "#a", "1", "2"])
+
+
+@st.composite
+def text_payloads(draw):
+    """A text embedding file with a correct, wrong or missing header, rows
+    of the right and wrong lengths, blank and token-only lines, any
+    whitespace between and after fields, odd fields, repeated tokens and
+    bytes that are not UTF-8. Sometimes a run of long rows pushes later
+    lines past the first chunk the UTF-8 decoder reads."""
+    dim = draw(st.integers(1, 4))
+    hostile = draw(st.sets(st.sampled_from(["length", "token", "blank", "odd"])))
+    kinds = ["row"] * 8 + sorted(hostile - {"odd"})
+    fields = st.one_of(*[numbers] * 12, odd_fields) if "odd" in hostile else numbers
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\u3000"])).encode())
+            continue
+        count = {"row": dim, "token": 0, "length": draw(st.sampled_from([dim - 1, dim + 1]))}[kind]
+        parts = [draw(vocabulary)] + [draw(fields) for _ in range(count)]
+        line = parts[0]
+        for part in parts[1:]:
+            line += draw(st.sampled_from(SEPARATORS)) * draw(st.integers(1, 2)) + part
+        lines.append((line + draw(st.sampled_from(["", " ", "\t", "\x0c", "\u2003"]))).encode())
+    if draw(st.integers(0, 3)) == 0:
+        bad = draw(st.sampled_from([b"\xff", b"a \xe9 1", b"\xc3", b"b 1 \xed\xa0\x80"]))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    if draw(st.integers(0, 2)) == 0:
+        filler = [f"filler{i}{'x' * 200} {' '.join(['0.5'] * dim)}".encode() for i in range(45)]
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = filler
+    header = draw(st.sampled_from(["none", "none", "right", "right", "count", "dim"]))
+    if header != "none":
+        words = sum(1 for line in lines if line.strip())
+        words += header == "count"
+        lines.insert(0, f"{words} {dim + (header == 'dim')}".encode())
+    ends = [draw(st.sampled_from([b"\n", b"\n", b"\r\n", b"\r"])) for _ in lines]
+    payload = b"".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        payload = payload[: -len(ends[-1])]
+    if draw(st.integers(0, 4)) == 0:
+        payload = "\ufeff".encode() + payload
+    return payload
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append((record.levelname, record.getMessage()))
+
+
+def outcome(parse, payload, logger, **options):
+    """What a parse returns or raises, what it logs, and the Python
+    warnings it issues."""
+    records = _Records()
+    logging.getLogger(logger).addHandler(records)
+    try:
+        with warnings.catch_warnings(record=True) as issued:
+            warnings.simplefilter("always")
+            try:
+                space = parse(payload, **options)
+            except Exception as exc:
+                result = (type(exc), str(exc), getattr(exc, "line", None))
+            else:
+                result = (space.tokens, space.matrix.shape, space.matrix.tobytes())
+    finally:
+        logging.getLogger(logger).removeHandler(records)
+    return result, records.messages, [str(w.message) for w in issued]
+
+
+@settings(max_examples=200)
+@given(text_payloads(), st.one_of(st.none(), st.integers(0, 5)))
+def test_text_parser_matches_per_line_oracle(payload, max_vocab):
+    for expect_header, on_duplicate, block_bytes in itertools.product(
+        [None, True, False], ["keep-first", "error"], [1, 8, 100, 1 << 20]
+    ):
+        options = dict(expect_header=expect_header, on_duplicate=on_duplicate, max_vocab=max_vocab)
+        with patch.object(embeddings, "_BLOCK_BYTES", block_bytes):
+            expected = outcome(parse_text_per_line, payload, "oracles", **options)
+            actual = outcome(parse_text_embeddings, payload, "metavec.embeddings", **options)
+        assert actual == expected, (options, block_bytes)
+        assert actual[2] == []
+
+
+@pytest.mark.parametrize("digits", [5, 7, 17])
+def test_text_parser_matches_per_line_oracle_on_a_seeded_matrix(digits):
+    # Enough rows for several default blocks, with every value's bits compared.
+    rng = np.random.default_rng(digits)
+    scales = 10.0 ** rng.integers(-8, 8, size=(3000, 1))
+    space = EmbeddingSpace(words(3000), rng.normal(size=(3000, 100)) * scales)
+    payload = write_text_embeddings(space, digits)
+    assert outcome(parse_text_embeddings, payload, "metavec.embeddings") == outcome(
+        parse_text_per_line, payload, "oracles"
+    )
