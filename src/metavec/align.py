@@ -8,7 +8,7 @@ from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
-from metavec.embeddings import EmbeddingSpace, ParseError
+from metavec.embeddings import EmbeddingSpace, ParseError, _text_lines
 from metavec.linalg import OrthogonalMap, apply_map, normalize_step0, solve_procrustes
 
 logger = logging.getLogger(__name__)
@@ -114,7 +114,7 @@ def load_bilingual_dictionary(source: bytes | BinaryIO) -> MappingDictionary:
     """
     if isinstance(source, (bytes, bytearray, memoryview)):
         source = io.BytesIO(bytes(source))
-    text = io.TextIOWrapper(source, encoding="utf-8-sig")
+    text = _text_lines(source)
     pairs: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
     duplicates = 0
@@ -142,7 +142,7 @@ def load_bilingual_dictionary(source: bytes | BinaryIO) -> MappingDictionary:
     except UnicodeDecodeError as exc:
         raise ParseError(f"not valid UTF-8: {exc}", line=lineno + 1) from None
     finally:
-        text.detach()
+        text.close()
     if duplicates:
         logger.warning("dropped %d duplicate dictionary pair(s)", duplicates)
     return MappingDictionary(pairs)

@@ -24,14 +24,18 @@ from metavec.align import align_to_target, load_bilingual_dictionary
 from metavec.combine import (
     OOV_POLICIES,
     CombineConfig,
+    _mvm,
+    _provenance_json,
     apply_language_prefixes,
     combine,
-    provenance_json,
 )
 from metavec.embeddings import (
     EmbeddingSpace,
     ParseError,
     _commit_outputs,
+    _made_rows,
+    _RowSource,
+    _space_rows,
     detect_format,
     load_embeddings,
 )
@@ -41,7 +45,7 @@ from metavec.evaluate import (
     load_similarity_dataset,
     report_records,
 )
-from metavec.oov import DEFAULT_K, extend_to_union, format_audit_dump
+from metavec.oov import DEFAULT_K, _extension, format_audit_dump
 
 logger = logging.getLogger(__name__)
 
@@ -204,25 +208,26 @@ def _load_sources(paths, workers: int) -> list[EmbeddingSpace]:
         return [next(parsed) if detect_format(p) == "text" else _load(p) for p in paths]
 
 
-def _chunks(space: EmbeddingSpace, fmt: str, precision: int, workers: int) -> Iterator[bytes]:
-    """The encoded output, one chunk at a time. Text rows are formatted in
-    worker processes, in equal blocks of at most ``embeddings._BLOCK_BYTES``
-    of matrix, as many as a multiple of ``workers``, so that the workers
-    finish together."""
+def _chunks(source: _RowSource, fmt: str, precision: int, workers: int) -> Iterator[bytes]:
+    """The encoded output, one chunk at a time. Text rows are made and
+    formatted in worker processes, in equal blocks of at most
+    ``embeddings._BLOCK_BYTES`` of matrix, as many as a multiple of
+    ``workers``, so that the workers finish together. Making a union's rows
+    (``_place``, the mean and its unit scaling) makes no BLAS call."""
     if fmt == "binary":
-        yield from embeddings._binary_chunks(space)
+        yield from embeddings._binary_chunks(source)
         return
-    rows = len(space)
-    per_block = max(1, embeddings._BLOCK_BYTES // (8 * space.dim))
+    rows = len(source.tokens)
+    per_block = max(1, embeddings._BLOCK_BYTES // (8 * source.dim))
     count = -(-rows // per_block)
     count = min(rows, -(-count // workers) * workers)
     bounds = [rows * i // count for i in range(count + 1)]
 
     def block(i: int) -> bytes:
         start, end = bounds[i], bounds[i + 1]
-        return embeddings._text_rows(space.tokens[start:end], space.matrix[start:end], precision)
+        return embeddings._text_rows(source.tokens[start:end], source.rows(start, end), precision)
 
-    yield embeddings._header(space)
+    yield embeddings._header(source)
     yield from _forked_map(block, range(count), workers)
 
 
@@ -256,9 +261,8 @@ def cmd_map(args, parser) -> int:
     collection = align_to_target([source, target], target_index=1, dictionaries=dictionaries)
     info = collection.infos[0]
     fmt = _output_format(args, args.source)
-    _commit_outputs([
-        (Path(args.output), _chunks(collection.mapped[0], fmt, args.precision, workers)),
-    ])
+    mapped = _space_rows(collection.mapped[0])
+    _commit_outputs([(Path(args.output), _chunks(mapped, fmt, args.precision, workers))])
     print(f"dictionary size: {info.dictionary_size}")
     print(f"residual: {info.residual}")
     return 0
@@ -297,15 +301,16 @@ def cmd_mvm(args, parser) -> int:
         language_prefixes=tuple(prefixes) or None,
         oov=args.oov,
     )
-    meta = combine(spaces, config, dictionaries)
+    union, fill, provenance = _mvm(spaces, config, dictionaries)
+    rows = _made_rows(union, provenance["dim"], fill)
     fmt = _output_format(args, args.sources[0])
     out = Path(args.output)
     sidecar = out.with_name(out.name + ".provenance.json")
     _commit_outputs([
-        (out, _chunks(meta.space, fmt, args.precision, workers)),
-        (sidecar, [provenance_json(meta).encode("utf-8")]),
+        (out, _chunks(rows, fmt, args.precision, workers)),
+        (sidecar, [_provenance_json(provenance).encode("utf-8")]),
     ])
-    print(f"wrote {out} ({len(meta.space)} words, dim {meta.space.dim})", file=sys.stderr)
+    print(f"wrote {out} ({len(union)} words, dim {rows.dim})", file=sys.stderr)
     return 0
 
 
@@ -330,7 +335,9 @@ def cmd_baseline(args, parser) -> int:
     )
     meta = combine(spaces, config)
     fmt = _output_format(args, args.sources[0])
-    _commit_outputs([(Path(args.output), _chunks(meta.space, fmt, args.precision, workers))])
+    _commit_outputs([
+        (Path(args.output), _chunks(_space_rows(meta.space), fmt, args.precision, workers)),
+    ])
     print(
         f"wrote {args.output} ({len(meta.space)} words, dim {meta.space.dim})",
         file=sys.stderr,
@@ -341,13 +348,11 @@ def cmd_baseline(args, parser) -> int:
 def cmd_synth_oov(args, parser) -> int:
     workers = _io_workers(args)
     e1, e2 = _load_sources([args.embedding1, args.embedding2], workers)
-    ext1, ext2, report = extend_to_union(
-        e1, e2, k=args.k, record_neighbors=args.audit is not None
-    )
+    union, fills, report = _extension(e1, e2, args.k, args.audit is not None)
     fmt = _output_format(args, args.embedding1)
     staged = [
-        (Path(args.out1), _chunks(ext1, fmt, args.precision, workers)),
-        (Path(args.out2), _chunks(ext2, fmt, args.precision, workers)),
+        (Path(path), _chunks(_made_rows(union, e1.dim, fill), fmt, args.precision, workers))
+        for path, fill in zip((args.out1, args.out2), fills)
     ]
     if args.audit is not None:
         staged.append((Path(args.audit), [format_audit_dump(report)]))

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from metavec.align import MappingDictionary, align_to_target
-from metavec.embeddings import EmbeddingSpace
+from metavec.embeddings import EmbeddingSpace, _Fill, _filled
 from metavec.linalg import _unit_rows, apply_reduction, fit_reduction
 from metavec.oov import (
     _BLOCK_BYTES, DEFAULT_K, SynthesisReport, _place, _Plan, _plan_synthesis, _union_positions,
@@ -159,29 +159,29 @@ def _union_rows(
     return union, table, [None] * len(spaces), None
 
 
-def _combined(
+def _provenance(
     sources: Sequence[EmbeddingSpace],
     config: CombineConfig,
-    tokens: Sequence[str],
-    matrix: np.ndarray,
+    vocabulary: int,
+    dim: int,
     report: SynthesisReport | None,
     **own,
-) -> MetaEmbedding:
-    """Wrap a combiner's output with its provenance record.
+) -> dict:
+    """The provenance record of a combiner's output of ``vocabulary`` words
+    of ``dim`` dimensions.
 
     Key order is part of the sidecar's bytes: the common keys (mvm's
     ``target_index`` before ``oov``), the method's ``own`` keys, the
     language prefixes, then the synthesis report.
     """
-    space = EmbeddingSpace._own(tokens, matrix, meta=config.method)
     policy = config.oov_policy
     provenance = {
         "method": config.method,
         "sources": [
             s.meta if s.meta is not None else f"source-{i}" for i, s in enumerate(sources)
         ],
-        "vocabulary": len(space),
-        "dim": space.dim,
+        "vocabulary": vocabulary,
+        "dim": dim,
     }
     if config.method == "mvm":
         provenance["target_index"] = config.target_index
@@ -193,7 +193,20 @@ def _combined(
         provenance["synthesized"] = list(report.words_synthesized)
         provenance["shortfalls"] = len(report.shortfalls)
         provenance["skipped"] = len(report.skipped)
-    return MetaEmbedding(space, provenance)
+    return provenance
+
+
+def _combined(
+    sources: Sequence[EmbeddingSpace],
+    config: CombineConfig,
+    tokens: Sequence[str],
+    matrix: np.ndarray,
+    report: SynthesisReport | None,
+    **own,
+) -> MetaEmbedding:
+    """Wrap a combiner's output with its provenance record."""
+    space = EmbeddingSpace._own(tokens, matrix, meta=config.method)
+    return MetaEmbedding(space, _provenance(sources, config, len(space), space.dim, report, **own))
 
 
 def _mean_rows(
@@ -201,24 +214,25 @@ def _mean_rows(
     table: np.ndarray,
     plans: Sequence[_Plan | None],
     policy: str,
-) -> np.ndarray:
-    """Per-word mean across spaces under the given missing-word policy,
-    one row per column of the row table (``_union_rows``).
+    matrix: np.ndarray,
+) -> None:
+    """Set ``matrix`` to the per-word mean across spaces under the given
+    missing-word policy, one row per column of ``table``: a run of columns
+    of the row table (``_union_rows``).
 
     ``spaces`` already share coordinates. For "available" the denominator
     is the number of spaces holding the word; for "zero" and "nn" (where
     every word has a row in every space) it is the source count. A word's
     rows are added in the order of their byte images, so the result is
-    bitwise independent of the order the sources were given in. Union rows
-    are taken in blocks whose stacked rows fit in ``_BLOCK_BYTES // 8``
-    (1 MiB), and ``_place`` builds the centroids of a block's synthesized
-    rows as it stacks them: the union matrix and the inputs are held
-    meanwhile, and the stack, the gathered neighbor rows and the
-    temporaries come on top.
+    bitwise independent of the order the sources were given in, and of the
+    other words in the run. Words are taken in blocks whose stacked rows
+    fit in ``_BLOCK_BYTES // 8`` (1 MiB), and ``_place`` builds the
+    centroids of a block's synthesized rows as it stacks them: the inputs
+    and ``matrix`` are held meanwhile, and the stack, the gathered neighbor
+    rows and the temporaries come on top.
     """
     n, dim = len(spaces), spaces[0].dim
     row_type = np.dtype((np.void, 8 * dim))
-    matrix = np.empty((table.shape[1], dim))
     step = max(1, _BLOCK_BYTES // 8 // (8 * n * dim))
     # One stack for every block; each block's sum is built in its output rows.
     buffer = np.empty((min(step, table.shape[1]), n, dim))
@@ -240,7 +254,43 @@ def _mean_rows(
             np.add(total, stack[block, order[:, j]], out=total, where=(j < counts)[:, np.newaxis])
         denominator = counts[:, np.newaxis] if policy == "available" else n
         np.divide(total, denominator, out=total)
-    return matrix
+
+
+def _mvm(
+    sources: Sequence[EmbeddingSpace],
+    config: CombineConfig,
+    dictionaries: Sequence[MappingDictionary | None] | None,
+) -> tuple[list[str], _Fill, dict]:
+    """Align the sources and plan the union's rows: the union, a
+    ``fill(out, start, stop)`` that writes union rows ``start:stop`` (the
+    mean of the aligned rows, each scaled to unit length) and the
+    provenance record. ``combine_mvm`` fills its matrix whole with it; the
+    CLI streams the rows into the output, so no union-sized matrix exists.
+    """
+    if len(sources) < 2:
+        raise ValueError("mvm needs at least two sources")
+    spaces = _prefixed(sources, config)
+    dictionaries = _prefixed_dictionaries(dictionaries, config, len(spaces))
+    if not config.target_index < len(spaces):
+        raise ValueError(f"target_index {config.target_index} out of range")
+    aligned = align_to_target(spaces, config.target_index, dictionaries)
+    # ``fill`` reads ``members``; the maps are freed with ``aligned``.
+    members, infos = list(aligned.mapped), aligned.infos
+    del aligned
+    union, table, plans, report = _union_rows(members, config)
+
+    def fill(out: np.ndarray, start: int, stop: int) -> None:
+        # Both steps are row-local, so a run of rows gets the bits it has
+        # in the whole matrix.
+        _mean_rows(members, table[:, start:stop], plans, config.oov_policy, out)
+        _unit_rows(out, out=out)
+
+    provenance = _provenance(
+        sources, config, len(union), members[0].dim, report,
+        dictionary_sizes=[info.dictionary_size if info else None for info in infos],
+        alignment_residuals=[info.residual if info else None for info in infos],
+    )
+    return union, fill, provenance
 
 
 def combine_mvm(
@@ -258,25 +308,8 @@ def combine_mvm(
     "available" or "zero" to reproduce mapping-only ablations.
     """
     config = _check_method(config, "mvm")
-    if len(sources) < 2:
-        raise ValueError("mvm needs at least two sources")
-    spaces = _prefixed(sources, config)
-    dictionaries = _prefixed_dictionaries(dictionaries, config, len(spaces))
-    if not config.target_index < len(spaces):
-        raise ValueError(f"target_index {config.target_index} out of range")
-    aligned = align_to_target(spaces, config.target_index, dictionaries)
-    # Only ``members`` holds the mapped spaces, so deleting it frees them.
-    members, infos = list(aligned.mapped), aligned.infos
-    del aligned
-    union, table, plans, report = _union_rows(members, config)
-    matrix = _mean_rows(members, table, plans, config.oov_policy)
-    del members
-    _unit_rows(matrix, out=matrix)
-    return _combined(
-        sources, config, union, matrix, report,
-        dictionary_sizes=[info.dictionary_size if info else None for info in infos],
-        alignment_residuals=[info.residual if info else None for info in infos],
-    )
+    union, fill, provenance = _mvm(sources, config, dictionaries)
+    return MetaEmbedding(_filled(union, provenance["dim"], fill, config.method), provenance)
 
 
 def combine_average(
@@ -294,7 +327,8 @@ def combine_average(
         raise ValueError(f"averaging needs one shared dim, got {sorted(dims)}")
     spaces = _unit_spaces(spaces)
     union, table, plans, report = _union_rows(spaces, config)
-    matrix = _mean_rows(spaces, table, plans, config.oov_policy)
+    matrix = np.empty((len(union), spaces[0].dim))
+    _mean_rows(spaces, table, plans, config.oov_policy, matrix)
     return _combined(sources, config, union, matrix, report)
 
 
@@ -359,7 +393,11 @@ def combine(
 
 def provenance_json(meta: MetaEmbedding) -> str:
     """Render the provenance record as pretty-printed JSON."""
-    return json.dumps(meta.provenance, indent=2, ensure_ascii=False) + "\n"
+    return _provenance_json(meta.provenance)
+
+
+def _provenance_json(provenance: dict) -> str:
+    return json.dumps(provenance, indent=2, ensure_ascii=False) + "\n"
 
 
 def write_provenance(meta: MetaEmbedding, path: str | Path) -> None:

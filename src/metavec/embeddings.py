@@ -1,6 +1,7 @@
 """Read, write and index word-embedding files in the common text and binary formats."""
 from __future__ import annotations
 
+import codecs
 import io
 import logging
 import os
@@ -13,7 +14,8 @@ import orjson
 logger = logging.getLogger(__name__)
 
 # Bytes of matrix rows per block: the growth step and finiteness-check span
-# of the parsers, and the rows formatted per block by the text writer.
+# of the parsers, the bytes the binary parser reads at a time, and the rows
+# each writer takes per block.
 _BLOCK_BYTES = 1 << 20
 
 __all__ = [
@@ -113,10 +115,101 @@ class EmbeddingSpace:
         return f"<EmbeddingSpace {len(self)} tokens, dim {self.dim}{label}>"
 
 
+# ``fill(out, start, stop)`` writes rows ``start:stop`` of an output into ``out``.
+_Fill = Callable[[np.ndarray, int, int], None]
+
+
+class _RowSource:
+    """The rows of an output, read one run at a time where they are
+    written: ``rows(start, stop)`` gives the rows of ``tokens[start:stop]``,
+    valid until the next call."""
+
+    __slots__ = ("tokens", "dim", "rows")
+
+    def __init__(self, tokens: Sequence[str], dim: int, rows: Callable[[int, int], np.ndarray]):
+        self.tokens, self.dim, self.rows = tokens, dim, rows
+
+
+def _space_rows(space: EmbeddingSpace) -> _RowSource:
+    """A space's rows: views of its matrix."""
+    return _RowSource(space.tokens, space.dim, lambda start, stop: space.matrix[start:stop])
+
+
+def _made_rows(tokens: Sequence[str], dim: int, fill: _Fill) -> _RowSource:
+    """Rows that ``fill(out, start, stop)`` writes into ``out``, made in one
+    buffer that the next call reuses, and checked for finiteness as a
+    space's matrix is. ``_filled`` makes the whole matrix from the same
+    ``fill``."""
+    tokens = tuple(tokens)
+    buffer = np.empty((0, dim))
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        nonlocal buffer
+        stop = min(stop, len(tokens))
+        if len(buffer) < stop - start:
+            buffer = np.empty((stop - start, dim))
+        out = buffer[: stop - start]
+        fill(out, start, stop)
+        if not np.isfinite(out).all():
+            raise ValueError("matrix contains non-finite values")
+        return out
+
+    return _RowSource(tokens, dim, rows)
+
+
+def _filled(tokens: Sequence[str], dim: int, fill: _Fill, meta: str | None) -> EmbeddingSpace:
+    """The space whose matrix ``fill(matrix, 0, len(tokens))`` writes: the
+    rows ``_made_rows`` streams, held whole."""
+    matrix = np.empty((len(tokens), dim))
+    fill(matrix, 0, len(tokens))
+    return EmbeddingSpace._own(tokens, matrix, meta=meta)
+
+
 def _binary_stream(source: bytes | bytearray | memoryview | BinaryIO) -> BinaryIO:
     if isinstance(source, (bytes, bytearray, memoryview)):
         return io.BytesIO(bytes(source))
     return source
+
+
+_surrogateescape = codecs.lookup_error("surrogateescape")
+# How often ``_escape`` has run in this process.
+_escapes = 0
+
+
+def _escape(exc: UnicodeError) -> tuple[str, int]:
+    """Python's "surrogateescape" decoding of bytes that are not UTF-8,
+    counted in ``_escapes``."""
+    global _escapes
+    _escapes += 1
+    return _surrogateescape(exc)
+
+
+codecs.register_error("metavec-escape", _escape)
+
+
+def _text_lines(stream: BinaryIO) -> Iterator[str]:
+    """The lines of a UTF-8 byte stream, read by ``io.TextIOWrapper`` with
+    a leading byte-order mark skipped. A line that is not valid UTF-8
+    raises the ``UnicodeDecodeError`` of its bytes, without the line break,
+    after every line before it, so callers that count the lines they got
+    know its line number.
+
+    The wrapper decodes chunks of many lines, and a strict decoder would
+    raise before any line of the chunk is read. Bad bytes are decoded to
+    lone surrogates instead (``_escape``), and only once some were decoded
+    is a line that is not ASCII encoded back and decoded strictly. The
+    caller closes the generator, which detaches the wrapper from
+    ``stream``.
+    """
+    text = io.TextIOWrapper(stream, encoding="utf-8-sig", errors="metavec-escape")
+    escapes = _escapes
+    try:
+        for line in text:
+            if _escapes != escapes and not line.isascii():
+                line.rstrip("\n").encode("utf-8", "surrogateescape").decode("utf-8")
+            yield line
+    finally:
+        text.detach()
 
 
 def _check_parse_options(on_duplicate: str, max_vocab: int | None) -> None:
@@ -245,7 +338,7 @@ def parse_text_embeddings(
     count is never used to size it.
     """
     _check_parse_options(on_duplicate, max_vocab)
-    text = io.TextIOWrapper(_binary_stream(source), encoding="utf-8-sig")
+    text = _text_lines(_binary_stream(source))
 
     def non_finite(line: int) -> ParseError:
         return ParseError("non-finite value", line=line)
@@ -332,7 +425,7 @@ def parse_text_embeddings(
             rows.check()
         raise
     finally:
-        text.detach()
+        text.close()
 
     if rows is None:
         raise ParseError("empty stream")
@@ -345,6 +438,49 @@ def parse_text_embeddings(
             header[0], len(tokens) + duplicates,
         )
     return EmbeddingSpace._own(tokens, matrix, meta=meta)
+
+
+def _read_more(
+    stream: BinaryIO, data: bytes, base: int, keep: int
+) -> tuple[bytes, int] | None:
+    """``data``, the stream's bytes from offset ``base`` on, cut to start
+    at offset ``keep`` and followed by the next block, with its new base;
+    None at the end of the stream. A block is at least as long as the
+    bytes held, so a long token or vector is read in linear time."""
+    chunk = stream.read(max(_BLOCK_BYTES, len(data)))
+    if not chunk:
+        return None
+    return data[keep - base :] + chunk, keep
+
+
+def _past_newlines(
+    stream: BinaryIO, data: bytes, base: int, pos: int
+) -> tuple[bytes, int, int]:
+    """Skip the newline bytes from offset ``pos`` on, reading blocks as
+    needed: the bytes held, their base, and the offset of the first byte
+    that is not a newline (the end of the stream if none is)."""
+    while True:
+        i = pos - base
+        while i < len(data) and data[i] == 0x0A:
+            i += 1
+        pos = base + i
+        if i < len(data) or (more := _read_more(stream, data, base, pos)) is None:
+            return data, base, pos
+        data, base = more
+
+
+def _bytes_left(stream: BinaryIO) -> int:
+    """The bytes between a seekable stream's position and its end; 0 for a
+    stream that cannot say."""
+    try:
+        if not stream.seekable():
+            return 0
+        here = stream.tell()
+        end = stream.seek(0, io.SEEK_END)
+        stream.seek(here)
+    except (AttributeError, OSError):
+        return 0
+    return max(0, end - here)
 
 
 def parse_binary_embeddings(
@@ -360,13 +496,17 @@ def parse_binary_embeddings(
 
     Newline bytes before a token are tolerated for compatibility with files
     written by the original C tooling; canonical files contain none. The
-    matrix is allocated once, for no more words than the bytes after the
-    header can hold (each takes at least ``4 * dim + 1``).
+    stream is read one block at a time, and error offsets count from where
+    it was read. The matrix is allocated once, for no more words than the
+    bytes after the header can hold (each takes at least ``4 * dim + 1``),
+    when the stream can tell its length; otherwise it grows as words arrive.
     """
     _check_parse_options(on_duplicate, max_vocab)
-    data = _binary_stream(source).read()
-
-    nl = data.find(b"\n")
+    stream = _binary_stream(source)
+    # ``data`` holds the stream's bytes from offset ``base`` on.
+    data, base = b"", 0
+    while (nl := data.find(b"\n")) < 0 and (more := _read_more(stream, data, base, 0)):
+        data, base = more
     if nl < 0:
         raise ParseError("missing 'vocab dim' header line", offset=0)
     header = _parse_header_fields(data[:nl].decode("ascii", errors="replace").split())
@@ -381,7 +521,7 @@ def parse_binary_embeddings(
     # Every word takes at least 4 * dim + 1 bytes, so a header announcing
     # more words than the stream can hold gets only what it can hold, then
     # fails below at the offset where the stream runs out.
-    capacity = min(vocab_size, (len(data) - nl - 1) // (vector_bytes + 1))
+    capacity = min(vocab_size, (len(data) - nl - 1 + _bytes_left(stream)) // (vector_bytes + 1))
     if max_vocab is not None:
         capacity = min(capacity, max_vocab)
 
@@ -397,26 +537,32 @@ def parse_binary_embeddings(
         for _ in range(vocab_size):
             if max_vocab is not None and len(tokens) >= max_vocab:
                 break
-            while pos < len(data) and data[pos] == 0x0A:
-                pos += 1
-            sp = data.find(b" ", pos)
+            if pos - base == len(data) or data[pos - base] == 0x0A:
+                data, base, pos = _past_newlines(stream, data, base, pos)
+            # A word is read once the bytes held cover it, or the stream ends.
+            sp = data.find(b" ", pos - base)
+            while (sp < 0 or sp + 1 + vector_bytes > len(data)) and (
+                more := _read_more(stream, data, base, pos)
+            ):
+                data, base = more
+                sp = data.find(b" ")
             if sp < 0:
                 raise ParseError("truncated stream while reading a token", offset=pos)
             try:
-                token = data[pos:sp].decode("utf-8")
+                token = data[pos - base : sp].decode("utf-8")
             except UnicodeDecodeError:
                 raise ParseError("token is not valid UTF-8", offset=pos) from None
-            start = sp + 1
-            if start + vector_bytes > len(data):
+            start = base + sp + 1
+            if sp + 1 + vector_bytes > len(data):
                 raise ParseError(
                     f"truncated stream while reading the vector for {token!r}", offset=start
                 )
-            vector = np.frombuffer(data, dtype="<f4", count=dim, offset=start)
+            vector = np.frombuffer(data, dtype="<f4", count=dim, offset=sp + 1)
             pos = start + vector_bytes
             if token in seen:
                 rows.check(vector, (token, start))
                 if on_duplicate == "error":
-                    raise ParseError(f"duplicate token {token!r}", offset=sp + 1)
+                    raise ParseError(f"duplicate token {token!r}", offset=start)
                 duplicates += 1
                 continue
             seen.add(token)
@@ -431,11 +577,13 @@ def parse_binary_embeddings(
     if duplicates:
         logger.warning("dropped %d duplicate token(s), kept first occurrence", duplicates)
     if max_vocab is None or len(tokens) < max_vocab:
-        while pos < len(data) and data[pos] == 0x0A:
-            pos += 1
-        if pos != len(data):
+        data, base, pos = _past_newlines(stream, data, base, pos)
+        if pos - base < len(data):
+            remaining = len(data) - (pos - base)
+            while chunk := stream.read(_BLOCK_BYTES):
+                remaining += len(chunk)
             raise ParseError(
-                f"header announces {vocab_size} words but {len(data) - pos} bytes remain",
+                f"header announces {vocab_size} words but {remaining} bytes remain",
                 offset=pos,
             )
     return EmbeddingSpace._own(tokens, matrix, meta=meta)
@@ -456,8 +604,8 @@ def _positional(value, precision: int) -> str:
     )
 
 
-def _header(space: EmbeddingSpace) -> bytes:
-    return f"{len(space)} {space.dim}\n".encode("ascii")
+def _header(source: _RowSource) -> bytes:
+    return f"{len(source.tokens)} {source.dim}\n".encode("ascii")
 
 
 def _text_rows(tokens: Sequence[str], block: np.ndarray, precision: int) -> bytes:
@@ -486,16 +634,16 @@ def _text_rows(tokens: Sequence[str], block: np.ndarray, precision: int) -> byte
     )
 
 
-def _text_chunks(space: EmbeddingSpace, precision: int) -> Iterator[bytes]:
-    """The text format of ``space``: the header, then one chunk per block
+def _text_chunks(source: _RowSource, precision: int) -> Iterator[bytes]:
+    """The text format of ``source``: the header, then one chunk per block
     of rows."""
     if precision < 1:
         raise ValueError("precision must be at least 1")
-    yield _header(space)
-    step = max(1, _BLOCK_BYTES // (8 * space.dim))
-    for start in range(0, len(space), step):
+    yield _header(source)
+    step = max(1, _BLOCK_BYTES // (8 * source.dim))
+    for start in range(0, len(source.tokens), step):
         end = start + step
-        yield _text_rows(space.tokens[start:end], space.matrix[start:end], precision)
+        yield _text_rows(source.tokens[start:end], source.rows(start, end), precision)
 
 
 def write_text_embeddings(space: EmbeddingSpace, precision: int = 17) -> bytes:
@@ -508,21 +656,22 @@ def write_text_embeddings(space: EmbeddingSpace, precision: int = 17) -> bytes:
     and only the values it writes with an exponent (nonzero below 1e-5 or
     at least 1e16 in magnitude) go through the positional formatter.
     """
-    return b"".join(_text_chunks(space, precision))
+    return b"".join(_text_chunks(_space_rows(space), precision))
 
 
-def _binary_chunks(space: EmbeddingSpace) -> Iterator[bytes]:
-    """The binary format of ``space``: the header, then one chunk per block
-    of rows, each narrowed to float32 and checked before it is yielded."""
-    yield _header(space)
-    step = max(1, _BLOCK_BYTES // (8 * space.dim))
-    for start in range(0, len(space), step):
+def _binary_chunks(source: _RowSource) -> Iterator[bytes]:
+    """The binary format of ``source``: the header, then one chunk per
+    block of rows, each narrowed to float32 and checked before it is
+    yielded."""
+    yield _header(source)
+    step = max(1, _BLOCK_BYTES // (8 * source.dim))
+    for start in range(0, len(source.tokens), step):
         with np.errstate(over="ignore"):
-            narrowed = space.matrix[start : start + step].astype("<f4")
+            narrowed = source.rows(start, start + step).astype("<f4")
         if not np.isfinite(narrowed).all():
             raise ValueError("matrix contains values outside single-precision range")
         chunk = []
-        for token, row in zip(space.tokens[start : start + step], narrowed):
+        for token, row in zip(source.tokens[start : start + step], narrowed):
             _check_writable_token(token)
             chunk.append(token.encode("utf-8") + b" " + row.tobytes())
         yield b"".join(chunk)
@@ -530,7 +679,7 @@ def _binary_chunks(space: EmbeddingSpace) -> Iterator[bytes]:
 
 def write_binary_embeddings(space: EmbeddingSpace) -> bytes:
     """Serialize to the binary format (header, then token + float32 values)."""
-    return b"".join(_binary_chunks(space))
+    return b"".join(_binary_chunks(_space_rows(space)))
 
 
 def detect_format(path: str | Path) -> str:
@@ -568,9 +717,9 @@ def save_embeddings(
     if format == "auto":
         format = detect_format(path)
     if format == "binary":
-        chunks = _binary_chunks(space)
+        chunks = _binary_chunks(_space_rows(space))
     elif format == "text":
-        chunks = _text_chunks(space, precision)
+        chunks = _text_chunks(_space_rows(space), precision)
     else:
         raise ValueError(f"unknown format: {format!r}")
     _commit_outputs([(path, chunks)])

@@ -10,7 +10,7 @@ from typing import BinaryIO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from metavec.embeddings import EmbeddingSpace, ParseError
+from metavec.embeddings import EmbeddingSpace, ParseError, _text_lines
 from metavec.linalg import cosine
 
 _DELIMITERS = ("tab", "comma", "whitespace")
@@ -91,7 +91,7 @@ def load_similarity_dataset(
             return load_similarity_dataset(stream, delimiter=delimiter, name=name)
     if isinstance(source, (bytes, bytearray, memoryview)):
         source = io.BytesIO(bytes(source))
-    text = io.TextIOWrapper(source, encoding="utf-8-sig")
+    text = _text_lines(source)
     pairs: list[tuple[str, str, float]] = []
     lineno = 0
     try:
@@ -120,7 +120,7 @@ def load_similarity_dataset(
     except UnicodeDecodeError as exc:
         raise ParseError(f"not valid UTF-8: {exc}", line=lineno + 1) from None
     finally:
-        text.detach()
+        text.close()
     if not pairs:
         raise ParseError("dataset contains no pairs")
     return SimilarityDataset(name, tuple(pairs))

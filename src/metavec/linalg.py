@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from metavec import embeddings
 from metavec.embeddings import EmbeddingSpace
 
 logger = logging.getLogger(__name__)
@@ -109,10 +110,22 @@ class ReductionMap:
         )
 
 
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """Each row's Euclidean norm, with the bits ``np.linalg.norm(matrix,
+    axis=1)`` gives, taken one block of rows at a time, so that no square
+    of the whole matrix is made."""
+    norms = np.empty(len(matrix))
+    step = max(1, embeddings._BLOCK_BYTES // (8 * max(1, matrix.shape[1])))
+    for start in range(0, len(matrix), step):
+        norms[start : start + step] = np.linalg.norm(matrix[start : start + step], axis=1)
+    return norms
+
+
 def _unit_rows(matrix: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     # Zero rows stay zero rather than dividing by zero. ``out=matrix``
-    # scales in place, with the same bits.
-    norms = np.linalg.norm(matrix, axis=1)
+    # scales in place, with the same bits. Every row is scaled alone, so a
+    # run of rows scales to the bits it has in the whole matrix.
+    norms = _row_norms(matrix)
     zero = norms == 0.0
     scaled = np.divide(matrix, np.where(zero, 1.0, norms)[:, np.newaxis], out=out)
     return scaled, int(zero.sum())
@@ -150,7 +163,7 @@ def normalize_step0(space: EmbeddingSpace, *, renormalize: bool = True) -> Embed
     if renormalize:
         matrix, zeros = _unit_rows(matrix)
     else:
-        zeros = int((np.linalg.norm(matrix, axis=1) == 0.0).sum())
+        zeros = int((_row_norms(matrix) == 0.0).sum())
     if zeros:
         logger.warning("%d row(s) degenerated to zero after centering", zeros)
     return EmbeddingSpace._own(space.tokens, matrix, meta=space.meta)

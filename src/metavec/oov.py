@@ -6,15 +6,16 @@ from typing import Sequence
 
 import numpy as np
 
-from metavec.embeddings import EmbeddingSpace
+from metavec.embeddings import EmbeddingSpace, _Fill, _filled
+from metavec.linalg import _row_norms
 
 DEFAULT_K = 10
 # Bytes per block: one tile of queries × candidates' scores in ``_rank``,
-# which runs before any union-sized matrix exists, and one block of
-# gathered own or neighbor rows in ``_place``. ``combine._mean_rows`` runs
-# while the union matrix and the aligned inputs are held, and ``_place``
-# gathers on top of its stack, so it stacks its blocks of words' rows
-# within an eighth of this.
+# which runs before any union rows are made, and one block of gathered own
+# or neighbor rows in ``_place``. ``combine._mean_rows`` runs while the
+# aligned inputs (and, in the library, the union matrix) are held, and
+# ``_place`` gathers on top of its stack, so it stacks its blocks of
+# words' rows within an eighth of this.
 _BLOCK_BYTES = 8 << 20
 # ``_rank`` tiles the candidate axis rather than rank blocks of fewer
 # queries than this: a BLAS product of a few query rows streams the whole
@@ -79,11 +80,17 @@ class SynthesisReport:
 
 def _unit_rows_of(matrix: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of ``matrix[rows]`` that have a direction, scaled to unit
-    length, and their positions in ``rows``."""
+    length, and their positions in ``rows``.
+
+    The rows are gathered once and scaled in place; they are compressed
+    only when some row has no direction."""
     picked = matrix[rows]
-    norms = np.linalg.norm(picked, axis=1)
+    norms = _row_norms(picked)
     defined = np.flatnonzero(norms > 0.0)
-    return picked[defined] / norms[defined][:, np.newaxis], defined
+    if len(defined) < len(picked):
+        picked, norms = picked[defined], norms[defined]
+    np.divide(picked, norms[:, np.newaxis], out=picked)
+    return picked, defined
 
 
 def _kth_bound(scores: np.ndarray, k: int) -> np.ndarray:
@@ -368,6 +375,30 @@ def _place(out: np.ndarray, at: np.ndarray, matrix: np.ndarray, plan: _Plan | No
             out[drawn[block]] = matrix[neighbors[words[block], :count]].mean(axis=1)
 
 
+def _placer(space: EmbeddingSpace, at: np.ndarray, plan: _Plan | None) -> _Fill:
+    """``fill(out, start, stop)``: ``_place`` the union rows ``start:stop``
+    of ``space`` (table entries ``at``) into ``out``."""
+    return lambda out, start, stop: _place(out, at[start:stop], space.matrix, plan)
+
+
+def _extension(
+    e1: EmbeddingSpace, e2: EmbeddingSpace, k: int, record_neighbors: bool
+) -> tuple[list[str], list[_Fill], SynthesisReport]:
+    """The union of two spaces, a ``fill`` for each space's union rows
+    (``_placer``), and the report: what ``extend_to_union`` fills whole and
+    the CLI streams into its outputs."""
+    if e1.dim != e2.dim:
+        raise ValueError(f"spaces differ in dim: {e1.dim} vs {e2.dim}")
+    e2_index = e2.index
+    if not any(t in e2_index for t in e1.tokens):
+        raise ValueError("the spaces share no vocabulary")
+    union, table, plans, report = _plan_synthesis(
+        [e1, e2], k, record_neighbors=record_neighbors
+    )
+    fills = [_placer(space, at, plan) for space, at, plan in zip((e1, e2), table, plans)]
+    return union, fills, report
+
+
 def extend_to_union(
     e1: EmbeddingSpace,
     e2: EmbeddingSpace,
@@ -388,23 +419,14 @@ def extend_to_union(
     Union order: e1's tokens, then e2-only tokens in e2 order; both outputs
     use it.
     """
-    if e1.dim != e2.dim:
-        raise ValueError(f"spaces differ in dim: {e1.dim} vs {e2.dim}")
-    e2_index = e2.index
-    if not any(t in e2_index for t in e1.tokens):
-        raise ValueError("the spaces share no vocabulary")
-    union, table, plans, report = _plan_synthesis(
-        [e1, e2], k, record_neighbors=record_neighbors
-    )
+    union, fills, report = _extension(e1, e2, k, record_neighbors)
     # Every space's missing words are ranked before any union-sized output
     # is allocated, so score matrices and outputs never coexist; every
     # table entry names a row, so every output row is written.
-    extended = []
-    for space, at, plan in zip((e1, e2), table, plans):
-        rows = np.empty((len(union), space.dim))
-        _place(rows, at, space.matrix, plan)
-        extended.append(EmbeddingSpace._own(union, rows, meta=space.meta))
-    return extended[0], extended[1], report
+    ext1, ext2 = (
+        _filled(union, space.dim, fill, space.meta) for space, fill in zip((e1, e2), fills)
+    )
+    return ext1, ext2, report
 
 
 def format_audit_dump(report: SynthesisReport) -> bytes:

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,6 +20,15 @@ else:
 
 
 TESTS = Path(__file__).parent
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(result, peak bytes tracemalloc saw during the call)."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _warnings_are_errors(item):

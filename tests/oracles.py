@@ -4,7 +4,7 @@ Everything here is deliberately written with different algorithms than the
 library (dense grids, double argsort, explicit eigendecompositions) so that
 agreement between the two is evidence, not tautology.
 """
-import io
+import codecs
 import logging
 from typing import BinaryIO
 
@@ -17,6 +17,7 @@ from metavec.embeddings import (
     _binary_stream,
     _check_parse_options,
     _check_writable_token,
+    _header_dim_problem,
     _parse_header_fields,
     _Rows,
 )
@@ -177,6 +178,99 @@ def write_text_embeddings(space: EmbeddingSpace, precision: int = 17) -> bytes:
     return "".join(lines).encode("utf-8")
 
 
+# The binary parser as it was before it read its input one block at a
+# time: the whole stream is read first, then parsed.
+def parse_binary_whole(
+    source: bytes | BinaryIO,
+    *,
+    on_duplicate: str = "keep-first",
+    max_vocab: int | None = None,
+    meta: str | None = None,
+) -> EmbeddingSpace:
+    _check_parse_options(on_duplicate, max_vocab)
+    data = _binary_stream(source).read()
+
+    nl = data.find(b"\n")
+    if nl < 0:
+        raise ParseError("missing 'vocab dim' header line", offset=0)
+    header = _parse_header_fields(data[:nl].decode("ascii", errors="replace").split())
+    if header is None:
+        raise ParseError("malformed 'vocab dim' header line", offset=0)
+    vocab_size, dim = header
+    problem = _header_dim_problem(dim)
+    if problem is not None:
+        raise ParseError(problem, offset=0)
+
+    vector_bytes = 4 * dim
+    capacity = min(vocab_size, (len(data) - nl - 1) // (vector_bytes + 1))
+    if max_vocab is not None:
+        capacity = min(capacity, max_vocab)
+
+    def non_finite(mark: tuple[str, int]) -> ParseError:
+        return ParseError(f"non-finite value for token {mark[0]!r}", offset=mark[1])
+
+    rows = _Rows(dim, capacity, non_finite)
+    tokens: list[str] = []
+    seen: set[str] = set()
+    duplicates = 0
+    pos = nl + 1
+    try:
+        for _ in range(vocab_size):
+            if max_vocab is not None and len(tokens) >= max_vocab:
+                break
+            while pos < len(data) and data[pos] == 0x0A:
+                pos += 1
+            sp = data.find(b" ", pos)
+            if sp < 0:
+                raise ParseError("truncated stream while reading a token", offset=pos)
+            try:
+                token = data[pos:sp].decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError("token is not valid UTF-8", offset=pos) from None
+            start = sp + 1
+            if start + vector_bytes > len(data):
+                raise ParseError(
+                    f"truncated stream while reading the vector for {token!r}", offset=start
+                )
+            vector = np.frombuffer(data, dtype="<f4", count=dim, offset=start)
+            pos = start + vector_bytes
+            if token in seen:
+                rows.check(vector, (token, start))
+                if on_duplicate == "error":
+                    raise ParseError(f"duplicate token {token!r}", offset=sp + 1)
+                duplicates += 1
+                continue
+            seen.add(token)
+            tokens.append(token)
+            rows.append(vector, (token, start))
+    except ParseError:
+        rows.check()
+        raise
+    matrix = rows.finish()
+
+    if duplicates:
+        logger.warning("dropped %d duplicate token(s), kept first occurrence", duplicates)
+    if max_vocab is None or len(tokens) < max_vocab:
+        while pos < len(data) and data[pos] == 0x0A:
+            pos += 1
+        if pos != len(data):
+            raise ParseError(
+                f"header announces {vocab_size} words but {len(data) - pos} bytes remain",
+                offset=pos,
+            )
+    return EmbeddingSpace._own(tokens, matrix, meta=meta)
+
+
+def decoded_lines(source: bytes | BinaryIO):
+    """The lines of a whole UTF-8 payload, a leading byte-order mark
+    skipped: the payload is cut at every ``\\r\\n``, ``\\r`` and ``\\n`` at
+    once, then each line is decoded alone, so that bad bytes raise at the
+    line that holds them."""
+    payload = _binary_stream(source).read().removeprefix(codecs.BOM_UTF8)
+    for line in payload.splitlines():
+        yield line.decode("utf-8")
+
+
 # The text parser as it was before it read the values of a block of lines
 # with one ``np.loadtxt`` call: every line is split into fields and every
 # value is read with ``float`` as the line arrives.
@@ -200,7 +294,6 @@ def parse_text_per_line(
     lines arrive; the header's word count is never used to size it.
     """
     _check_parse_options(on_duplicate, max_vocab)
-    text = io.TextIOWrapper(_binary_stream(source), encoding="utf-8-sig")
 
     def non_finite(line: int) -> ParseError:
         return ParseError("non-finite value", line=line)
@@ -213,7 +306,7 @@ def parse_text_per_line(
     lineno = 0
     awaiting_header = expect_header is not False
     try:
-        for lineno, line in enumerate(text, start=1):
+        for lineno, line in enumerate(decoded_lines(source), start=1):
             fields = line.split()
             if not fields:
                 continue
@@ -265,8 +358,6 @@ def parse_text_per_line(
         if rows is not None:
             rows.check()
         raise
-    finally:
-        text.detach()
 
     if rows is None:
         raise ParseError("empty stream")

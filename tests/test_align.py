@@ -88,6 +88,11 @@ class TestLoadBilingualDictionary:
             load_bilingual_dictionary(b"cat\tgato\n" + line)
         assert exc_info.value.line == 2
 
+    def test_invalid_utf8_reports_its_line(self):
+        with pytest.raises(ParseError, match="line 4: not valid UTF-8") as exc_info:
+            load_bilingual_dictionary(b"a\tb\n" * 3 + b"c\t\xff\n")
+        assert exc_info.value.line == 4
+
     def test_blank_lines_and_crlf_tolerated(self):
         md = load_bilingual_dictionary(b"dog\tperro\r\n\ncat\tgato\n")
         assert len(md) == 2

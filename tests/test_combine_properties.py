@@ -1,7 +1,8 @@
 """Property tests: the union mean of the combiners against a per-word
-oracle that sums each word's rows in byte-image order, and the "nn"
+oracle that sums each word's rows in byte-image order, the "nn"
 combiners against the union-sized extended spaces of the per-word
-extension oracle."""
+extension oracle, and unit scaling by blocks of rows against the whole
+matrix's."""
 import re
 from unittest.mock import patch
 
@@ -12,7 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metavec import oov
+from metavec import embeddings, linalg, oov
 from metavec.align import align_to_target
 from metavec.combine import CombineConfig, combine, combine_average
 from metavec.embeddings import EmbeddingSpace
@@ -124,3 +125,29 @@ def test_nn_combiners_match_extended_space_oracle(sources, method, k, block_byte
         meta = combine(sources, config)
     assert meta.space.tokens == tuple(tokens)
     assert meta.space.matrix.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 40),
+    st.sampled_from([1, 2, 3, 7, 8, 9, 16, 127, 128, 129, 300]),
+    st.integers(1, 3000),
+    st.data(),
+)
+def test_unit_rows_by_blocks_equal_whole_matrix_ones(rows, dim, block_bytes, data):
+    # Streamed mvm scales each run of union rows alone: the norms and
+    # quotients of any rows must have the bits of the whole matrix's.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.normal(size=(rows, dim)) * 10.0 ** rng.integers(-150, 150, size=(rows, 1))
+    matrix[data.draw(st.lists(st.integers(0, rows - 1), max_size=2))] = 0.0
+    norms = np.linalg.norm(matrix, axis=1)
+    whole = matrix / np.where(norms == 0.0, 1.0, norms)[:, np.newaxis]
+    lo = data.draw(st.integers(0, rows))
+    hi = data.draw(st.integers(lo, rows))
+    with patch.object(embeddings, "_BLOCK_BYTES", block_bytes):
+        assert linalg._row_norms(matrix[lo:hi]).tobytes() == norms[lo:hi].tobytes()
+        scaled, zeros = linalg._unit_rows(matrix[lo:hi])
+        in_place = matrix[lo:hi].copy()
+        linalg._unit_rows(in_place, out=in_place)
+    assert scaled.tobytes() == in_place.tobytes() == whole[lo:hi].tobytes()
+    assert zeros == np.count_nonzero(norms[lo:hi] == 0.0)

@@ -1,7 +1,6 @@
 import io
 import logging
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from metavec.embeddings import (
     write_binary_embeddings,
     write_text_embeddings,
 )
+from conftest import traced_peak
 
 
 def space_with_awkward_values():
@@ -176,6 +176,16 @@ class TestTextFormat:
     def test_invalid_utf8_rejected(self):
         with pytest.raises(ParseError, match="UTF-8"):
             parse_text_embeddings(b"a 1.0\n\xff\xfe 2.0\n")
+
+    @pytest.mark.parametrize("before", [10, 2000])
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+    def test_invalid_utf8_reports_its_line(self, before, end):
+        # The decoder's chunks hold many lines; the error names the line.
+        payload = b"".join(b"w%d 1.0" % i + end for i in range(before)) + b"b \xff" + end
+        with pytest.raises(ParseError, match="not valid UTF-8") as exc_info:
+            parse_text_embeddings(payload)
+        assert exc_info.value.line == before + 1
+        assert "byte 0xff in position 2" in str(exc_info.value)
 
     def test_accepts_file_objects(self):
         space = parse_text_embeddings(io.BytesIO(b"a 1.0 2.0\n"))
@@ -401,12 +411,7 @@ class TestPathHelpers:
         space = make_space(n=4000, dim=50, seed=3)
         monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 64 << 10)
         path = tmp_path / "big.vec"
-        tracemalloc.start()
-        try:
-            save_embeddings(space, path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(save_embeddings, space, path)
         assert peak < path.stat().st_size / 4
 
     @pytest.mark.parametrize(

@@ -113,6 +113,11 @@ class TestLoadSimilarityDataset:
         with pytest.raises(ParseError):
             load_similarity_dataset(b"a\tb\xff\t1\n")
 
+    def test_invalid_utf8_reports_its_line(self):
+        with pytest.raises(ParseError, match="line 4: not valid UTF-8") as exc_info:
+            load_similarity_dataset(b"a\tb\t1\n" * 3 + b"c\t\xff\t2\n")
+        assert exc_info.value.line == 4
+
     @pytest.mark.parametrize("delimiter", ["tab", "comma", "whitespace"])
     def test_byte_order_mark_is_skipped(self, delimiter):
         sep = {"tab": "\t", "comma": ",", "whitespace": " "}[delimiter]

@@ -1,11 +1,10 @@
 """Memory of the parsers and of space construction: tracemalloc peaks
 against the bytes of the matrix a parser returns, hostile headers, and
 which constructions copy their matrix."""
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from metavec import embeddings
 from metavec.embeddings import (
     EmbeddingSpace,
     ParseError,
@@ -15,6 +14,7 @@ from metavec.embeddings import (
     write_binary_embeddings,
     write_text_embeddings,
 )
+from conftest import traced_peak
 
 ROWS, DIM = 2000, 100
 
@@ -25,15 +25,6 @@ def space():
     return EmbeddingSpace([f"word{i}" for i in range(ROWS)], rng.normal(size=(ROWS, DIM)))
 
 
-def traced_peak(fn, *args, **kwargs):
-    """(result, peak bytes tracemalloc saw during the call)."""
-    tracemalloc.start()
-    try:
-        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_text_parse_peak_is_bounded(space, tmp_path):
     path = tmp_path / "e.vec"
     path.write_bytes(write_text_embeddings(space, precision=7))
@@ -42,6 +33,16 @@ def test_text_parse_peak_is_bounded(space, tmp_path):
     assert peak <= 2.5 * parsed.matrix.nbytes
     # The grown buffer is cut to the rows read, not kept alive behind a view.
     assert parsed.matrix.flags.owndata
+
+
+def test_binary_load_reads_the_file_in_blocks(space, tmp_path, monkeypatch):
+    # Reading the whole 0.8 MB file first took 1.8 times the matrix.
+    monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 64 << 10)
+    path = tmp_path / "e.bin"
+    path.write_bytes(write_binary_embeddings(space))
+    parsed, peak = traced_peak(load_embeddings, path)
+    assert parsed.matrix.tobytes() == space.matrix.astype("<f4").astype(float).tobytes()
+    assert peak <= 1.4 * parsed.matrix.nbytes
 
 
 def test_text_parse_ignores_header_count_when_sizing(space, caplog):
@@ -69,13 +70,13 @@ def test_binary_parse_peak_is_bounded(space):
 )
 def test_binary_oversized_header_fails_without_allocating(header, offset):
     payload = header + b"a " + bytes(4 * 300)
-    tracemalloc.start()
-    try:
+
+    def parse():
         with pytest.raises(ParseError, match="truncated") as exc_info:
             parse_binary_embeddings(payload)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return exc_info
+
+    exc_info, peak = traced_peak(parse)
     assert exc_info.value.offset == offset
     assert peak < 1 << 20
 

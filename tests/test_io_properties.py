@@ -1,8 +1,10 @@
 """Property tests for the interchange formats: the text writer byte for byte
 against the per-value formatter it replaced and, at full precision, against
-``repr``; the text parser against the per-line parser it replaced, on
-hostile payloads; and parse round trips of both formats, with the parsers'
-row blocks shrunk so rows straddle them."""
+``repr``; the text parser against the per-line parser it replaced, and the
+binary parser against the whole-read parser it replaced, on hostile
+payloads; and parse round trips of both formats, with the parsers' row
+blocks shrunk so rows straddle them."""
+import io
 import itertools
 import logging
 import sys
@@ -24,7 +26,7 @@ from metavec.embeddings import (
     write_binary_embeddings,
     write_text_embeddings,
 )
-from oracles import parse_text_per_line
+from oracles import parse_binary_whole, parse_text_per_line
 from oracles import write_text_embeddings as per_value_writer
 
 # Where ``repr`` switches to an exponent (below 1e-4 and from 1e16 in
@@ -290,3 +292,60 @@ def test_text_parser_matches_per_line_oracle_on_a_seeded_matrix(digits):
     assert outcome(parse_text_embeddings, payload, "metavec.embeddings") == outcome(
         parse_text_per_line, payload, "oracles"
     )
+
+
+@st.composite
+def binary_payloads(draw):
+    """A binary embedding file whose header may announce more or fewer
+    words than follow, with newlines before tokens, repeated, non-UTF-8 and
+    non-finite entries, and extra bytes after the last word; sometimes cut
+    short anywhere."""
+    dim = draw(st.integers(1, 3))
+    count = draw(st.integers(0, 6))
+    entries = []
+    for _ in range(count):
+        token = draw(st.sampled_from([b"a", b"b", b"\xc3\xa9", b"\xff", b"long-token"]))
+        values = draw(st.lists(
+            st.sampled_from([0.5, -2.0, 1e-3, 3e38, np.inf, np.nan]), min_size=dim, max_size=dim
+        ))
+        newlines = b"\n" * draw(st.integers(0, 2))
+        entries.append(newlines + token + b" " + np.array(values, dtype="<f4").tobytes())
+    announced = max(0, count + draw(st.integers(-1, 2)))
+    payload = f"{announced} {dim}\n".encode() + b"".join(entries)
+    payload += draw(st.sampled_from([b"", b"", b"\n", b"\n\n", b"xyz", b"\nq"]))
+    if draw(st.integers(0, 3)) == 0:
+        payload = payload[: draw(st.integers(0, len(payload)))]
+    return payload
+
+
+class ShortReads(io.RawIOBase):
+    """An unseekable stream that returns at most three bytes per read."""
+
+    def __init__(self, payload):
+        self.inner = io.BytesIO(payload)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        chunk = self.inner.read(min(len(buffer), 3))
+        buffer[: len(chunk)] = chunk
+        return len(chunk)
+
+
+@settings(max_examples=300)
+@given(
+    binary_payloads(),
+    st.one_of(st.none(), st.integers(0, 4)),
+    st.sampled_from(["keep-first", "error"]),
+)
+def test_binary_parser_matches_whole_read_oracle(payload, max_vocab, on_duplicate):
+    # Blocks of one byte on up split tokens, vectors and runs of newlines
+    # at every place; an unseekable stream cannot tell its length.
+    options = dict(on_duplicate=on_duplicate, max_vocab=max_vocab)
+    expected = outcome(parse_binary_whole, payload, "oracles", **options)
+    for block_bytes in [1, 5, 64, 1 << 20]:
+        with patch.object(embeddings, "_BLOCK_BYTES", block_bytes):
+            for source in (payload, ShortReads(payload)):
+                actual = outcome(parse_binary_embeddings, source, "metavec.embeddings", **options)
+                assert actual == expected, (block_bytes, type(source))

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from metavec.oov import (
     nearest_neighbors,
     synthesize_word,
 )
+from conftest import traced_peak
 from oracles import exhaustive_neighbors
 
 
@@ -374,12 +374,7 @@ class TestQueryBlocks:
         missing = [f"m{i:04d}" for i in range(4000)]
         e1 = EmbeddingSpace(shared + missing, rng.normal(size=(6000, 32)))
         e2 = EmbeddingSpace(shared, rng.normal(size=(2000, 32)))
-        tracemalloc.start()
-        try:
-            extend_to_union(e1, e2, k=10)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(extend_to_union, e1, e2, k=10)
         assert peak < 40e6
 
     @pytest.mark.parametrize("min_queries", [4, 7])
@@ -400,12 +395,7 @@ class TestQueryBlocks:
         missing = [f"m{i:04d}" for i in range(1000)]
         e1 = EmbeddingSpace(shared + missing, rng.normal(size=(31000, 16)))
         e2 = EmbeddingSpace(shared, rng.normal(size=(30000, 16)))
-        tracemalloc.start()
-        try:
-            extend_to_union(e1, e2, k=10)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(extend_to_union, e1, e2, k=10)
         # About 17 MB: the normalized candidates and one 8 MiB score tile.
         assert peak < 25e6
 
@@ -425,12 +415,7 @@ class TestQueryBlocks:
         held = sum(len(s) for s in sources)
         bound = 8 * dim * (held + len(words)) + oov._BLOCK_BYTES
         config = CombineConfig(method="average", oov="nn")
-        tracemalloc.start()
-        try:
-            meta = combine_average(sources, config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        meta, peak = traced_peak(combine_average, sources, config)
         assert meta.provenance["synthesized"] == [len(words) - len(s) for s in sources]
         assert peak < bound
 
@@ -450,12 +435,7 @@ class TestQueryBlocks:
         held = sum(len(s) for s in sources)
         bound = 8 * dim * (held + 3 * words) + 3 * dim * words + 750_000
         config = CombineConfig(method="concat", oov="zero")
-        tracemalloc.start()
-        try:
-            meta = combine_concat(sources, config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        meta, peak = traced_peak(combine_concat, sources, config)
         assert meta.space.dim == 3 * dim
         assert peak < bound
 

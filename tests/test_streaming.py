@@ -1,0 +1,175 @@
+"""The CLI streams union rows into its outputs: ``synth-oov`` and ``mvm``
+write the bytes that the library functions' spaces save to, never hold a
+union-sized matrix, and leave no file when a block of rows fails."""
+import importlib
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from metavec import cli, embeddings, oov
+from metavec.combine import CombineConfig, combine_mvm, provenance_json
+from metavec.embeddings import EmbeddingSpace, load_embeddings, save_embeddings
+from metavec.oov import extend_to_union, format_audit_dump
+from conftest import traced_peak
+
+# The package exports the function ``combine`` under the module's name.
+combine_module = importlib.import_module("metavec.combine")
+
+
+def run_cli(argv, workers):
+    """Run the CLI with ``workers`` I/O worker processes (forked when 2)."""
+    with patch.object(cli, "_cpu_count", lambda: workers):
+        assert cli.main(argv) == 0
+
+
+@st.composite
+def overlapping_sources(draw):
+    """Two or three spaces of one dim that all hold "w00" and "w01", each
+    with some of ten more words, in any order; some rows repeat or are 0."""
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = [f"w{i:02d}" for i in range(12)]
+    spaces = []
+    for _ in range(draw(st.integers(2, 3))):
+        extra = draw(st.lists(st.sampled_from(pool[2:]), unique=True, max_size=10))
+        tokens = draw(st.permutations(pool[:2] + extra))
+        matrix = rng.normal(size=(len(tokens), dim))
+        for row in draw(st.lists(st.integers(0, len(tokens) - 1), max_size=2)):
+            matrix[row] = matrix[0] if draw(st.booleans()) else 0.0
+        spaces.append(EmbeddingSpace(tokens, matrix))
+    return spaces
+
+
+@settings(max_examples=25)
+@given(
+    overlapping_sources(),
+    st.integers(1, 4),
+    st.integers(8, 400),
+    st.integers(1, 2000),
+    st.sampled_from(["text", "binary"]),
+    st.sampled_from([1, 2]),
+    st.sampled_from(["nn", "available", "zero"]),
+)
+def test_streamed_outputs_equal_the_library_spaces(
+    spaces, k, block_bytes, rank_bytes, fmt, workers, policy
+):
+    # Tiny budgets stream blocks of one or a few rows, and split ranking
+    # and centroids into tiles and blocks of a few rows.
+    with tempfile.TemporaryDirectory() as tmp, patch.object(
+        embeddings, "_BLOCK_BYTES", block_bytes
+    ), patch.object(oov, "_BLOCK_BYTES", rank_bytes):
+        tmp = Path(tmp)
+        inputs = []
+        for i, space in enumerate(spaces):
+            inputs.append(tmp / f"in{i}.vec")
+            save_embeddings(space, inputs[-1])
+        loaded = [load_embeddings(path) for path in inputs]
+        common = ["--format", fmt, "--threads", str(workers)]
+
+        out1, out2, audit = tmp / "x1", tmp / "x2", tmp / "audit"
+        run_cli(["synth-oov", *map(str, inputs[:2]), str(out1), str(out2), "--k", str(k),
+                 "--audit", str(audit), *common], workers)
+        ext1, ext2, report = extend_to_union(*loaded[:2], k=k, record_neighbors=True)
+        for streamed, space in ((out1, ext1), (out2, ext2)):
+            save_embeddings(space, tmp / "expected", format=fmt)
+            assert streamed.read_bytes() == (tmp / "expected").read_bytes()
+        assert audit.read_bytes() == format_audit_dump(report)
+
+        out = tmp / "meta"
+        run_cli(["mvm", *map(str, inputs), "-o", str(out), "--k", str(k), "--oov", policy,
+                 *common], workers)
+        meta = combine_mvm(loaded, CombineConfig(method="mvm", k_neighbors=k, oov=policy))
+        save_embeddings(meta.space, tmp / "expected", format=fmt)
+        assert out.read_bytes() == (tmp / "expected").read_bytes()
+        sidecar = tmp / "meta.provenance.json"
+        assert sidecar.read_text(encoding="utf-8") == provenance_json(meta)
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_overflowing_centroid_fails_and_leaves_no_file(tmp_path, monkeypatch, capsys,
+                                                       fmt, workers):
+    # "x" is missing from e2; its neighbors in e1 are s0 and s1, whose e2
+    # rows sum past the float64 range. One row per block, so e2's extension
+    # has written "a" before it reaches "x", and fails before s0 would fail
+    # the binary writer's single-precision check.
+    monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 8 * 2)
+    e1, e2 = tmp_path / "e1.vec", tmp_path / "e2.vec"
+    e1.write_bytes(b"a -1 0\nx 1 0.1\ns0 1 0\ns1 1 0.2\n")
+    e2.write_bytes(b"a 1 1\ns0 1e308 1\ns1 1e308 1\n")
+    out1, out2 = tmp_path / "x1.out", tmp_path / "x2.out"
+    monkeypatch.setattr(cli, "_cpu_count", lambda: workers)
+    argv = ["synth-oov", str(e1), str(e2), str(out1), str(out2), "--k", "2", "--format", fmt]
+    # numpy's overflow warning is silenced: the finiteness check is tested.
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="matrix contains non-finite values"):
+            extend_to_union(load_embeddings(e1), load_embeddings(e2), k=2)
+        assert cli.main(argv) == 1
+    assert "error: matrix contains non-finite values" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["e1.vec", "e2.vec"]
+
+
+def binary_file(path, tokens, matrix):
+    save_embeddings(EmbeddingSpace(tokens, matrix), path, format="binary")
+
+
+def test_synth_oov_never_holds_a_union_matrix(tmp_path, monkeypatch):
+    # Two spaces of 1600 words share 100: a union of 3100 words, 14.9 MB of
+    # float64 rows per output at 600 dims. Ranking one space's 1500 missing
+    # words holds their unit rows (7.2 MB) next to the candidates' and one
+    # 128 KiB tile of scores; writing holds one 64 KiB block.
+    monkeypatch.setattr(oov, "_BLOCK_BYTES", 128 << 10)
+    monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 64 << 10)
+    rng = np.random.default_rng(5)
+    shared = [f"s{i:03d}" for i in range(100)]
+    e1, e2 = tmp_path / "e1.bin", tmp_path / "e2.bin"
+    for path, own in ((e1, "a"), (e2, "b")):
+        tokens = shared + [f"{own}{i:04d}" for i in range(1500)]
+        binary_file(path, tokens, rng.normal(size=(len(tokens), 600)))
+    argv = ["synth-oov", str(e1), str(e2), str(tmp_path / "x1.bin"), str(tmp_path / "x2.bin"),
+            "--threads", "1"]
+    code, peak = traced_peak(cli.main, argv)
+    assert code == 0
+    inputs = 2 * 1600 * 600 * 8
+    union = 3100 * 600 * 8
+    assert peak < inputs + union * 4 / 5
+
+
+def test_mvm_never_holds_a_union_matrix_after_alignment(tmp_path, monkeypatch):
+    # Eight spaces of 800 words share 200: a union of 5000 words, 12 MB of
+    # float64 rows at 300 dims. Alignment sets the run's peak; from the
+    # union plan on, the aligned spaces are held, and on top of them
+    # ranking holds one space's 600 missing words' unit rows (1.4 MB) next
+    # to the candidates' and one 256 KiB tile of scores, the plans hold
+    # k = 2 rows per missing word, and writing holds one 64 KiB block.
+    monkeypatch.setattr(oov, "_BLOCK_BYTES", 256 << 10)
+    monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 64 << 10)
+    rng = np.random.default_rng(6)
+    shared = [f"s{i:03d}" for i in range(200)]
+    paths = []
+    for n in range(8):
+        paths.append(tmp_path / f"e{n}.bin")
+        tokens = shared + [f"{n}w{i:03d}" for i in range(600)]
+        binary_file(paths[-1], tokens, rng.normal(size=(len(tokens), 300)))
+    held = []
+    union_rows = combine_module._union_rows
+
+    def measured(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return union_rows(*args, **kwargs)
+
+    monkeypatch.setattr(combine_module, "_union_rows", measured)
+    argv = ["mvm", *map(str, paths), "-o", str(tmp_path / "m.bin"), "--k", "2", "--threads", "1"]
+    code, peak = traced_peak(cli.main, argv)
+    assert code == 0
+    union = 5000 * 300 * 8
+    assert peak - held[0] < union / 2
