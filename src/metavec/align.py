@@ -199,19 +199,19 @@ def align_to_target(
     if dictionaries is not None and len(dictionaries) != len(sources):
         raise ValueError("dictionaries must be parallel to sources")
 
-    normalized = [normalize_step0(space) for space in sources]
-    target = normalized[target_index]
+    # The other sources are normalized one at a time, each as it is fitted.
+    target = normalize_step0(sources[target_index])
     mapped: list[EmbeddingSpace] = []
     maps: list[OrthogonalMap] = []
     infos: list[AlignmentInfo | None] = []
-    for i, space in enumerate(normalized):
+    for i, space in enumerate(sources):
         if i == target_index:
             mapped.append(target)
             maps.append(OrthogonalMap.identity(target.dim))
             infos.append(None)
             continue
         dictionary = dictionaries[i] if dictionaries is not None else None
-        space_mapped, omap, info = _fit_one(space, target, dictionary)
+        space_mapped, omap, info = _fit_one(normalize_step0(space), target, dictionary)
         mapped.append(space_mapped)
         maps.append(omap)
         infos.append(info)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import logging
 import os
@@ -15,11 +16,11 @@ import pickle
 import signal
 import sys
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 from typing import BinaryIO
 
-from metavec import __version__, embeddings
+from metavec import __version__
 from metavec.align import align_to_target, load_bilingual_dictionary
 from metavec.combine import (
     OOV_POLICIES,
@@ -32,10 +33,9 @@ from metavec.combine import (
 from metavec.embeddings import (
     EmbeddingSpace,
     ParseError,
+    _chunks,
     _commit_outputs,
-    _made_rows,
-    _RowSource,
-    _space_rows,
+    _text_lines,
     detect_format,
     load_embeddings,
 )
@@ -199,40 +199,29 @@ def _load(path: str, fmt: str | None = None) -> EmbeddingSpace:
     return load_embeddings(path, format=fmt or "auto")
 
 
-def _load_sources(paths, workers: int) -> list[EmbeddingSpace]:
+def _load_sources(paths, args) -> list[EmbeddingSpace]:
     """Load embedding inputs in order: text files are parsed in worker
     processes, binary files in this one (shipping a parsed binary matrix
     back costs as much as parsing it)."""
     text = [path for path in paths if detect_format(path) == "text"]
-    with contextlib.closing(_forked_map(_load, text, workers)) as parsed:
+    with contextlib.closing(_forked_map(_load, text, _io_workers(args))) as parsed:
         return [next(parsed) if detect_format(p) == "text" else _load(p) for p in paths]
 
 
-def _chunks(source: _RowSource, fmt: str, precision: int, workers: int) -> Iterator[bytes]:
-    """The encoded output, one chunk at a time. Text rows are made and
-    formatted in worker processes, in equal blocks of at most
-    ``embeddings._BLOCK_BYTES`` of matrix, as many as a multiple of
-    ``workers``, so that the workers finish together. Making a union's rows
-    (``_place``, the mean and its unit scaling) makes no BLAS call."""
-    if fmt == "binary":
-        yield from embeddings._binary_chunks(source)
-        return
-    rows = len(source.tokens)
-    per_block = max(1, embeddings._BLOCK_BYTES // (8 * source.dim))
-    count = -(-rows // per_block)
-    count = min(rows, -(-count // workers) * workers)
-    bounds = [rows * i // count for i in range(count + 1)]
-
-    def block(i: int) -> bytes:
-        start, end = bounds[i], bounds[i + 1]
-        return embeddings._text_rows(source.tokens[start:end], source.rows(start, end), precision)
-
-    yield embeddings._header(source)
-    yield from _forked_map(block, range(count), workers)
-
-
-def _output_format(args, first_source: str) -> str:
-    return args.format or detect_format(first_source)
+def _staged(
+    path: str, tokens: Sequence[str], dim: int, rows, args, first_source: str
+) -> tuple[Path, Iterable[bytes]]:
+    """An output for ``_commit_outputs``: ``tokens`` and their ``rows`` (a
+    matrix or a fill, as ``_chunks`` takes them) in the --format asked
+    for, or else in the format of ``first_source``. Text rows are made and
+    formatted in worker processes, in as many blocks as a multiple of the
+    workers, so that the workers finish together; binary rows in this
+    process. Making a union's rows (``_place``, the mean and its unit
+    scaling) makes no BLAS call."""
+    fmt = args.format or detect_format(first_source)
+    parts = _io_workers(args) if fmt == "text" else 1
+    forked = functools.partial(_forked_map, workers=parts)
+    return Path(path), _chunks(tokens, dim, rows, fmt, args.precision, parts, forked)
 
 
 def _check_prefix_count(paths, prefixes, parser) -> None:
@@ -246,8 +235,7 @@ def cmd_map(args, parser) -> int:
     if len(dict_paths) > 1:
         parser.error("map takes at most one --dict")
     _check_prefix_count([args.source, args.target], prefixes, parser)
-    workers = _io_workers(args)
-    source, target = _load_sources([args.source, args.target], workers)
+    source, target = _load_sources([args.source, args.target], args)
     if prefixes:
         source = apply_language_prefixes(source, prefixes[0])
         target = apply_language_prefixes(target, prefixes[1])
@@ -260,9 +248,10 @@ def cmd_map(args, parser) -> int:
         dictionaries = [dictionary, None]
     collection = align_to_target([source, target], target_index=1, dictionaries=dictionaries)
     info = collection.infos[0]
-    fmt = _output_format(args, args.source)
-    mapped = _space_rows(collection.mapped[0])
-    _commit_outputs([(Path(args.output), _chunks(mapped, fmt, args.precision, workers))])
+    mapped = collection.mapped[0]
+    _commit_outputs([
+        _staged(args.output, mapped.tokens, mapped.dim, mapped.matrix, args, args.source)
+    ])
     print(f"dictionary size: {info.dictionary_size}")
     print(f"residual: {info.residual}")
     return 0
@@ -292,8 +281,7 @@ def cmd_mvm(args, parser) -> int:
         dictionaries = []
         for index in range(len(args.sources)):
             dictionaries.append(None if index == args.target_index else loaded.pop(0))
-    workers = _io_workers(args)
-    spaces = _load_sources(args.sources, workers)
+    spaces = _load_sources(args.sources, args)
     config = CombineConfig(
         method="mvm",
         target_index=args.target_index,
@@ -302,15 +290,14 @@ def cmd_mvm(args, parser) -> int:
         oov=args.oov,
     )
     union, fill, provenance = _mvm(spaces, config, dictionaries)
-    rows = _made_rows(union, provenance["dim"], fill)
-    fmt = _output_format(args, args.sources[0])
+    dim = provenance["dim"]
     out = Path(args.output)
     sidecar = out.with_name(out.name + ".provenance.json")
     _commit_outputs([
-        (out, _chunks(rows, fmt, args.precision, workers)),
+        _staged(args.output, union, dim, fill, args, args.sources[0]),
         (sidecar, [_provenance_json(provenance).encode("utf-8")]),
     ])
-    print(f"wrote {out} ({len(union)} words, dim {rows.dim})", file=sys.stderr)
+    print(f"wrote {out} ({len(union)} words, dim {dim})", file=sys.stderr)
     return 0
 
 
@@ -323,8 +310,7 @@ def cmd_baseline(args, parser) -> int:
         parser.error("--dim only applies to --method concat-reduce")
     prefixes = args.prefix or []
     _check_prefix_count(args.sources, prefixes, parser)
-    workers = _io_workers(args)
-    spaces = _load_sources(args.sources, workers)
+    spaces = _load_sources(args.sources, args)
     config = CombineConfig(
         method=args.method,
         k_neighbors=args.k,
@@ -333,25 +319,19 @@ def cmd_baseline(args, parser) -> int:
         language_prefixes=tuple(prefixes) or None,
         oov="nn" if args.nn_oov else None,
     )
-    meta = combine(spaces, config)
-    fmt = _output_format(args, args.sources[0])
+    space = combine(spaces, config).space
     _commit_outputs([
-        (Path(args.output), _chunks(_space_rows(meta.space), fmt, args.precision, workers)),
+        _staged(args.output, space.tokens, space.dim, space.matrix, args, args.sources[0])
     ])
-    print(
-        f"wrote {args.output} ({len(meta.space)} words, dim {meta.space.dim})",
-        file=sys.stderr,
-    )
+    print(f"wrote {args.output} ({len(space)} words, dim {space.dim})", file=sys.stderr)
     return 0
 
 
 def cmd_synth_oov(args, parser) -> int:
-    workers = _io_workers(args)
-    e1, e2 = _load_sources([args.embedding1, args.embedding2], workers)
+    e1, e2 = _load_sources([args.embedding1, args.embedding2], args)
     union, fills, report = _extension(e1, e2, args.k, args.audit is not None)
-    fmt = _output_format(args, args.embedding1)
     staged = [
-        (Path(path), _chunks(_made_rows(union, e1.dim, fill), fmt, args.precision, workers))
+        _staged(path, union, e1.dim, fill, args, args.embedding1)
         for path, fill in zip((args.out1, args.out2), fills)
     ]
     if args.audit is not None:
@@ -372,19 +352,25 @@ def cmd_synth_oov(args, parser) -> int:
 
 
 def _load_groups(path: str) -> dict[str, str]:
-    """Parse 'dataset-name sim|rel' lines; '#' starts a comment."""
+    """Parse 'dataset-name sim|rel' lines; '#' starts a comment. Read as
+    the other text inputs are: a byte-order mark is skipped, and bytes
+    that are not UTF-8 fail at their line."""
     grouping: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 2 or fields[1] not in ("sim", "rel"):
-                raise ParseError(
-                    "expected 'dataset-name sim|rel' in groups file", line=lineno
-                )
-            grouping[fields[0]] = fields[1]
+    lineno = 0
+    with open(path, "rb") as handle, contextlib.closing(_text_lines(handle)) as text:
+        try:
+            for lineno, line in enumerate(text, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                fields = line.split()
+                if len(fields) != 2 or fields[1] not in ("sim", "rel"):
+                    raise ParseError(
+                        "expected 'dataset-name sim|rel' in groups file", line=lineno
+                    )
+                grouping[fields[0]] = fields[1]
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not valid UTF-8: {exc}", line=lineno + 1) from None
     return grouping
 
 

@@ -10,10 +10,10 @@ from typing import Sequence
 import numpy as np
 
 from metavec.align import MappingDictionary, align_to_target
-from metavec.embeddings import EmbeddingSpace, _Fill, _filled
+from metavec.embeddings import EmbeddingSpace, _block_rows, _Fill, _filled
 from metavec.linalg import _unit_rows, apply_reduction, fit_reduction
 from metavec.oov import (
-    _BLOCK_BYTES, DEFAULT_K, SynthesisReport, _place, _Plan, _plan_synthesis, _union_positions,
+    DEFAULT_K, SynthesisReport, _place, _Plan, _plan_synthesis, _union_positions,
 )
 
 VALID_METHODS = ("mvm", "average", "concat", "concat-reduce")
@@ -226,14 +226,14 @@ def _mean_rows(
     rows are added in the order of their byte images, so the result is
     bitwise independent of the order the sources were given in, and of the
     other words in the run. Words are taken in blocks whose stacked rows
-    fit in ``_BLOCK_BYTES // 8`` (1 MiB), and ``_place`` builds the
-    centroids of a block's synthesized rows as it stacks them: the inputs
-    and ``matrix`` are held meanwhile, and the stack, the gathered neighbor
+    fit in one block (``_block_rows``), and ``_place`` builds the centroids
+    of a block's synthesized rows as it stacks them: the inputs and
+    ``matrix`` are held meanwhile, and the stack, the gathered neighbor
     rows and the temporaries come on top.
     """
     n, dim = len(spaces), spaces[0].dim
     row_type = np.dtype((np.void, 8 * dim))
-    step = max(1, _BLOCK_BYTES // 8 // (8 * n * dim))
+    step = _block_rows(n * dim)
     # One stack for every block; each block's sum is built in its output rows.
     buffer = np.empty((min(step, table.shape[1]), n, dim))
     for start in range(0, table.shape[1], step):

@@ -13,9 +13,10 @@ import orjson
 
 logger = logging.getLogger(__name__)
 
-# Bytes of matrix rows per block: the growth step and finiteness-check span
-# of the parsers, the bytes the binary parser reads at a time, and the rows
-# each writer takes per block.
+# Bytes of float64 matrix rows per block (``_block_rows``): the parsers'
+# growth step and finiteness-check span, the rows each output encodes at a
+# time, and the rows normalized, placed or averaged at a time; also the
+# bytes the binary parser reads at a time.
 _BLOCK_BYTES = 1 << 20
 
 __all__ = [
@@ -119,47 +120,15 @@ class EmbeddingSpace:
 _Fill = Callable[[np.ndarray, int, int], None]
 
 
-class _RowSource:
-    """The rows of an output, read one run at a time where they are
-    written: ``rows(start, stop)`` gives the rows of ``tokens[start:stop]``,
-    valid until the next call."""
-
-    __slots__ = ("tokens", "dim", "rows")
-
-    def __init__(self, tokens: Sequence[str], dim: int, rows: Callable[[int, int], np.ndarray]):
-        self.tokens, self.dim, self.rows = tokens, dim, rows
-
-
-def _space_rows(space: EmbeddingSpace) -> _RowSource:
-    """A space's rows: views of its matrix."""
-    return _RowSource(space.tokens, space.dim, lambda start, stop: space.matrix[start:stop])
-
-
-def _made_rows(tokens: Sequence[str], dim: int, fill: _Fill) -> _RowSource:
-    """Rows that ``fill(out, start, stop)`` writes into ``out``, made in one
-    buffer that the next call reuses, and checked for finiteness as a
-    space's matrix is. ``_filled`` makes the whole matrix from the same
-    ``fill``."""
-    tokens = tuple(tokens)
-    buffer = np.empty((0, dim))
-
-    def rows(start: int, stop: int) -> np.ndarray:
-        nonlocal buffer
-        stop = min(stop, len(tokens))
-        if len(buffer) < stop - start:
-            buffer = np.empty((stop - start, dim))
-        out = buffer[: stop - start]
-        fill(out, start, stop)
-        if not np.isfinite(out).all():
-            raise ValueError("matrix contains non-finite values")
-        return out
-
-    return _RowSource(tokens, dim, rows)
+def _block_rows(values_per_row: int) -> int:
+    """Rows per block: as many rows of ``values_per_row`` float64 values as
+    fit in ``_BLOCK_BYTES``, and at least one."""
+    return max(1, _BLOCK_BYTES // (8 * max(1, values_per_row)))
 
 
 def _filled(tokens: Sequence[str], dim: int, fill: _Fill, meta: str | None) -> EmbeddingSpace:
     """The space whose matrix ``fill(matrix, 0, len(tokens))`` writes: the
-    rows ``_made_rows`` streams, held whole."""
+    rows ``_chunks`` encodes block by block, held whole."""
     matrix = np.empty((len(tokens), dim))
     fill(matrix, 0, len(tokens))
     return EmbeddingSpace._own(tokens, matrix, meta=meta)
@@ -241,7 +210,7 @@ class _Rows:
         self.checked = 0
         self.marks: list = []
         self.error = error
-        self.block = max(1, _BLOCK_BYTES // (8 * dim))
+        self.block = _block_rows(dim)
 
     def append(self, values, mark) -> None:
         if self.count == len(self.matrix):
@@ -604,13 +573,9 @@ def _positional(value, precision: int) -> str:
     )
 
 
-def _header(source: _RowSource) -> bytes:
-    return f"{len(source.tokens)} {source.dim}\n".encode("ascii")
-
-
 def _text_rows(tokens: Sequence[str], block: np.ndarray, precision: int) -> bytes:
     """The text-format lines of one block of rows, ``tokens`` parallel to
-    ``block``; ``_text_chunks`` yields these after its header."""
+    ``block``."""
     for token in tokens:
         _check_writable_token(token)
     if precision < 17:
@@ -634,16 +599,61 @@ def _text_rows(tokens: Sequence[str], block: np.ndarray, precision: int) -> byte
     )
 
 
-def _text_chunks(source: _RowSource, precision: int) -> Iterator[bytes]:
-    """The text format of ``source``: the header, then one chunk per block
-    of rows."""
-    if precision < 1:
+def _binary_rows(tokens: Sequence[str], block: np.ndarray) -> bytes:
+    """The binary-format records of one block of rows, narrowed to float32
+    and checked first."""
+    with np.errstate(over="ignore"):
+        narrowed = block.astype("<f4")
+    if not np.isfinite(narrowed).all():
+        raise ValueError("matrix contains values outside single-precision range")
+    chunk = []
+    for token, row in zip(tokens, narrowed):
+        _check_writable_token(token)
+        chunk.append(token.encode("utf-8") + b" " + row.tobytes())
+    return b"".join(chunk)
+
+
+def _chunks(
+    tokens: Sequence[str],
+    dim: int,
+    rows: np.ndarray | _Fill,
+    format: str,
+    precision: int = 17,
+    parts: int = 1,
+    map: Callable = map,
+) -> Iterator[bytes]:
+    """The ``format`` file of ``tokens`` and their rows: the header, then
+    one chunk per block of rows.
+
+    ``rows`` is a space's matrix, whose blocks are read as views, or a
+    ``fill(out, start, stop)`` that writes each block into a new buffer,
+    checked for finiteness as a space's matrix is. The blocks are equal,
+    of at most ``_block_rows(dim)`` rows, and as many as a multiple of
+    ``parts``, so that ``parts`` workers finish together. ``map(encode,
+    range(blocks))`` yields the blocks' chunks in order: the builtin, or
+    worker processes that make and encode the blocks themselves.
+    """
+    if format == "text" and precision < 1:
         raise ValueError("precision must be at least 1")
-    yield _header(source)
-    step = max(1, _BLOCK_BYTES // (8 * source.dim))
-    for start in range(0, len(source.tokens), step):
-        end = start + step
-        yield _text_rows(source.tokens[start:end], source.rows(start, end), precision)
+    yield f"{len(tokens)} {dim}\n".encode("ascii")
+    count = -(-len(tokens) // _block_rows(dim))
+    count = min(len(tokens), -(-count // parts) * parts)
+    bounds = [len(tokens) * i // max(1, count) for i in range(count + 1)]
+
+    def encode(i: int) -> bytes:
+        start, stop = bounds[i], bounds[i + 1]
+        if isinstance(rows, np.ndarray):
+            block = rows[start:stop]
+        else:
+            block = np.empty((stop - start, dim))
+            rows(block, start, stop)
+            if not np.isfinite(block).all():
+                raise ValueError("matrix contains non-finite values")
+        if format == "text":
+            return _text_rows(tokens[start:stop], block, precision)
+        return _binary_rows(tokens[start:stop], block)
+
+    yield from map(encode, range(count))
 
 
 def write_text_embeddings(space: EmbeddingSpace, precision: int = 17) -> bytes:
@@ -656,30 +666,12 @@ def write_text_embeddings(space: EmbeddingSpace, precision: int = 17) -> bytes:
     and only the values it writes with an exponent (nonzero below 1e-5 or
     at least 1e16 in magnitude) go through the positional formatter.
     """
-    return b"".join(_text_chunks(_space_rows(space), precision))
-
-
-def _binary_chunks(source: _RowSource) -> Iterator[bytes]:
-    """The binary format of ``source``: the header, then one chunk per
-    block of rows, each narrowed to float32 and checked before it is
-    yielded."""
-    yield _header(source)
-    step = max(1, _BLOCK_BYTES // (8 * source.dim))
-    for start in range(0, len(source.tokens), step):
-        with np.errstate(over="ignore"):
-            narrowed = source.rows(start, start + step).astype("<f4")
-        if not np.isfinite(narrowed).all():
-            raise ValueError("matrix contains values outside single-precision range")
-        chunk = []
-        for token, row in zip(source.tokens[start : start + step], narrowed):
-            _check_writable_token(token)
-            chunk.append(token.encode("utf-8") + b" " + row.tobytes())
-        yield b"".join(chunk)
+    return b"".join(_chunks(space.tokens, space.dim, space.matrix, "text", precision))
 
 
 def write_binary_embeddings(space: EmbeddingSpace) -> bytes:
     """Serialize to the binary format (header, then token + float32 values)."""
-    return b"".join(_binary_chunks(_space_rows(space)))
+    return b"".join(_chunks(space.tokens, space.dim, space.matrix, "binary"))
 
 
 def detect_format(path: str | Path) -> str:
@@ -716,13 +708,9 @@ def save_embeddings(
     path = Path(path)
     if format == "auto":
         format = detect_format(path)
-    if format == "binary":
-        chunks = _binary_chunks(_space_rows(space))
-    elif format == "text":
-        chunks = _text_chunks(_space_rows(space), precision)
-    else:
+    if format not in ("text", "binary"):
         raise ValueError(f"unknown format: {format!r}")
-    _commit_outputs([(path, chunks)])
+    _commit_outputs([(path, _chunks(space.tokens, space.dim, space.matrix, format, precision))])
 
 
 def _commit_outputs(staged: Sequence[tuple[Path, Iterable[bytes]]]) -> None:

@@ -7,8 +7,7 @@ import math
 
 import numpy as np
 
-from metavec import embeddings
-from metavec.embeddings import EmbeddingSpace
+from metavec.embeddings import EmbeddingSpace, _block_rows
 
 logger = logging.getLogger(__name__)
 
@@ -110,14 +109,16 @@ class ReductionMap:
         )
 
 
-def _row_norms(matrix: np.ndarray) -> np.ndarray:
-    """Each row's Euclidean norm, with the bits ``np.linalg.norm(matrix,
-    axis=1)`` gives, taken one block of rows at a time, so that no square
-    of the whole matrix is made."""
-    norms = np.empty(len(matrix))
-    step = max(1, embeddings._BLOCK_BYTES // (8 * max(1, matrix.shape[1])))
-    for start in range(0, len(matrix), step):
-        norms[start : start + step] = np.linalg.norm(matrix[start : start + step], axis=1)
+def _row_norms(matrix: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Each row's Euclidean norm (of ``matrix[rows]``, when ``rows`` is
+    given), with the bits ``np.linalg.norm(matrix, axis=1)`` gives, taken
+    one block of rows at a time, so that neither the square of the whole
+    matrix nor a gathered copy of its rows is made."""
+    norms = np.empty(len(matrix) if rows is None else len(rows))
+    step = _block_rows(matrix.shape[1])
+    for start in range(0, len(norms), step):
+        block = slice(start, start + step)
+        norms[block] = np.linalg.norm(matrix[block if rows is None else rows[block]], axis=1)
     return norms
 
 

@@ -6,16 +6,14 @@ from typing import Sequence
 
 import numpy as np
 
-from metavec.embeddings import EmbeddingSpace, _Fill, _filled
+from metavec.embeddings import EmbeddingSpace, _block_rows, _Fill, _filled
 from metavec.linalg import _row_norms
 
 DEFAULT_K = 10
-# Bytes per block: one tile of queries × candidates' scores in ``_rank``,
-# which runs before any union rows are made, and one block of gathered own
-# or neighbor rows in ``_place``. ``combine._mean_rows`` runs while the
-# aligned inputs (and, in the library, the union matrix) are held, and
-# ``_place`` gathers on top of its stack, so it stacks its blocks of
-# words' rows within an eighth of this.
+# Bytes per tile of queries × candidates' scores in ``_rank``, and per
+# block of the queries it scores. Ranking runs before any union rows are
+# made, and a larger tile pays there: fewer, larger products. Every other
+# block of rows is sized by ``embeddings._block_rows``.
 _BLOCK_BYTES = 8 << 20
 # ``_rank`` tiles the candidate axis rather than rank blocks of fewer
 # queries than this: a BLAS product of a few query rows streams the whole
@@ -124,10 +122,13 @@ def _rank(
     break by candidate position, so candidates sorted by token break them
     by token.
 
-    Scores are computed one tile of queries × candidates at a time, each
-    within ``_BLOCK_BYTES``. While a block of ``_MIN_QUERIES`` queries (or
-    of all of them, if fewer) can score every candidate at once, there is
-    one tile per query block, as large as the budget allows; beyond that,
+    The query norms are taken first, one block at a time, to find
+    ``live``; each block of queries is gathered and scaled to unit length
+    only when it is scored. Scores are computed one tile of queries ×
+    candidates at a time, each within ``_BLOCK_BYTES``. While a block of
+    ``_MIN_QUERIES`` queries (or of all of them, if fewer) can score every
+    candidate at once, there is one tile per query block, as large as the
+    budget allows for its scores and its query rows alike; beyond that,
     blocks of ``_MIN_QUERIES`` queries meet candidate tiles sized to the
     budget. Each query keeps a running list of its best min(k, n)
     candidates. In a tile, only scores that reach both the tile's bound on
@@ -159,20 +160,23 @@ def _rank(
     twin_counts = np.bincount(firsts, minlength=n)
     twin_start = np.cumsum(twin_counts) - twin_counts
 
-    unit_queries, live = _unit_rows_of(matrix, query_rows)
+    query_norms = _row_norms(matrix, query_rows)
+    live = np.flatnonzero(query_norms > 0.0)
     width = min(k, n)
     best = np.empty((len(live), width))
     positions = np.empty((len(live), width), dtype=np.intp)
     if not width:
         return live, best, positions
-    step = _BLOCK_BYTES // (8 * n)
+    step = _BLOCK_BYTES // (8 * max(n, matrix.shape[1]))
     tile = n
     if step < min(len(live), _MIN_QUERIES):
         step = min(len(live), _MIN_QUERIES)
         tile = max(1, _BLOCK_BYTES // (8 * step))
     step = max(1, step)
     for start in range(0, len(live), step):
-        block = unit_queries[start : start + step]
+        queries = live[start : start + step]
+        block = matrix[query_rows[queries]]
+        np.divide(block, query_norms[queries, np.newaxis], out=block)
         # Empty places score -inf at position n, behind every candidate.
         top_scores = np.full((len(block), width), -np.inf)
         top = np.full((len(block), width), n, dtype=np.intp)
@@ -351,10 +355,10 @@ def _place(out: np.ndarray, at: np.ndarray, matrix: np.ndarray, plan: _Plan | No
     ``mean(axis=1)`` over words with one neighbor count adds each word's
     rows as ``mean(axis=0)`` on that word alone would, so a centroid has
     the same bits whichever rows ``at`` covers. Own rows are copied, and
-    neighbor rows gathered, in blocks that fit in ``_BLOCK_BYTES``.
+    neighbor rows gathered, one block (``_block_rows``) at a time.
     """
     own = np.flatnonzero((at >= 0) & (at < len(matrix)))
-    step = max(1, _BLOCK_BYTES // (8 * matrix.shape[1]))
+    step = _block_rows(matrix.shape[1])
     for start in range(0, len(own), step):
         block = own[start : start + step]
         out[block] = matrix[at[block]]
@@ -369,7 +373,7 @@ def _place(out: np.ndarray, at: np.ndarray, matrix: np.ndarray, plan: _Plan | No
         if not count:
             out[drawn[group]] = 0.0
             continue
-        step = max(1, _BLOCK_BYTES // (8 * count * matrix.shape[1]))
+        step = _block_rows(count * matrix.shape[1])
         for start in range(0, len(group), step):
             block = group[start : start + step]
             out[drawn[block]] = matrix[neighbors[words[block], :count]].mean(axis=1)

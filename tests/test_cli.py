@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from metavec.align import load_bilingual_dictionary
 from metavec.cli import main
+from metavec.combine import CombineConfig, combine_mvm, provenance_json
 from metavec.embeddings import EmbeddingSpace, load_embeddings, save_embeddings
 from metavec.linalg import normalize_step0
 
@@ -204,6 +206,35 @@ class TestMvm:
         assert "--target-index 5 out of range for 2 sources" in capsys.readouterr().err
         assert not list(tmp_path.glob("x.vec*"))
 
+    def test_dict_files_go_to_the_non_target_sources_in_order(self, tmp_path):
+        # Prefixed sources share no token, so only the dictionaries link
+        # them to the target (the second source).
+        rng = np.random.default_rng(13)
+        paths = [tmp_path / f"{lang}.vec" for lang in ("en", "de", "fr")]
+        for path in paths:
+            write_emb(path, [f"w{i}" for i in range(8)], rng.normal(size=(8, 3)))
+        dicts = [tmp_path / "en-de.tsv", tmp_path / "fr-de.tsv"]
+        for path, pairs in zip(dicts, (6, 5)):
+            path.write_text("".join(f"w{i}\tw{i}\n" for i in range(pairs)))
+        out = tmp_path / "meta.vec"
+        argv = ["mvm", *map(str, paths), "-o", str(out), "--target-index", "1",
+                "--prefix", "en/", "--prefix", "de/", "--prefix", "fr/",
+                "--dict", str(dicts[0]), "--dict", str(dicts[1])]
+        assert main(argv) == 0
+        dictionaries = []
+        for path in dicts:
+            with open(path, "rb") as handle:
+                dictionaries.append(load_bilingual_dictionary(handle))
+        prefixes = ("en/", "de/", "fr/")
+        config = CombineConfig(method="mvm", target_index=1, language_prefixes=prefixes)
+        meta = combine_mvm([load_embeddings(p) for p in paths], config,
+                           dictionaries=[dictionaries[0], None, dictionaries[1]])
+        save_embeddings(meta.space, tmp_path / "expected.vec")
+        assert out.read_bytes() == (tmp_path / "expected.vec").read_bytes()
+        sidecar = (tmp_path / "meta.vec.provenance.json").read_text(encoding="utf-8")
+        assert sidecar == provenance_json(meta)
+        assert json.loads(sidecar)["dictionary_sizes"] == [6, None, 5]
+
     def test_oov_policy_flag_recorded(self, pair, tmp_path):
         p1, p2 = pair
         out = tmp_path / "meta.vec"
@@ -240,6 +271,16 @@ class TestBaseline:
         argv = ["baseline", str(p1), str(p2), "-o", str(out), "--method", "concat"]
         assert main(argv) == 0
         assert load_embeddings(out).dim == 5
+
+    def test_empty_sources_give_a_header_only_text_output(self, tmp_path):
+        # No rows make no blocks, for any worker count.
+        paths = [tmp_path / "e1.bin", tmp_path / "e2.bin"]
+        for path in paths:
+            path.write_bytes(b"0 2\n")
+        out = tmp_path / "c.vec"
+        argv = ["baseline", *map(str, paths), "-o", str(out), "--method", "concat"]
+        assert main(argv + ["--format", "text"]) == 0
+        assert out.read_bytes() == b"0 4\n"
 
     def test_concat_reduce_requires_dim(self, pair, tmp_path):
         p1, p2 = pair
@@ -417,6 +458,22 @@ class TestEval:
         out = capsys.readouterr().out
         assert "Sim" in out
         assert "Rel" in out
+
+    def test_groups_file_may_start_with_a_byte_order_mark(self, tmp_path, capsys):
+        emb = self.make_embedding(tmp_path)
+        ds = self.make_dataset(tmp_path, "simset")
+        groups = tmp_path / "groups.txt"
+        groups.write_bytes(b"\xef\xbb\xbfsimset sim\n")
+        assert main(["eval", str(emb), str(ds), "--groups", str(groups)]) == 0
+        assert "Sim" in capsys.readouterr().out
+
+    def test_groups_file_that_is_not_utf8_fails_at_its_line(self, tmp_path, capsys):
+        emb = self.make_embedding(tmp_path)
+        ds = self.make_dataset(tmp_path)
+        groups = tmp_path / "groups.txt"
+        groups.write_bytes(b"# kinds\ntoyset sim\nother\xff rel\n")
+        assert main(["eval", str(emb), str(ds), "--groups", str(groups)]) == 1
+        assert "error: line 3: not valid UTF-8" in capsys.readouterr().err
 
     def test_report_file_has_one_record_per_dataset(self, tmp_path, capsys):
         emb = self.make_embedding(tmp_path)

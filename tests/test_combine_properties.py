@@ -65,7 +65,7 @@ def test_average_matches_per_word_oracle(sources, policy, k, block_bytes):
     tokens, expected = union_mean(spaces, policy)
     config = CombineConfig(method="average", oov=policy, k_neighbors=k)
     # Tiny budgets split the union into blocks of one or a few words.
-    with patch.dict(combine_average.__globals__, _BLOCK_BYTES=block_bytes):
+    with patch.object(embeddings, "_BLOCK_BYTES", block_bytes):
         meta = combine_average(sources, config)
     assert meta.space.tokens == tuple(tokens)
     assert meta.space.matrix.tobytes() == expected.tobytes()
@@ -112,8 +112,8 @@ def test_nn_combiners_match_extended_space_oracle(sources, method, k, block_byte
     # Tiny budgets split ranking, centroids and the union mean into blocks
     # of one or a few rows. The oracle ranks through the same kernel under
     # the same budget: which donor wins a near-tie may follow the tiling.
-    with patch.object(oov, "_BLOCK_BYTES", block_bytes), patch.dict(
-        combine_average.__globals__, _BLOCK_BYTES=block_bytes
+    with patch.object(oov, "_BLOCK_BYTES", block_bytes), patch.object(
+        embeddings, "_BLOCK_BYTES", block_bytes
     ):
         try:
             tokens, expected = extended_space_oracle(sources, method, k)

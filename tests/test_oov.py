@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from metavec import oov
+from metavec import embeddings, oov
 from metavec.combine import CombineConfig, combine_average, combine_concat
 from metavec.embeddings import EmbeddingSpace
 from metavec.linalg import cosine
@@ -399,6 +399,19 @@ class TestQueryBlocks:
         # About 17 MB: the normalized candidates and one 8 MiB score tile.
         assert peak < 25e6
 
+    def test_query_rows_are_scaled_one_block_at_a_time(self, monkeypatch):
+        # 40000 queries of 32 dims against 16 candidates: their unit rows
+        # would be 10.2 MB, a block of 256 of them is 64 KiB. Besides its
+        # results and the query norms, ranking may hold 1 MB.
+        monkeypatch.setattr(oov, "_BLOCK_BYTES", 64 << 10)
+        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 64 << 10)
+        rng = np.random.default_rng(77)
+        queries, candidates = np.arange(16, 40016), np.arange(16)
+        matrix = rng.normal(size=(40016, 32))
+        (live, best, top), peak = traced_peak(oov._rank, matrix, queries, candidates, 3)
+        assert len(live) == len(queries)
+        assert peak < live.nbytes + best.nbytes + top.nbytes + 8 * len(queries) + 1e6
+
     def test_nn_average_builds_no_union_sized_space_per_source(self):
         # Three sources, each holding about half of 6000 words (a union of
         # 5221). Synthesis plus mean may hold the unit-normalized inputs and
@@ -424,7 +437,7 @@ class TestQueryBlocks:
         # placed in 64 KiB blocks. Besides the unit-normalized inputs and
         # the output, the peak may hold the output's finiteness mask (one
         # byte per value) and 0.75 MB; a gathered copy of a source may not.
-        monkeypatch.setattr(oov, "_BLOCK_BYTES", 64 << 10)
+        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 64 << 10)
         rng = np.random.default_rng(76)
         union, dim = [f"w{i:04d}" for i in range(4000)], 256
         sources = []

@@ -10,7 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from metavec import oov
+from metavec import embeddings, oov
 from metavec.embeddings import EmbeddingSpace
 from metavec.oov import extend_to_union, nearest_neighbors
 from oracles import exhaustive_neighbors, exhaustive_scores, extend_all_to_union
@@ -206,7 +206,9 @@ def test_extension_matches_per_word_oracle(spaces, k, block_bytes, record_neighb
     # (or leave one tile), and each neighbor count's centroids into blocks
     # of one or a few words. Each space's union rows are placed in random
     # slices, so a centroid's bits cannot depend on the rows placed with it.
-    with patch.object(oov, "_BLOCK_BYTES", block_bytes):
+    with patch.object(oov, "_BLOCK_BYTES", block_bytes), patch.object(
+        embeddings, "_BLOCK_BYTES", block_bytes
+    ):
         union, table, plans, report = oov._plan_synthesis(
             spaces, k, record_neighbors=record_neighbors
         )

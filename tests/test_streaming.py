@@ -124,8 +124,9 @@ def binary_file(path, tokens, matrix):
 def test_synth_oov_never_holds_a_union_matrix(tmp_path, monkeypatch):
     # Two spaces of 1600 words share 100: a union of 3100 words, 14.9 MB of
     # float64 rows per output at 600 dims. Ranking one space's 1500 missing
-    # words holds their unit rows (7.2 MB) next to the candidates' and one
-    # 128 KiB tile of scores; writing holds one 64 KiB block.
+    # words holds the unit rows of one block of 256 of them (1.2 MB) next
+    # to the candidates' and one 128 KiB tile of scores; writing holds one
+    # 64 KiB block.
     monkeypatch.setattr(oov, "_BLOCK_BYTES", 128 << 10)
     monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 64 << 10)
     rng = np.random.default_rng(5)
@@ -147,8 +148,8 @@ def test_mvm_never_holds_a_union_matrix_after_alignment(tmp_path, monkeypatch):
     # Eight spaces of 800 words share 200: a union of 5000 words, 12 MB of
     # float64 rows at 300 dims. Alignment sets the run's peak; from the
     # union plan on, the aligned spaces are held, and on top of them
-    # ranking holds one space's 600 missing words' unit rows (1.4 MB) next
-    # to the candidates' and one 256 KiB tile of scores, the plans hold
+    # ranking holds one block of one space's 600 missing words' unit rows
+    # next to the candidates' and one 256 KiB tile of scores, the plans hold
     # k = 2 rows per missing word, and writing holds one 64 KiB block.
     monkeypatch.setattr(oov, "_BLOCK_BYTES", 256 << 10)
     monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 64 << 10)
