@@ -1,6 +1,7 @@
 """Mapping dictionaries and projection of many embedding spaces into one common space."""
 from __future__ import annotations
 
+import contextlib
 import io
 import logging
 from dataclasses import dataclass
@@ -8,7 +9,7 @@ from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
-from metavec.embeddings import EmbeddingSpace, ParseError, _text_lines
+from metavec.embeddings import EmbeddingSpace, ParseError, _numbered_lines
 from metavec.linalg import OrthogonalMap, apply_map, normalize_step0, solve_procrustes
 
 logger = logging.getLogger(__name__)
@@ -114,13 +115,11 @@ def load_bilingual_dictionary(source: bytes | BinaryIO) -> MappingDictionary:
     """
     if isinstance(source, (bytes, bytearray, memoryview)):
         source = io.BytesIO(bytes(source))
-    text = _text_lines(source)
     pairs: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
     duplicates = 0
-    lineno = 0
-    try:
-        for lineno, line in enumerate(text, start=1):
+    with contextlib.closing(_numbered_lines(source)) as lines:
+        for lineno, line in lines:
             line = line.rstrip("\r\n")
             if not line:
                 continue
@@ -139,10 +138,6 @@ def load_bilingual_dictionary(source: bytes | BinaryIO) -> MappingDictionary:
                 continue
             seen.add(pair)
             pairs.append(pair)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8: {exc}", line=lineno + 1) from None
-    finally:
-        text.close()
     if duplicates:
         logger.warning("dropped %d duplicate dictionary pair(s)", duplicates)
     return MappingDictionary(pairs)
@@ -170,7 +165,12 @@ def _fit_one(
     x = source.matrix[[source_index[s] for s, _ in kept]]
     z = target.matrix[[target_index[t] for _, t in kept]]
     omap = solve_procrustes(x, z)
-    residual = float(np.linalg.norm(x @ omap.matrix - z))
+    # The residual x·w − z is formed in place; the anchors go before the
+    # source is mapped.
+    x = x @ omap.matrix
+    x -= z
+    residual = float(np.linalg.norm(x))
+    del x, z
     info = AlignmentInfo(
         dictionary_size=len(kept), filtered_pairs=filtered, residual=residual
     )
@@ -178,7 +178,7 @@ def _fit_one(
 
 
 def align_to_target(
-    sources: Sequence[EmbeddingSpace],
+    sources: Iterable[EmbeddingSpace],
     target_index: int = 0,
     dictionaries: Sequence[MappingDictionary | None] | None = None,
 ) -> AlignedCollection:
@@ -188,31 +188,45 @@ def align_to_target(
     its dictionary (vocabulary intersection when none is given), so adding
     or removing other sources never changes a source's alignment. The
     target keeps its own normalized coordinates.
-    """
-    if not sources:
-        raise ValueError("need at least one source space")
-    if not 0 <= target_index < len(sources):
-        raise ValueError(f"target_index {target_index} out of range")
-    dims = {space.dim for space in sources}
-    if len(dims) != 1:
-        raise ValueError(f"sources must share one dim, got {sorted(dims)}")
-    if dictionaries is not None and len(dictionaries) != len(sources):
-        raise ValueError("dictionaries must be parallel to sources")
 
-    # The other sources are normalized one at a time, each as it is fitted.
-    target = normalize_step0(sources[target_index])
-    mapped: list[EmbeddingSpace] = []
+    ``sources`` may be any iterable, taken one space at a time: each is
+    normalized as it arrives and no reference to it is kept. The ones
+    before the target are held normalized until the target arrives, and
+    every later one is fitted as it arrives, so a stream of spaces never
+    has more than one raw space alive here. Dims and the dictionaries'
+    count are checked as the spaces arrive.
+    """
+    if target_index < 0:
+        raise ValueError(f"target_index {target_index} out of range")
+    # Normalized spaces, each replaced by its mapped space once fitted;
+    # ``maps`` and ``infos`` cover the slots fitted so far.
+    slots: list[EmbeddingSpace] = []
     maps: list[OrthogonalMap] = []
     infos: list[AlignmentInfo | None] = []
-    for i, space in enumerate(sources):
-        if i == target_index:
-            mapped.append(target)
-            maps.append(OrthogonalMap.identity(target.dim))
-            infos.append(None)
+    for space in sources:
+        if slots and space.dim != slots[0].dim:
+            dims = sorted({slots[0].dim, space.dim})
+            raise ValueError(f"sources must share one dim, got {dims}")
+        if dictionaries is not None and len(slots) == len(dictionaries):
+            raise ValueError("dictionaries must be parallel to sources")
+        slots.append(normalize_step0(space))
+        del space
+        if len(slots) <= target_index:
             continue
-        dictionary = dictionaries[i] if dictionaries is not None else None
-        space_mapped, omap, info = _fit_one(normalize_step0(space), target, dictionary)
-        mapped.append(space_mapped)
-        maps.append(omap)
-        infos.append(info)
-    return AlignedCollection(target, mapped, maps, infos)
+        target = slots[target_index]
+        for i in range(len(maps), len(slots)):
+            if i == target_index:
+                maps.append(OrthogonalMap.identity(target.dim))
+                infos.append(None)
+                continue
+            dictionary = dictionaries[i] if dictionaries is not None else None
+            slots[i], omap, info = _fit_one(slots[i], target, dictionary)
+            maps.append(omap)
+            infos.append(info)
+    if not slots:
+        raise ValueError("need at least one source space")
+    if len(slots) <= target_index:
+        raise ValueError(f"target_index {target_index} out of range")
+    if dictionaries is not None and len(dictionaries) != len(slots):
+        raise ValueError("dictionaries must be parallel to sources")
+    return AlignedCollection(slots[target_index], slots, maps, infos)

@@ -16,7 +16,7 @@ import pickle
 import signal
 import sys
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 from typing import BinaryIO
 
@@ -35,7 +35,7 @@ from metavec.embeddings import (
     ParseError,
     _chunks,
     _commit_outputs,
-    _text_lines,
+    _numbered_lines,
     detect_format,
     load_embeddings,
 )
@@ -182,10 +182,12 @@ def _forked_map(fn, items, workers: int):
         for item in itertools.islice(pending, workers):
             running.append(_fork(fn, item))
         while running:
-            result = _collect(running)
+            # Popped as it is yielded, so that no name here holds the
+            # result while the caller works on it.
+            done = [_collect(running)]
             for item in itertools.islice(pending, 1):
                 running.append(_fork(fn, item))
-            yield result
+            yield done.pop()
     finally:
         for pid, pipe in running:
             os.kill(pid, signal.SIGKILL)
@@ -199,13 +201,16 @@ def _load(path: str, fmt: str | None = None) -> EmbeddingSpace:
     return load_embeddings(path, format=fmt or "auto")
 
 
-def _load_sources(paths, args) -> list[EmbeddingSpace]:
-    """Load embedding inputs in order: text files are parsed in worker
-    processes, binary files in this one (shipping a parsed binary matrix
-    back costs as much as parsing it)."""
+def _load_sources(paths, args) -> Iterator[EmbeddingSpace]:
+    """Embedding inputs in order, one at a time: text files are parsed
+    ahead in worker processes, binary files in this one when they are
+    pulled (shipping a parsed binary matrix back costs as much as parsing
+    it). Nothing here holds a space once it is passed on; the caller
+    closes the stream, which stops the workers."""
     text = [path for path in paths if detect_format(path) == "text"]
     with contextlib.closing(_forked_map(_load, text, _io_workers(args))) as parsed:
-        return [next(parsed) if detect_format(p) == "text" else _load(p) for p in paths]
+        for path in paths:
+            yield next(parsed) if detect_format(path) == "text" else _load(path)
 
 
 def _staged(
@@ -235,10 +240,6 @@ def cmd_map(args, parser) -> int:
     if len(dict_paths) > 1:
         parser.error("map takes at most one --dict")
     _check_prefix_count([args.source, args.target], prefixes, parser)
-    source, target = _load_sources([args.source, args.target], args)
-    if prefixes:
-        source = apply_language_prefixes(source, prefixes[0])
-        target = apply_language_prefixes(target, prefixes[1])
     dictionaries = None
     if dict_paths:
         with open(dict_paths[0], "rb") as handle:
@@ -246,9 +247,12 @@ def cmd_map(args, parser) -> int:
         if prefixes:
             dictionary = dictionary.prefixed(*prefixes)
         dictionaries = [dictionary, None]
-    collection = align_to_target([source, target], target_index=1, dictionaries=dictionaries)
-    info = collection.infos[0]
-    mapped = collection.mapped[0]
+    with contextlib.closing(_load_sources([args.source, args.target], args)) as loaded:
+        spaces = map(apply_language_prefixes, loaded, prefixes) if prefixes else loaded
+        collection = align_to_target(spaces, target_index=1, dictionaries=dictionaries)
+    # The normalized target is freed before the output is written.
+    mapped, info = collection.mapped[0], collection.infos[0]
+    del collection
     _commit_outputs([
         _staged(args.output, mapped.tokens, mapped.dim, mapped.matrix, args, args.source)
     ])
@@ -281,7 +285,6 @@ def cmd_mvm(args, parser) -> int:
         dictionaries = []
         for index in range(len(args.sources)):
             dictionaries.append(None if index == args.target_index else loaded.pop(0))
-    spaces = _load_sources(args.sources, args)
     config = CombineConfig(
         method="mvm",
         target_index=args.target_index,
@@ -289,7 +292,9 @@ def cmd_mvm(args, parser) -> int:
         language_prefixes=tuple(prefixes) or None,
         oov=args.oov,
     )
-    union, fill, provenance = _mvm(spaces, config, dictionaries)
+    # Each source is aligned as it is loaded; only one raw input is held.
+    with contextlib.closing(_load_sources(args.sources, args)) as spaces:
+        union, fill, provenance = _mvm(spaces, config, dictionaries)
     dim = provenance["dim"]
     out = Path(args.output)
     sidecar = out.with_name(out.name + ".provenance.json")
@@ -310,7 +315,7 @@ def cmd_baseline(args, parser) -> int:
         parser.error("--dim only applies to --method concat-reduce")
     prefixes = args.prefix or []
     _check_prefix_count(args.sources, prefixes, parser)
-    spaces = _load_sources(args.sources, args)
+    spaces = list(_load_sources(args.sources, args))
     config = CombineConfig(
         method=args.method,
         k_neighbors=args.k,
@@ -356,21 +361,15 @@ def _load_groups(path: str) -> dict[str, str]:
     the other text inputs are: a byte-order mark is skipped, and bytes
     that are not UTF-8 fail at their line."""
     grouping: dict[str, str] = {}
-    lineno = 0
-    with open(path, "rb") as handle, contextlib.closing(_text_lines(handle)) as text:
-        try:
-            for lineno, line in enumerate(text, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                fields = line.split()
-                if len(fields) != 2 or fields[1] not in ("sim", "rel"):
-                    raise ParseError(
-                        "expected 'dataset-name sim|rel' in groups file", line=lineno
-                    )
-                grouping[fields[0]] = fields[1]
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not valid UTF-8: {exc}", line=lineno + 1) from None
+    with open(path, "rb") as handle, contextlib.closing(_numbered_lines(handle)) as lines:
+        for lineno, line in lines:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split()
+            if len(fields) != 2 or fields[1] not in ("sim", "rel"):
+                raise ParseError("expected 'dataset-name sim|rel' in groups file", line=lineno)
+            grouping[fields[0]] = fields[1]
     return grouping
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -103,27 +103,45 @@ def apply_language_prefixes(space: EmbeddingSpace, prefix: str) -> EmbeddingSpac
     return EmbeddingSpace._own([prefix + t for t in space.tokens], space.matrix, meta=space.meta)
 
 
+def _next_source(sources: Iterator[EmbeddingSpace]) -> EmbeddingSpace:
+    """The next source, for the next language prefix."""
+    for space in sources:
+        return space
+    raise ValueError("language_prefixes must be parallel to sources")
+
+
 def _prefixed(
-    sources: Sequence[EmbeddingSpace], config: CombineConfig
-) -> list[EmbeddingSpace]:
+    sources: Iterable[EmbeddingSpace], config: CombineConfig
+) -> Iterator[EmbeddingSpace]:
+    """The sources under their language prefixes, one at a time as they
+    arrive. No name here holds a source while the caller works on it."""
     prefixes = config.language_prefixes
     if prefixes is None:
-        return list(sources)
-    if len(prefixes) != len(sources):
+        yield from sources
+        return
+    sources = iter(sources)
+    for prefix in prefixes:
+        yield apply_language_prefixes(_next_source(sources), prefix)
+    for _ in sources:
         raise ValueError("language_prefixes must be parallel to sources")
-    return [apply_language_prefixes(s, p) for s, p in zip(sources, prefixes)]
 
 
 def _prefixed_dictionaries(
-    dictionaries: Sequence[MappingDictionary | None] | None,
-    config: CombineConfig,
-    n_sources: int,
+    dictionaries: Sequence[MappingDictionary | None] | None, config: CombineConfig
 ) -> Sequence[MappingDictionary | None] | None:
-    if dictionaries is None or config.language_prefixes is None:
-        return dictionaries
-    if len(dictionaries) != n_sources:
-        raise ValueError("dictionaries must be parallel to sources")
+    """The dictionaries under their sources' and the target's prefixes.
+
+    The prefixes are parallel to the sources (``_prefixed`` checks that as
+    they arrive), so dictionaries that are not parallel to the prefixes,
+    or a target index past them, fail here, before any source is read.
+    """
     prefixes = config.language_prefixes
+    if dictionaries is None or prefixes is None:
+        return dictionaries
+    if len(dictionaries) != len(prefixes):
+        raise ValueError("dictionaries must be parallel to sources")
+    if config.target_index >= len(prefixes):
+        raise ValueError(f"target_index {config.target_index} out of range")
     target_prefix = prefixes[config.target_index]
     return [
         None if dictionary is None else dictionary.prefixed(prefix, target_prefix)
@@ -139,7 +157,7 @@ def _check_method(config: CombineConfig | None, method: str) -> CombineConfig:
     return config
 
 
-def _unit_spaces(spaces: Sequence[EmbeddingSpace]) -> list[EmbeddingSpace]:
+def _unit_spaces(spaces: Iterable[EmbeddingSpace]) -> list[EmbeddingSpace]:
     return [EmbeddingSpace._own(s.tokens, _unit_rows(s.matrix)[0], meta=s.meta) for s in spaces]
 
 
@@ -257,7 +275,7 @@ def _mean_rows(
 
 
 def _mvm(
-    sources: Sequence[EmbeddingSpace],
+    sources: Iterable[EmbeddingSpace],
     config: CombineConfig,
     dictionaries: Sequence[MappingDictionary | None] | None,
 ) -> tuple[list[str], _Fill, dict]:
@@ -266,14 +284,14 @@ def _mvm(
     mean of the aligned rows, each scaled to unit length) and the
     provenance record. ``combine_mvm`` fills its matrix whole with it; the
     CLI streams the rows into the output, so no union-sized matrix exists.
+
+    ``sources`` may be any iterable: alignment takes one space at a time
+    (``align_to_target``), and the CLI passes its loader's stream.
     """
-    if len(sources) < 2:
+    dictionaries = _prefixed_dictionaries(dictionaries, config)
+    aligned = align_to_target(_prefixed(sources, config), config.target_index, dictionaries)
+    if len(aligned) < 2:
         raise ValueError("mvm needs at least two sources")
-    spaces = _prefixed(sources, config)
-    dictionaries = _prefixed_dictionaries(dictionaries, config, len(spaces))
-    if not config.target_index < len(spaces):
-        raise ValueError(f"target_index {config.target_index} out of range")
-    aligned = align_to_target(spaces, config.target_index, dictionaries)
     # ``fill`` reads ``members``; the maps are freed with ``aligned``.
     members, infos = list(aligned.mapped), aligned.infos
     del aligned
@@ -285,8 +303,9 @@ def _mvm(
         _mean_rows(members, table[:, start:stop], plans, config.oov_policy, out)
         _unit_rows(out, out=out)
 
+    # Every step keeps each space's meta, so the members name the sources.
     provenance = _provenance(
-        sources, config, len(union), members[0].dim, report,
+        members, config, len(union), members[0].dim, report,
         dictionary_sizes=[info.dictionary_size if info else None for info in infos],
         alignment_residuals=[info.residual if info else None for info in infos],
     )
@@ -294,7 +313,7 @@ def _mvm(
 
 
 def combine_mvm(
-    sources: Sequence[EmbeddingSpace],
+    sources: Iterable[EmbeddingSpace],
     config: CombineConfig | None = None,
     dictionaries: Sequence[MappingDictionary | None] | None = None,
 ) -> MetaEmbedding:
@@ -305,7 +324,8 @@ def combine_mvm(
     ``dictionaries`` (raw, unprefixed tokens) override the vocabulary
     intersections used for alignment; entries must parallel ``sources``
     and the target's entry is ignored. The OOV policy can be downgraded to
-    "available" or "zero" to reproduce mapping-only ablations.
+    "available" or "zero" to reproduce mapping-only ablations. ``sources``
+    may be any iterable; each space is aligned as it arrives.
     """
     config = _check_method(config, "mvm")
     union, fill, provenance = _mvm(sources, config, dictionaries)
@@ -321,7 +341,7 @@ def combine_average(
     config = _check_method(config, "average")
     if not sources:
         raise ValueError("need at least one source")
-    spaces = _prefixed(sources, config)
+    spaces = list(_prefixed(sources, config))
     dims = {s.dim for s in spaces}
     if len(dims) != 1:
         raise ValueError(f"averaging needs one shared dim, got {sorted(dims)}")

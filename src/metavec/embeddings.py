@@ -82,8 +82,11 @@ class EmbeddingSpace:
             raise ValueError("vector dimensionality must be at least 1")
         if len(set(tokens)) != len(tokens):
             raise ValueError("tokens must be unique")
-        if not np.isfinite(matrix).all():
-            raise ValueError("matrix contains non-finite values")
+        # One block at a time, so the check's bool temporary stays small.
+        step = _block_rows(matrix.shape[1])
+        for start in range(0, len(matrix), step):
+            if not np.isfinite(matrix[start : start + step]).all():
+                raise ValueError("matrix contains non-finite values")
         matrix.setflags(write=False)
         self.tokens = tokens
         self.matrix = matrix
@@ -179,6 +182,23 @@ def _text_lines(stream: BinaryIO) -> Iterator[str]:
             yield line
     finally:
         text.detach()
+
+
+def _numbered_lines(stream: BinaryIO) -> Iterator[tuple[int, str]]:
+    """Each line of a UTF-8 byte stream (``_text_lines``) with its 1-based
+    number. A line that is not valid UTF-8 raises ``ParseError`` at its
+    number, after every line before it. The caller closes the generator,
+    which detaches the reader from ``stream``.
+    """
+    text = _text_lines(stream)
+    lineno = 0
+    try:
+        for lineno, line in enumerate(text, start=1):
+            yield lineno, line
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8: {exc}", line=lineno + 1) from None
+    finally:
+        text.close()
 
 
 def _check_parse_options(on_duplicate: str, max_vocab: int | None) -> None:
@@ -600,16 +620,19 @@ def _text_rows(tokens: Sequence[str], block: np.ndarray, precision: int) -> byte
 
 
 def _binary_rows(tokens: Sequence[str], block: np.ndarray) -> bytes:
-    """The binary-format records of one block of rows, narrowed to float32
-    and checked first."""
+    """The binary-format records of one block of rows, narrowed to float32.
+    The first row with a value outside float32 range fails after the
+    tokens before it are checked, so the error names the first problem in
+    row order, whatever the block size."""
     with np.errstate(over="ignore"):
         narrowed = block.astype("<f4")
-    if not np.isfinite(narrowed).all():
-        raise ValueError("matrix contains values outside single-precision range")
+    bad = np.flatnonzero(~np.isfinite(narrowed).all(axis=1))
     chunk = []
-    for token, row in zip(tokens, narrowed):
+    for token, row in zip(tokens[: bad[0] if len(bad) else len(tokens)], narrowed):
         _check_writable_token(token)
         chunk.append(token.encode("utf-8") + b" " + row.tobytes())
+    if len(bad):
+        raise ValueError("matrix contains values outside single-precision range")
     return b"".join(chunk)
 
 

@@ -1,6 +1,7 @@
 """Intrinsic evaluation: word-similarity datasets, Spearman correlation, coverage."""
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
@@ -10,7 +11,7 @@ from typing import BinaryIO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from metavec.embeddings import EmbeddingSpace, ParseError, _text_lines
+from metavec.embeddings import EmbeddingSpace, ParseError, _numbered_lines
 from metavec.linalg import cosine
 
 _DELIMITERS = ("tab", "comma", "whitespace")
@@ -91,11 +92,9 @@ def load_similarity_dataset(
             return load_similarity_dataset(stream, delimiter=delimiter, name=name)
     if isinstance(source, (bytes, bytearray, memoryview)):
         source = io.BytesIO(bytes(source))
-    text = _text_lines(source)
     pairs: list[tuple[str, str, float]] = []
-    lineno = 0
-    try:
-        for lineno, line in enumerate(text, start=1):
+    with contextlib.closing(_numbered_lines(source)) as lines:
+        for lineno, line in lines:
             line = line.rstrip("\r\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
@@ -117,10 +116,6 @@ def load_similarity_dataset(
             if not fields[0] or not fields[1]:
                 raise ParseError("empty word", line=lineno)
             pairs.append((fields[0], fields[1], score))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8: {exc}", line=lineno + 1) from None
-    finally:
-        text.close()
     if not pairs:
         raise ParseError("dataset contains no pairs")
     return SimilarityDataset(name, tuple(pairs))

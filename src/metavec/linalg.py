@@ -159,10 +159,11 @@ def normalize_step0(space: EmbeddingSpace, *, renormalize: bool = True) -> Embed
     """
     if len(space) == 0:
         return space
+    # One copy, centered and scaled in place: the bits of the out-of-place steps.
     matrix, _ = _unit_rows(space.matrix)
-    matrix = matrix - matrix.mean(axis=0)
+    matrix -= matrix.mean(axis=0)
     if renormalize:
-        matrix, zeros = _unit_rows(matrix)
+        matrix, zeros = _unit_rows(matrix, out=matrix)
     else:
         zeros = int((_row_norms(matrix) == 0.0).sum())
     if zeros:

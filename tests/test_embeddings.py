@@ -60,6 +60,14 @@ class TestEmbeddingSpace:
         with pytest.raises(ValueError, match="finite"):
             EmbeddingSpace(["a"], [[np.nan, 1.0]])
 
+    def test_rejects_non_finite_in_a_later_block(self, monkeypatch):
+        # Two rows per block; the NaN is in the third block.
+        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 8 * 2 * 2)
+        matrix = np.ones((5, 2))
+        matrix[4, 1] = np.inf
+        with pytest.raises(ValueError, match="matrix contains non-finite values"):
+            EmbeddingSpace._own([f"w{i}" for i in range(5)], matrix)
+
     def test_rejects_zero_dim(self):
         with pytest.raises(ValueError, match="dimensionality"):
             EmbeddingSpace(["a"], np.empty((1, 0)))
@@ -335,6 +343,19 @@ class TestBinaryFormat:
     def test_write_rejects_values_outside_float32_range(self):
         with pytest.raises(ValueError, match="single-precision"):
             write_binary_embeddings(EmbeddingSpace(["a"], [[1e308]]))
+
+    @pytest.mark.parametrize("block_bytes", [None, 8 * 2])
+    def test_write_reports_the_first_problem_in_row_order(self, monkeypatch, block_bytes):
+        # The bad token comes one row before the value that overflows
+        # float32, with both rows in one block or one row per block.
+        if block_bytes is not None:
+            monkeypatch.setattr(embeddings, "_BLOCK_BYTES", block_bytes)
+        space = EmbeddingSpace(["bad token", "b"], [[1.0, 0.0], [1e300, 0.0]])
+        with pytest.raises(ValueError, match="whitespace"):
+            write_binary_embeddings(space)
+        space = EmbeddingSpace(["a", "bad token"], [[1e300, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="single-precision"):
+            write_binary_embeddings(space)
 
     def test_utf8_tokens_survive(self):
         space = EmbeddingSpace(["naïve", "枝"], np.eye(2))

@@ -97,3 +97,14 @@ def test_internal_path_takes_the_array_over():
     assert not matrix.flags.writeable
     with pytest.raises(ValueError, match="non-finite"):
         EmbeddingSpace._own(["a"], np.array([[np.nan]]))
+
+
+def test_finiteness_check_holds_one_block(monkeypatch):
+    # 100 rows of 20000 values: a whole-matrix check made a bool copy of
+    # 2 MB; one 64 KiB block of rows (its bool copy 8 KiB) at a time now.
+    monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 64 << 10)
+    matrix = np.ones((100, 20000))
+    tokens = [f"w{i}" for i in range(100)]
+    space, peak = traced_peak(EmbeddingSpace._own, tokens, matrix)
+    assert space.matrix is matrix
+    assert peak < matrix.nbytes / 64

@@ -4,10 +4,13 @@ the in-process path, and leave nothing behind on failure.
 
 The CPU count is patched to 3, so the worker path runs on a one-CPU host
 too; ``--threads 1`` selects the in-process path."""
+import contextlib
 import logging
 import os
 import signal
 import time
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -128,6 +131,47 @@ def test_bad_line_in_second_text_source_keeps_its_line_number(sources, tmp_path,
     assert forks
     assert messages[0] == messages[1]
     assert "line 3: malformed number" in messages[1]
+
+
+def test_bad_last_text_source_leaves_nothing(sources, tmp_path, forks, capsys):
+    # The first two sources are aligned while the workers parse the last.
+    bad = tmp_path / "bad.vec"
+    bad.write_bytes(b"w00 1 2 3 4\nw01 1 2 3\n")
+    out = tmp_path / "m.vec"
+    argv = ["mvm", sources["a.vec"], sources["b.vec"], str(bad), "-o", str(out)]
+    assert main(argv) == 1
+    assert "line 2: expected 4 values, found 3" in capsys.readouterr().err
+    assert len(forks) == 3
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.tmp.*"))
+
+
+def test_loaded_sources_are_held_by_the_caller_alone(sources, forks):
+    paths = [sources["a.vec"], sources["c.bin"], sources["b.vec"]]
+    loaded = cli._load_sources(paths, types.SimpleNamespace(threads=None))
+    with contextlib.closing(loaded):
+        for space in loaded:
+            matrix = weakref.ref(space.matrix)
+            del space
+            assert matrix() is None
+    assert len(forks) == 2
+
+
+def test_failed_alignment_stops_the_workers(sources, tmp_path, forks):
+    # The second source's dim fails alignment while a worker still holds
+    # the third; the traceback in ``info`` still holds the loader's
+    # stream, so only an explicit close has reaped that worker by now.
+    wrong = tmp_path / "wrong.vec"
+    wrong.write_bytes(b"w00 1 2 3\nw01 1 2 4\n")
+    args = cli.build_parser().parse_args(
+        ["mvm", sources["a.vec"], str(wrong), sources["b.vec"], "-o", str(tmp_path / "m.vec")]
+    )
+    with pytest.raises(ValueError, match="share one dim") as info:
+        args.func(args, args.parser)
+    assert len(forks) == 3
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert info.traceback
 
 
 def test_whitespace_token_in_last_block_leaves_nothing(tmp_path, forks, capsys):
