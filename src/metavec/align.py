@@ -9,7 +9,7 @@ from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
-from metavec.embeddings import EmbeddingSpace, ParseError, _numbered_lines
+from metavec.embeddings import EmbeddingSpace, ParseError, _numbered_lines, _rows64
 from metavec.linalg import OrthogonalMap, apply_map, normalize_step0, solve_procrustes
 
 logger = logging.getLogger(__name__)
@@ -162,15 +162,18 @@ def _fit_one(
         )
     if not kept:
         raise ValueError("no usable dictionary pairs between source and target")
-    x = source.matrix[[source_index[s] for s, _ in kept]]
-    z = target.matrix[[target_index[t] for _, t in kept]]
+    targets = [target_index[t] for _, t in kept]
+    x = _rows64(source.matrix, [source_index[s] for s, _ in kept])
+    z = _rows64(target.matrix, targets)
     omap = solve_procrustes(x, z)
-    # The residual x·w − z is formed in place; the anchors go before the
-    # source is mapped.
+    # The residual x·w − z is formed in place, less a fresh gather of the
+    # target rows, so that no more than two anchor-sized arrays are held at
+    # once; the anchors go before the source is mapped.
+    del z
     x = x @ omap.matrix
-    x -= z
+    x -= _rows64(target.matrix, targets)
     residual = float(np.linalg.norm(x))
-    del x, z
+    del x
     info = AlignmentInfo(
         dictionary_size=len(kept), filtered_pairs=filtered, residual=residual
     )

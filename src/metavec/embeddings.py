@@ -16,7 +16,7 @@ logger = logging.getLogger(__name__)
 # Bytes of float64 matrix rows per block (``_block_rows``): the parsers'
 # growth step and finiteness-check span, the rows each output encodes at a
 # time, and the rows normalized, placed or averaged at a time; also the
-# bytes the binary parser reads at a time.
+# size of the binary parser's read buffer.
 _BLOCK_BYTES = 1 << 20
 
 __all__ = [
@@ -52,25 +52,43 @@ class ParseError(ValueError):
 class EmbeddingSpace:
     """An ordered vocabulary paired with a row-aligned matrix of word vectors.
 
-    Instances are immutable: the matrix is stored as a read-only float64
-    array and may be shared freely across threads.
+    Instances are immutable: the matrix is stored as a read-only array and
+    may be shared freely across threads. It is float64, or float32 holding
+    exactly the values read from a binary file (``parse_binary_embeddings``),
+    at half the bytes. Every computation reads it in float64, widened one
+    block or one gathered set of rows at a time (``_rows64``); the widening
+    is exact, so a binary file gives the bits its float64 copy gives.
+    ``vector`` returns float64.
     """
 
     def __init__(self, tokens: Iterable[str], matrix, meta: str | None = None):
         self._setup(tokens, np.array(matrix, dtype=np.float64), meta)
 
     @classmethod
-    def _own(cls, tokens: Iterable[str], matrix: np.ndarray, meta: str | None = None):
-        """Wrap a float64 array without copying it; the array becomes read-only.
+    def _own(
+        cls,
+        tokens: Iterable[str],
+        matrix: np.ndarray,
+        meta: str | None = None,
+        *,
+        checked: bool = False,
+    ):
+        """Wrap a float32 or float64 array without copying it; the array
+        becomes read-only. Other dtypes are converted to float64.
 
         For arrays the library has just made and holds nowhere else, or for
-        another space's (already read-only) matrix.
+        another space's (already read-only) matrix. ``checked`` says that
+        the caller found every value finite already, as the parsers do.
         """
+        if matrix.dtype != np.float32:
+            matrix = np.asarray(matrix, dtype=np.float64)
         space = cls.__new__(cls)
-        space._setup(tokens, np.asarray(matrix, dtype=np.float64), meta)
+        space._setup(tokens, matrix, meta, checked)
         return space
 
-    def _setup(self, tokens: Iterable[str], matrix: np.ndarray, meta: str | None) -> None:
+    def _setup(
+        self, tokens: Iterable[str], matrix: np.ndarray, meta: str | None, checked: bool = False
+    ) -> None:
         tokens = tuple(tokens)
         if matrix.ndim != 2:
             raise ValueError(f"matrix must be 2-dimensional, got shape {matrix.shape}")
@@ -82,11 +100,12 @@ class EmbeddingSpace:
             raise ValueError("vector dimensionality must be at least 1")
         if len(set(tokens)) != len(tokens):
             raise ValueError("tokens must be unique")
-        # One block at a time, so the check's bool temporary stays small.
-        step = _block_rows(matrix.shape[1])
-        for start in range(0, len(matrix), step):
-            if not np.isfinite(matrix[start : start + step]).all():
-                raise ValueError("matrix contains non-finite values")
+        if not checked:
+            # One block at a time, so the check's bool temporary stays small.
+            step = _block_rows(matrix.shape[1])
+            for start in range(0, len(matrix), step):
+                if not np.isfinite(matrix[start : start + step]).all():
+                    raise ValueError("matrix contains non-finite values")
         matrix.setflags(write=False)
         self.tokens = tokens
         self.matrix = matrix
@@ -111,8 +130,8 @@ class EmbeddingSpace:
         return token in self.index
 
     def vector(self, token: str) -> np.ndarray:
-        """Return the (read-only) vector for ``token``."""
-        return self.matrix[self.index[token]]
+        """Return a float64 copy of the vector for ``token``."""
+        return _rows64(self.matrix, self.index[token])
 
     def __repr__(self) -> str:
         label = f" meta={self.meta!r}" if self.meta is not None else ""
@@ -127,6 +146,20 @@ def _block_rows(values_per_row: int) -> int:
     """Rows per block: as many rows of ``values_per_row`` float64 values as
     fit in ``_BLOCK_BYTES``, and at least one."""
     return max(1, _BLOCK_BYTES // (8 * max(1, values_per_row)))
+
+
+def _rows64(matrix: np.ndarray, rows=slice(None), *, copy: bool = True) -> np.ndarray:
+    """``matrix[rows]`` in float64: a block (a slice), a gather (an index
+    array) or one row. Every computation reads a space's matrix through
+    here, so that a float32 matrix is widened, exactly, only as far as one
+    read goes, and float32 arithmetic never happens.
+
+    The result is a new array the caller may write, except with
+    ``copy=False``, where a block of a float64 matrix is the matrix's own
+    (read-only) view. A gather is never copied twice.
+    """
+    picked = matrix[rows]
+    return picked.astype(np.float64, copy=copy and not picked.flags.owndata)
 
 
 def _filled(tokens: Sequence[str], dim: int, fill: _Fill, meta: str | None) -> EmbeddingSpace:
@@ -215,8 +248,8 @@ def _parse_header_fields(fields: Sequence[str]) -> tuple[int, int] | None:
 
 
 class _Rows:
-    """A float64 matrix filled one row at a time and checked for finiteness
-    one block of rows at a time.
+    """A matrix of ``dtype`` filled one row at a time and checked for
+    finiteness one block of rows at a time.
 
     The matrix grows in place by half (at least a block) when full, and
     ``finish`` cuts it in place to the rows appended. Each row carries a
@@ -224,8 +257,14 @@ class _Rows:
     the first non-finite row into the exception to raise.
     """
 
-    def __init__(self, dim: int, capacity: int, error: Callable[[object], ParseError]):
-        self.matrix = np.empty((capacity, dim))
+    def __init__(
+        self,
+        dim: int,
+        capacity: int,
+        error: Callable[[object], ParseError],
+        dtype: type = np.float64,
+    ):
+        self.matrix = np.empty((capacity, dim), dtype=dtype)
         self.count = 0
         self.checked = 0
         self.marks: list = []
@@ -426,36 +465,7 @@ def parse_text_embeddings(
             "header announces %d words but %d data lines were read",
             header[0], len(tokens) + duplicates,
         )
-    return EmbeddingSpace._own(tokens, matrix, meta=meta)
-
-
-def _read_more(
-    stream: BinaryIO, data: bytes, base: int, keep: int
-) -> tuple[bytes, int] | None:
-    """``data``, the stream's bytes from offset ``base`` on, cut to start
-    at offset ``keep`` and followed by the next block, with its new base;
-    None at the end of the stream. A block is at least as long as the
-    bytes held, so a long token or vector is read in linear time."""
-    chunk = stream.read(max(_BLOCK_BYTES, len(data)))
-    if not chunk:
-        return None
-    return data[keep - base :] + chunk, keep
-
-
-def _past_newlines(
-    stream: BinaryIO, data: bytes, base: int, pos: int
-) -> tuple[bytes, int, int]:
-    """Skip the newline bytes from offset ``pos`` on, reading blocks as
-    needed: the bytes held, their base, and the offset of the first byte
-    that is not a newline (the end of the stream if none is)."""
-    while True:
-        i = pos - base
-        while i < len(data) and data[i] == 0x0A:
-            i += 1
-        pos = base + i
-        if i < len(data) or (more := _read_more(stream, data, base, pos)) is None:
-            return data, base, pos
-        data, base = more
+    return EmbeddingSpace._own(tokens, matrix, meta=meta, checked=True)
 
 
 def _bytes_left(stream: BinaryIO) -> int:
@@ -472,6 +482,56 @@ def _bytes_left(stream: BinaryIO) -> int:
     return max(0, end - here)
 
 
+class _Held:
+    """A binary stream's bytes from offset ``base`` on: ``data[:size]``,
+    read into one reused buffer with ``readinto``."""
+
+    def __init__(self, stream: BinaryIO):
+        self.stream = stream
+        self.data = bytearray()
+        self.base = 0
+        self.size = 0
+        # A stream that can tell its length never gets a longer buffer,
+        # save one byte to see its end: a short file is not given a block.
+        left = _bytes_left(stream)
+        self.most = left + 1 if left else None
+
+    def more(self, keep: int) -> bool:
+        """Drop the bytes before offset ``keep``, move the rest to the
+        front and read the next block after it; False at the end of the
+        stream. The buffer is a block, and twice the bytes kept once they
+        pass half of it, so every read adds at least half a block or as
+        many bytes as are kept, and a long token or vector is read in
+        linear time."""
+        start = keep - self.base
+        rest = self.size - start
+        size = max(len(self.data), _BLOCK_BYTES, 2 * rest)
+        if self.most is not None:
+            size = max(rest + 1, min(size, self.most))
+        data = self.data if len(self.data) >= size else bytearray(size)
+        memoryview(data)[:rest] = memoryview(self.data)[start : self.size]
+        read = self.stream.readinto(memoryview(data)[rest:]) or 0
+        self.data, self.base, self.size = data, keep, rest + read
+        return read > 0
+
+    def find(self, byte: bytes, pos: int) -> int:
+        """The offset of the first ``byte`` held from offset ``pos`` on, or -1."""
+        i = self.data.find(byte, pos - self.base, self.size)
+        return i if i < 0 else self.base + i
+
+    def past_newlines(self, pos: int) -> int:
+        """The offset of the first byte from offset ``pos`` on that is not
+        a newline, reading blocks as needed (the end of the stream if none
+        is)."""
+        while True:
+            i = pos - self.base
+            while i < self.size and self.data[i] == 0x0A:
+                i += 1
+            pos = self.base + i
+            if i < self.size or not self.more(pos):
+                return pos
+
+
 def parse_binary_embeddings(
     source: bytes | BinaryIO,
     *,
@@ -485,20 +545,21 @@ def parse_binary_embeddings(
 
     Newline bytes before a token are tolerated for compatibility with files
     written by the original C tooling; canonical files contain none. The
-    stream is read one block at a time, and error offsets count from where
-    it was read. The matrix is allocated once, for no more words than the
-    bytes after the header can hold (each takes at least ``4 * dim + 1``),
-    when the stream can tell its length; otherwise it grows as words arrive.
+    stream is read into one reused buffer, a block at a time, and error
+    offsets count from where it was read. Each vector is copied from the
+    buffer into a float32 matrix, which keeps the file's values exactly at
+    half the bytes of float64 (see ``EmbeddingSpace``). The matrix is
+    allocated once, for no more words than the bytes after the header can
+    hold (each takes at least ``4 * dim + 1``), when the stream can tell
+    its length; otherwise it grows as words arrive.
     """
     _check_parse_options(on_duplicate, max_vocab)
-    stream = _binary_stream(source)
-    # ``data`` holds the stream's bytes from offset ``base`` on.
-    data, base = b"", 0
-    while (nl := data.find(b"\n")) < 0 and (more := _read_more(stream, data, base, 0)):
-        data, base = more
+    held = _Held(_binary_stream(source))
+    while (nl := held.find(b"\n", 0)) < 0 and held.more(0):
+        pass
     if nl < 0:
         raise ParseError("missing 'vocab dim' header line", offset=0)
-    header = _parse_header_fields(data[:nl].decode("ascii", errors="replace").split())
+    header = _parse_header_fields(held.data[:nl].decode("ascii", errors="replace").split())
     if header is None:
         raise ParseError("malformed 'vocab dim' header line", offset=0)
     vocab_size, dim = header
@@ -510,14 +571,15 @@ def parse_binary_embeddings(
     # Every word takes at least 4 * dim + 1 bytes, so a header announcing
     # more words than the stream can hold gets only what it can hold, then
     # fails below at the offset where the stream runs out.
-    capacity = min(vocab_size, (len(data) - nl - 1 + _bytes_left(stream)) // (vector_bytes + 1))
+    left = held.size - nl - 1 + _bytes_left(held.stream)
+    capacity = min(vocab_size, left // (vector_bytes + 1))
     if max_vocab is not None:
         capacity = min(capacity, max_vocab)
 
     def non_finite(mark: tuple[str, int]) -> ParseError:
         return ParseError(f"non-finite value for token {mark[0]!r}", offset=mark[1])
 
-    rows = _Rows(dim, capacity, non_finite)
+    rows = _Rows(dim, capacity, non_finite, np.float32)
     tokens: list[str] = []
     seen: set[str] = set()
     duplicates = 0
@@ -526,27 +588,25 @@ def parse_binary_embeddings(
         for _ in range(vocab_size):
             if max_vocab is not None and len(tokens) >= max_vocab:
                 break
-            if pos - base == len(data) or data[pos - base] == 0x0A:
-                data, base, pos = _past_newlines(stream, data, base, pos)
+            if pos - held.base == held.size or held.data[pos - held.base] == 0x0A:
+                pos = held.past_newlines(pos)
             # A word is read once the bytes held cover it, or the stream ends.
-            sp = data.find(b" ", pos - base)
-            while (sp < 0 or sp + 1 + vector_bytes > len(data)) and (
-                more := _read_more(stream, data, base, pos)
-            ):
-                data, base = more
-                sp = data.find(b" ")
+            sp = held.find(b" ", pos)
+            while (sp < 0 or sp + 1 + vector_bytes > held.base + held.size) and held.more(pos):
+                sp = held.find(b" ", pos)
             if sp < 0:
                 raise ParseError("truncated stream while reading a token", offset=pos)
             try:
-                token = data[pos - base : sp].decode("utf-8")
+                token = held.data[pos - held.base : sp - held.base].decode("utf-8")
             except UnicodeDecodeError:
                 raise ParseError("token is not valid UTF-8", offset=pos) from None
-            start = base + sp + 1
-            if sp + 1 + vector_bytes > len(data):
+            start = sp + 1
+            if start + vector_bytes > held.base + held.size:
                 raise ParseError(
                     f"truncated stream while reading the vector for {token!r}", offset=start
                 )
-            vector = np.frombuffer(data, dtype="<f4", count=dim, offset=sp + 1)
+            # A view of the buffer, copied into the matrix before the next read.
+            vector = np.frombuffer(held.data, dtype="<f4", count=dim, offset=start - held.base)
             pos = start + vector_bytes
             if token in seen:
                 rows.check(vector, (token, start))
@@ -566,16 +626,16 @@ def parse_binary_embeddings(
     if duplicates:
         logger.warning("dropped %d duplicate token(s), kept first occurrence", duplicates)
     if max_vocab is None or len(tokens) < max_vocab:
-        data, base, pos = _past_newlines(stream, data, base, pos)
-        if pos - base < len(data):
-            remaining = len(data) - (pos - base)
-            while chunk := stream.read(_BLOCK_BYTES):
-                remaining += len(chunk)
+        pos = held.past_newlines(pos)
+        if pos - held.base < held.size:
+            remaining = held.size - (pos - held.base)
+            while read := held.stream.readinto(held.data):
+                remaining += read
             raise ParseError(
                 f"header announces {vocab_size} words but {remaining} bytes remain",
                 offset=pos,
             )
-    return EmbeddingSpace._own(tokens, matrix, meta=meta)
+    return EmbeddingSpace._own(tokens, matrix, meta=meta, checked=True)
 
 
 def _check_writable_token(token: str) -> None:
@@ -648,7 +708,8 @@ def _chunks(
     """The ``format`` file of ``tokens`` and their rows: the header, then
     one chunk per block of rows.
 
-    ``rows`` is a space's matrix, whose blocks are read as views, or a
+    ``rows`` is a space's matrix, whose blocks are read in float64
+    (``_rows64``; views of a float64 matrix), or a
     ``fill(out, start, stop)`` that writes each block into a new buffer,
     checked for finiteness as a space's matrix is. The blocks are equal,
     of at most ``_block_rows(dim)`` rows, and as many as a multiple of
@@ -666,7 +727,9 @@ def _chunks(
     def encode(i: int) -> bytes:
         start, stop = bounds[i], bounds[i + 1]
         if isinstance(rows, np.ndarray):
-            block = rows[start:stop]
+            # A float32 block is widened first: orjson and the positional
+            # formatter would write the float32 value's shortest digits.
+            block = _rows64(rows, slice(start, stop), copy=False)
         else:
             block = np.empty((stop - start, dim))
             rows(block, start, stop)

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from metavec.embeddings import EmbeddingSpace, _block_rows
+from metavec.embeddings import EmbeddingSpace, _block_rows, _rows64
 
 logger = logging.getLogger(__name__)
 
@@ -112,24 +112,28 @@ class ReductionMap:
 def _row_norms(matrix: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """Each row's Euclidean norm (of ``matrix[rows]``, when ``rows`` is
     given), with the bits ``np.linalg.norm(matrix, axis=1)`` gives, taken
-    one block of rows at a time, so that neither the square of the whole
-    matrix nor a gathered copy of its rows is made."""
+    one block of rows at a time (in float64), so that neither the square of
+    the whole matrix nor a gathered copy of its rows is made."""
     norms = np.empty(len(matrix) if rows is None else len(rows))
     step = _block_rows(matrix.shape[1])
     for start in range(0, len(norms), step):
         block = slice(start, start + step)
-        norms[block] = np.linalg.norm(matrix[block if rows is None else rows[block]], axis=1)
+        picked = _rows64(matrix, block if rows is None else rows[block], copy=False)
+        norms[block] = np.linalg.norm(picked, axis=1)
     return norms
 
 
 def _unit_rows(matrix: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    # Zero rows stay zero rather than dividing by zero. ``out=matrix``
-    # scales in place, with the same bits. Every row is scaled alone, so a
+    # Zero rows stay zero rather than dividing by zero. Without ``out`` the
+    # rows are scaled in a float64 copy; ``out=matrix`` scales a float64
+    # matrix in place, with the same bits. Every row is scaled alone, so a
     # run of rows scales to the bits it has in the whole matrix.
+    if out is None:
+        matrix = out = _rows64(matrix)
     norms = _row_norms(matrix)
     zero = norms == 0.0
-    scaled = np.divide(matrix, np.where(zero, 1.0, norms)[:, np.newaxis], out=out)
-    return scaled, int(zero.sum())
+    np.divide(matrix, np.where(zero, 1.0, norms)[:, np.newaxis], out=out)
+    return out, int(zero.sum())
 
 
 def l2_normalize_rows(space: EmbeddingSpace) -> EmbeddingSpace:
@@ -144,7 +148,8 @@ def mean_center_columns(space: EmbeddingSpace) -> EmbeddingSpace:
     """Subtract the per-column mean so every column sums to zero."""
     if len(space) == 0:
         return space
-    centered = space.matrix - space.matrix.mean(axis=0)
+    centered = _rows64(space.matrix)
+    centered -= centered.mean(axis=0)
     return EmbeddingSpace._own(space.tokens, centered, meta=space.meta)
 
 
@@ -192,7 +197,10 @@ def apply_map(space: EmbeddingSpace, omap: OrthogonalMap) -> EmbeddingSpace:
     """Rotate a space into the map's output coordinates (rows become r·w)."""
     if omap.dim != space.dim:
         raise ValueError(f"map dim {omap.dim} does not match space dim {space.dim}")
-    return EmbeddingSpace._own(space.tokens, space.matrix @ omap.matrix, meta=space.meta)
+    # One product over the whole matrix: the bits of a row depend on the
+    # shape BLAS is given. A float64 matrix is read as it is.
+    mapped = _rows64(space.matrix, copy=False) @ omap.matrix
+    return EmbeddingSpace._own(space.tokens, mapped, meta=space.meta)
 
 
 def _orient_columns(basis: np.ndarray) -> np.ndarray:
@@ -213,9 +221,9 @@ def fit_reduction(space: EmbeddingSpace, k: int, post_remove: int = 0) -> Reduct
         raise ValueError("cannot fit a reduction on an empty space")
     if not 1 <= k <= space.dim:
         raise ValueError(f"k must be in 1..{space.dim}, got {k}")
-    matrix = space.matrix
-    mean = matrix.mean(axis=0)
-    centered = matrix - mean
+    centered = _rows64(space.matrix)
+    mean = centered.mean(axis=0)
+    centered -= mean
     full = k > min(centered.shape)
     _, _, vt = np.linalg.svd(centered, full_matrices=full)
     basis = _orient_columns(vt[:k].T)
@@ -232,7 +240,10 @@ def apply_reduction(space: EmbeddingSpace, rmap: ReductionMap) -> EmbeddingSpace
         raise ValueError(
             f"reduction expects dim {rmap.input_dim}, space has dim {space.dim}"
         )
-    reduced = (space.matrix - rmap.mean) @ rmap.basis
+    centered = _rows64(space.matrix)
+    centered -= rmap.mean
+    reduced = centered @ rmap.basis
+    del centered
     if rmap.post_remove and len(space):
         centered = reduced - reduced.mean(axis=0)
         _, _, vt = np.linalg.svd(centered, full_matrices=False)

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from metavec.embeddings import EmbeddingSpace, _block_rows, _Fill, _filled
+from metavec.embeddings import EmbeddingSpace, _block_rows, _Fill, _filled, _rows64
 from metavec.linalg import _row_norms
 
 DEFAULT_K = 10
@@ -76,21 +76,6 @@ class SynthesisReport:
     skipped: tuple[str, ...] = ()
 
 
-def _unit_rows_of(matrix: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``matrix[rows]`` that have a direction, scaled to unit
-    length, and their positions in ``rows``.
-
-    The rows are gathered once and scaled in place; they are compressed
-    only when some row has no direction."""
-    picked = matrix[rows]
-    norms = _row_norms(picked)
-    defined = np.flatnonzero(norms > 0.0)
-    if len(defined) < len(picked):
-        picked, norms = picked[defined], norms[defined]
-    np.divide(picked, norms[:, np.newaxis], out=picked)
-    return picked, defined
-
-
 def _kth_bound(scores: np.ndarray, k: int) -> np.ndarray:
     """A lower bound on each row's k-th best score, as a column.
 
@@ -110,8 +95,32 @@ def _kth_bound(scores: np.ndarray, k: int) -> np.ndarray:
     return np.partition(scores, n - k, axis=1)[:, n - k, np.newaxis]
 
 
+class _Workspace:
+    """The work arrays that a run of ``_rank`` calls shares. Each is
+    allocated once, at the largest size asked for so far, not once per
+    call: a call's largest arrays then never have to fit into whatever
+    free memory the calls before it left, which moved peak memory by a
+    whole array from one input to the next."""
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, rows: int, columns: int) -> np.ndarray:
+        """A float64 ``rows`` × ``columns`` array of undefined values: a view
+        of the one kept under ``name``."""
+        size = rows * columns
+        if name not in self._arrays or len(self._arrays[name]) < size:
+            self._arrays.pop(name, None)  # freed before the larger one is made
+            self._arrays[name] = np.empty(size)
+        return self._arrays[name][:size].reshape(rows, columns)
+
+
 def _rank(
-    matrix: np.ndarray, query_rows: np.ndarray, candidate_rows: np.ndarray, k: int
+    matrix: np.ndarray,
+    query_rows: np.ndarray,
+    candidate_rows: np.ndarray,
+    k: int,
+    work: _Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank candidate rows of ``matrix`` by cosine against each query row.
 
@@ -122,23 +131,51 @@ def _rank(
     break by candidate position, so candidates sorted by token break them
     by token.
 
-    The query norms are taken first, one block at a time, to find
-    ``live``; each block of queries is gathered and scaled to unit length
-    only when it is scored. Scores are computed one tile of queries ×
-    candidates at a time, each within ``_BLOCK_BYTES``. While a block of
-    ``_MIN_QUERIES`` queries (or of all of them, if fewer) can score every
-    candidate at once, there is one tile per query block, as large as the
-    budget allows for its scores and its query rows alike; beyond that,
-    blocks of ``_MIN_QUERIES`` queries meet candidate tiles sized to the
-    budget. Each query keeps a running list of its best min(k, n)
-    candidates. In a tile, only scores that reach both the tile's bound on
-    the row's k-th best (``_kth_bound``) and the running list's last score
-    can enter it, so a tie across the k-th place stays whole; those and the
-    running list are ordered by ``np.lexsort`` on (row, -score, candidate
-    position) and each row is cut back to min(k, n).
+    The norms of the candidates and of the queries are taken first, one
+    block at a time (in float64, like every read of ``matrix``), so rows
+    without a direction are never gathered; the candidates that have one
+    are gathered once and scaled to unit length, and each block of queries
+    only when it is scored. The candidates' unit rows and every tile's
+    scores are held in ``work``'s arrays (a new workspace when none is
+    given). Scores are computed one tile of queries × candidates at a
+    time, each within ``_BLOCK_BYTES``. While a block of ``_MIN_QUERIES``
+    queries (or of all of them, if fewer) can score every candidate at
+    once, there is one tile per query block, as large as the budget allows
+    for its scores and its query rows alike; beyond that, blocks of
+    ``_MIN_QUERIES`` queries meet candidate tiles sized to the budget.
+    Each query keeps a running list of its best min(k, n) candidates. In a
+    tile, only scores that reach both the tile's bound on the row's k-th
+    best (``_kth_bound``) and the running list's last score can enter it,
+    so a tie across the k-th place stays whole; those and the running list
+    are ordered by ``np.lexsort`` on (row, -score, candidate position) and
+    each row is cut back to min(k, n).
     """
-    unit_candidates, defined = _unit_rows_of(matrix, candidate_rows)
+    candidate_norms = _row_norms(matrix, candidate_rows)
+    defined = np.flatnonzero(candidate_norms > 0.0)
     n = len(defined)
+    query_norms = _row_norms(matrix, query_rows)
+    live = np.flatnonzero(query_norms > 0.0)
+    width = min(k, n)
+    best = np.empty((len(live), width))
+    positions = np.empty((len(live), width), dtype=np.intp)
+    if not width:
+        return live, best, positions
+    step = _BLOCK_BYTES // (8 * max(n, matrix.shape[1]))
+    tile = n
+    if step < min(len(live), _MIN_QUERIES):
+        step = min(len(live), _MIN_QUERIES)
+        tile = max(1, _BLOCK_BYTES // (8 * step))
+    step = max(1, step)
+    work = work or _Workspace()
+    chosen = candidate_rows[defined]
+    buffer = work.array("scores", min(len(live), step), min(n, tile)).ravel()
+    unit_candidates = work.array("candidates", n, matrix.shape[1])
+    # Gathered one block at a time, so a float32 matrix is never gathered
+    # whole before it is widened.
+    gather = _block_rows(matrix.shape[1])
+    for lo in range(0, n, gather):
+        unit_candidates[lo : lo + gather] = _rows64(matrix, chosen[lo : lo + gather])
+    np.divide(unit_candidates, candidate_norms[defined, np.newaxis], out=unit_candidates)
     # Equal directions tie exactly, but BLAS may round one row differently
     # in different columns: each distinct direction is scored at its first
     # occurrence only, and its repeats take that score when a tile's kept
@@ -159,29 +196,17 @@ def _rank(
     twins = repeats[np.argsort(firsts, kind="stable")]
     twin_counts = np.bincount(firsts, minlength=n)
     twin_start = np.cumsum(twin_counts) - twin_counts
-
-    query_norms = _row_norms(matrix, query_rows)
-    live = np.flatnonzero(query_norms > 0.0)
-    width = min(k, n)
-    best = np.empty((len(live), width))
-    positions = np.empty((len(live), width), dtype=np.intp)
-    if not width:
-        return live, best, positions
-    step = _BLOCK_BYTES // (8 * max(n, matrix.shape[1]))
-    tile = n
-    if step < min(len(live), _MIN_QUERIES):
-        step = min(len(live), _MIN_QUERIES)
-        tile = max(1, _BLOCK_BYTES // (8 * step))
-    step = max(1, step)
     for start in range(0, len(live), step):
         queries = live[start : start + step]
-        block = matrix[query_rows[queries]]
+        block = _rows64(matrix, query_rows[queries])
         np.divide(block, query_norms[queries, np.newaxis], out=block)
         # Empty places score -inf at position n, behind every candidate.
         top_scores = np.full((len(block), width), -np.inf)
         top = np.full((len(block), width), n, dtype=np.intp)
         for lo in range(0, n, tile):
-            scores = block @ unit_candidates[lo : lo + tile].T
+            candidates = unit_candidates[lo : lo + tile]
+            scores = buffer[: len(block) * len(candidates)].reshape(len(block), -1)
+            np.matmul(block, candidates.T, out=scores)
             scores[:, repeats[(repeats >= lo) & (repeats < lo + tile)] - lo] = -np.inf
             # Masked repeats never pass the floor, whatever the bounds.
             floor = np.maximum(_kth_bound(scores, k), top_scores[:, -1:])
@@ -206,6 +231,7 @@ def _rank(
             top_scores, top = values[taken], cols[taken]
         best[start : start + step] = top_scores
         positions[start : start + step] = defined[top]
+        del block  # before the next one is gathered
     return live, best, positions
 
 
@@ -255,8 +281,7 @@ def synthesize_word(
     if not shared:
         raise ValueError("the spaces share no tokens to draw neighbors from")
     ranked = nearest_neighbors(e1, w, k, restrict_to=shared)
-    rows = e2.matrix[[e2_index[t] for t in ranked.tokens]]
-    return rows.mean(axis=0)
+    return _rows64(e2.matrix, [e2_index[t] for t in ranked.tokens]).mean(axis=0)
 
 
 def _union_positions(spaces: Sequence[EmbeddingSpace]) -> tuple[list[str], np.ndarray]:
@@ -302,6 +327,7 @@ def _plan_synthesis(
     # Per missing word a plan keeps the best cosine, its neighbors' rows in
     # the deficient space and how many there are.
     plans: list[_Plan] = []
+    work = _Workspace()
     for i, space in enumerate(spaces):
         missing = np.flatnonzero(table[i] < 0)
         best = np.empty(len(missing))
@@ -313,7 +339,9 @@ def _plan_synthesis(
             if not len(words):
                 continue
             shared = by_token[(table[i, by_token] >= 0) & (table[j, by_token] >= 0)]
-            live, scores, top = _rank(donor.matrix, table[j, missing[words]], table[j, shared], k)
+            live, scores, top = _rank(
+                donor.matrix, table[j, missing[words]], table[j, shared], k, work
+            )
             if not top.shape[1]:
                 continue
             words = words[live]
@@ -361,7 +389,7 @@ def _place(out: np.ndarray, at: np.ndarray, matrix: np.ndarray, plan: _Plan | No
     step = _block_rows(matrix.shape[1])
     for start in range(0, len(own), step):
         block = own[start : start + step]
-        out[block] = matrix[at[block]]
+        out[block] = _rows64(matrix, at[block])
     drawn = np.flatnonzero(at >= len(matrix))
     if not len(drawn):
         return
@@ -376,7 +404,7 @@ def _place(out: np.ndarray, at: np.ndarray, matrix: np.ndarray, plan: _Plan | No
         step = _block_rows(count * matrix.shape[1])
         for start in range(0, len(group), step):
             block = group[start : start + step]
-            out[drawn[block]] = matrix[neighbors[words[block], :count]].mean(axis=1)
+            out[drawn[block]] = _rows64(matrix, neighbors[words[block], :count]).mean(axis=1)
 
 
 def _placer(space: EmbeddingSpace, at: np.ndarray, plan: _Plan | None) -> _Fill:

@@ -179,7 +179,8 @@ def write_text_embeddings(space: EmbeddingSpace, precision: int = 17) -> bytes:
 
 
 # The binary parser as it was before it read its input one block at a
-# time: the whole stream is read first, then parsed.
+# time: the whole stream is read first, then parsed. Each vector is checked
+# for finiteness as it is read and kept as float32, the file's values.
 def parse_binary_whole(
     source: bytes | BinaryIO,
     *,
@@ -202,51 +203,41 @@ def parse_binary_whole(
         raise ParseError(problem, offset=0)
 
     vector_bytes = 4 * dim
-    capacity = min(vocab_size, (len(data) - nl - 1) // (vector_bytes + 1))
-    if max_vocab is not None:
-        capacity = min(capacity, max_vocab)
-
-    def non_finite(mark: tuple[str, int]) -> ParseError:
-        return ParseError(f"non-finite value for token {mark[0]!r}", offset=mark[1])
-
-    rows = _Rows(dim, capacity, non_finite)
+    vectors: list[np.ndarray] = []
     tokens: list[str] = []
     seen: set[str] = set()
     duplicates = 0
     pos = nl + 1
-    try:
-        for _ in range(vocab_size):
-            if max_vocab is not None and len(tokens) >= max_vocab:
-                break
-            while pos < len(data) and data[pos] == 0x0A:
-                pos += 1
-            sp = data.find(b" ", pos)
-            if sp < 0:
-                raise ParseError("truncated stream while reading a token", offset=pos)
-            try:
-                token = data[pos:sp].decode("utf-8")
-            except UnicodeDecodeError:
-                raise ParseError("token is not valid UTF-8", offset=pos) from None
-            start = sp + 1
-            if start + vector_bytes > len(data):
-                raise ParseError(
-                    f"truncated stream while reading the vector for {token!r}", offset=start
-                )
-            vector = np.frombuffer(data, dtype="<f4", count=dim, offset=start)
-            pos = start + vector_bytes
-            if token in seen:
-                rows.check(vector, (token, start))
-                if on_duplicate == "error":
-                    raise ParseError(f"duplicate token {token!r}", offset=sp + 1)
-                duplicates += 1
-                continue
-            seen.add(token)
-            tokens.append(token)
-            rows.append(vector, (token, start))
-    except ParseError:
-        rows.check()
-        raise
-    matrix = rows.finish()
+    for _ in range(vocab_size):
+        if max_vocab is not None and len(tokens) >= max_vocab:
+            break
+        while pos < len(data) and data[pos] == 0x0A:
+            pos += 1
+        sp = data.find(b" ", pos)
+        if sp < 0:
+            raise ParseError("truncated stream while reading a token", offset=pos)
+        try:
+            token = data[pos:sp].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError("token is not valid UTF-8", offset=pos) from None
+        start = sp + 1
+        if start + vector_bytes > len(data):
+            raise ParseError(
+                f"truncated stream while reading the vector for {token!r}", offset=start
+            )
+        vector = np.frombuffer(data, dtype="<f4", count=dim, offset=start)
+        if not np.isfinite(vector).all():
+            raise ParseError(f"non-finite value for token {token!r}", offset=start)
+        pos = start + vector_bytes
+        if token in seen:
+            if on_duplicate == "error":
+                raise ParseError(f"duplicate token {token!r}", offset=sp + 1)
+            duplicates += 1
+            continue
+        seen.add(token)
+        tokens.append(token)
+        vectors.append(vector)
+    matrix = np.array(vectors, dtype=np.float32).reshape(len(vectors), dim)
 
     if duplicates:
         logger.warning("dropped %d duplicate token(s), kept first occurrence", duplicates)

@@ -260,9 +260,13 @@ class TestBinaryFormat:
         space = space_with_awkward_values()
         parsed = parse_binary_embeddings(write_binary_embeddings(space))
         assert parsed.tokens == space.tokens
+        # The matrix keeps the file's float32 values; vectors are float64.
+        assert parsed.matrix.dtype == np.float32
+        assert parsed.matrix.tobytes() == space.matrix.astype("<f4").tobytes()
         expected = space.matrix.astype(np.float32).astype(np.float64)
-        assert np.array_equal(parsed.matrix, expected)
-        assert parsed.matrix.dtype == np.float64
+        for token, row in zip(space.tokens, expected):
+            assert parsed.vector(token).dtype == np.float64
+            assert parsed.vector(token).tobytes() == row.tobytes()
 
     def test_layout_is_exactly_header_token_floats(self):
         space = EmbeddingSpace(["ab"], [[1.0, -2.0]])

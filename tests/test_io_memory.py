@@ -17,6 +17,10 @@ from metavec.embeddings import (
 from conftest import traced_peak
 
 ROWS, DIM = 2000, 100
+# What a binary parse holds besides its matrix and its read buffer: the
+# tokens, the set of tokens seen and the marks of one block of rows (about
+# 0.45 MB here). A float64 matrix would add 0.8 MB over the float32 one.
+BINARY_EXTRA = 600_000
 
 
 @pytest.fixture(scope="module")
@@ -36,13 +40,15 @@ def test_text_parse_peak_is_bounded(space, tmp_path):
 
 
 def test_binary_load_reads_the_file_in_blocks(space, tmp_path, monkeypatch):
-    # Reading the whole 0.8 MB file first took 1.8 times the matrix.
+    # Reading the whole 0.8 MB file first took 2.9 MB with a float64
+    # matrix; now a 0.8 MB float32 matrix and one 64 KiB buffer.
     monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 64 << 10)
     path = tmp_path / "e.bin"
     path.write_bytes(write_binary_embeddings(space))
     parsed, peak = traced_peak(load_embeddings, path)
-    assert parsed.matrix.tobytes() == space.matrix.astype("<f4").astype(float).tobytes()
-    assert peak <= 1.4 * parsed.matrix.nbytes
+    assert parsed.matrix.dtype == np.float32
+    assert parsed.matrix.tobytes() == space.matrix.astype("<f4").tobytes()
+    assert peak <= ROWS * DIM * 4 + (64 << 10) + BINARY_EXTRA
 
 
 def test_text_parse_ignores_header_count_when_sizing(space, caplog):
@@ -55,11 +61,13 @@ def test_text_parse_ignores_header_count_when_sizing(space, caplog):
 
 
 def test_binary_parse_peak_is_bounded(space):
-    # The input bytes are allocated before tracing starts.
+    # The input bytes are allocated before tracing starts. The read buffer
+    # is one block, or the whole input when it is shorter (0.8 MB here).
     payload = write_binary_embeddings(space)
     parsed, peak = traced_peak(parse_binary_embeddings, payload)
     assert len(parsed) == ROWS
-    assert peak <= 1.5 * parsed.matrix.nbytes
+    assert parsed.matrix.dtype == np.float32
+    assert peak <= ROWS * DIM * 4 + min(len(payload) + 1, 1 << 20) + BINARY_EXTRA
 
 
 @pytest.mark.parametrize(

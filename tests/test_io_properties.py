@@ -159,7 +159,11 @@ def test_binary_round_trip_is_exact(data, matrix, block_bytes):
     with patch.object(embeddings, "_BLOCK_BYTES", block_bytes):
         parsed = parse_binary_embeddings(write_binary_embeddings(space))
     assert parsed.tokens == space.tokens
-    assert parsed.matrix.tobytes() == space.matrix.tobytes()
+    # The file's float32 values, kept as float32: every value is one of
+    # ``single``, so widening them gives the float64 matrix bit for bit.
+    assert parsed.matrix.dtype == np.float32
+    assert parsed.matrix.shape == matrix.shape
+    assert parsed.matrix.astype(np.float64).tobytes() == space.matrix.tobytes()
 
 
 def test_non_finite_row_is_reported_before_a_later_error():
@@ -262,7 +266,8 @@ def outcome(parse, payload, logger, **options):
             except Exception as exc:
                 result = (type(exc), str(exc), getattr(exc, "line", None))
             else:
-                result = (space.tokens, space.matrix.shape, space.matrix.tobytes())
+                matrix = space.matrix
+                result = (space.tokens, matrix.shape, matrix.dtype, matrix.tobytes())
     finally:
         logging.getLogger(logger).removeHandler(records)
     return result, records.messages, [str(w.message) for w in issued]
@@ -341,7 +346,9 @@ class ShortReads(io.RawIOBase):
 )
 def test_binary_parser_matches_whole_read_oracle(payload, max_vocab, on_duplicate):
     # Blocks of one byte on up split tokens, vectors and runs of newlines
-    # at every place; an unseekable stream cannot tell its length.
+    # at every place; an unseekable stream cannot tell its length. Both
+    # parsers keep the file's float32 values, and ``outcome`` compares
+    # the dtype and the bytes.
     options = dict(on_duplicate=on_duplicate, max_vocab=max_vocab)
     expected = outcome(parse_binary_whole, payload, "oracles", **options)
     for block_bytes in [1, 5, 64, 1 << 20]:
