@@ -152,7 +152,9 @@ def _rows64(matrix: np.ndarray, rows=slice(None), *, copy: bool = True) -> np.nd
     """``matrix[rows]`` in float64: a block (a slice), a gather (an index
     array) or one row. Every computation reads a space's matrix through
     here, so that a float32 matrix is widened, exactly, only as far as one
-    read goes, and float32 arithmetic never happens.
+    read goes. Float32 arithmetic happens in one place only: neighbor
+    ranking scores float32 unit rows in tiles (``oov._rank``) and
+    certifies their order with float64 cosines taken from here.
 
     The result is a new array the caller may write, except with
     ``copy=False``, where a block of a float64 matrix is the matrix's own

@@ -10,11 +10,11 @@ from metavec.embeddings import EmbeddingSpace, _block_rows, _Fill, _filled, _row
 from metavec.linalg import _row_norms
 
 DEFAULT_K = 10
-# Bytes per tile of queries × candidates' scores in ``_rank``, and per
-# block of the queries it scores. Ranking runs before any union rows are
-# made, and a larger tile pays there: fewer, larger products. Every other
-# block of rows is sized by ``embeddings._block_rows``.
-_BLOCK_BYTES = 8 << 20
+# Bytes per tile of queries × candidates' float32 scores in ``_rank``, and
+# per block of the float32 query rows it scores. Ranking runs before any
+# union rows are made, and a larger tile pays there: fewer, larger
+# products. Every other block of rows is sized by ``embeddings._block_rows``.
+_BLOCK_BYTES = 4 << 20
 # ``_rank`` tiles the candidate axis rather than rank blocks of fewer
 # queries than this: a BLAS product of a few query rows streams the whole
 # candidate matrix for little work, several times the cost per query of a
@@ -91,147 +91,213 @@ def _kth_bound(scores: np.ndarray, k: int) -> np.ndarray:
         maxima = chunked.max(axis=1)
         return np.partition(maxima, _CHUNKS - k, axis=1)[:, _CHUNKS - k, np.newaxis]
     if n <= k:
-        return np.full((len(scores), 1), -np.inf)
+        return np.full((len(scores), 1), -np.inf, dtype=scores.dtype)
     return np.partition(scores, n - k, axis=1)[:, n - k, np.newaxis]
 
 
+def _error_bound(dim: int) -> float:
+    """δ: how far a float32 score in ``_rank`` and the float64 cosine of
+    ``_cosines`` can each be from the exact cosine of the same two float64
+    unit rows of ``dim`` values, together.
+
+    Narrowing a row to float32 moves each value by at most u = 2⁻²⁴ of
+    itself, and a float32 dot product of d terms, in any order, errs by at
+    most γ_d = d·u/(1 − d·u) of the sum of the terms' magnitudes (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, §3.1); for unit rows
+    that sum is at most 1, so the score errs by at most γ_d + 2u + u². The
+    factor 1 + 2⁻¹⁰ covers the rest, each smaller than γ_d + 2u + u² by a
+    factor of 2²⁰ or more: γ_d's own growth by (1 + u)², float64 unit rows
+    whose norms are not exactly 1, the float64 reduction's error (γ_d at
+    u = 2⁻⁵³), values that underflow, and the rounding of the floor that
+    ``_lowered`` takes from a score.
+    """
+    u = 2.0**-24
+    gamma = dim * u / (1.0 - dim * u)
+    return (gamma + 2.0 * u + u * u) * (1.0 + 2.0**-10)
+
+
+def _lowered(scores: np.ndarray, window: float) -> np.ndarray:
+    """``scores - window`` as float32, rounded toward -inf, so that the float32
+    scores of a tile are compared with it as they are."""
+    exact = scores.astype(np.float64) - window
+    floor = exact.astype(np.float32)
+    return np.where(floor > exact, np.nextafter(floor, np.float32(-np.inf)), floor)
+
+
+def _best_first(rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """The order that sorts entries by row, then by float32 score, best
+    first (equal scores in either order), by one integer sort: each key is
+    the row, then the score's bits made to descend."""
+    bits = scores.view(np.int32).astype(np.int64)
+    return np.argsort((rows << 33) - np.where(bits < 0, bits ^ 0x7FFFFFFF, bits))
+
+
+def _unit64(matrix: np.ndarray, norms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The float64 unit rows of ``matrix[rows]``, whose norms are
+    ``norms[rows]``: the rows both the float32 scores and the float64
+    cosines of ``_rank`` start from."""
+    block = _rows64(matrix, rows)
+    return np.divide(block, norms[rows, np.newaxis], out=block)
+
+
+def _cosines(matrix: np.ndarray, norms: np.ndarray, left, right) -> np.ndarray:
+    """The cosine of rows ``left[i]`` and ``right[i]`` of ``matrix``, whose
+    row norms are ``norms``, for each i: the two float64 unit rows
+    multiplied elementwise and summed along the row by one numpy reduction,
+    one block of pairs at a time. No BLAS is involved, so the sum's order
+    depends on the dimension alone, never on the thread count or on the
+    other pairs: equal directions score equal bits."""
+    cosines = np.empty(len(left))
+    step = _block_rows(2 * matrix.shape[1])
+    for start in range(0, len(cosines), step):
+        pairs = slice(start, start + step)
+        a = _unit64(matrix, norms, left[pairs])
+        cosines[pairs] = np.multiply(a, _unit64(matrix, norms, right[pairs]), out=a).sum(axis=1)
+    return cosines
+
+
 class _Workspace:
-    """The work arrays that a run of ``_rank`` calls shares. Each is
-    allocated once, at the largest size asked for so far, not once per
-    call: a call's largest arrays then never have to fit into whatever
-    free memory the calls before it left, which moved peak memory by a
-    whole array from one input to the next."""
+    """The float32 work arrays that a run of ``_rank`` calls shares: the
+    candidates' unit rows, a block of queries' unit rows and a tile of
+    scores. Each is allocated once, at the largest size asked for so far,
+    not once per call: a call's largest arrays then never have to fit into
+    whatever free memory the calls before it left, which moved peak memory
+    by a whole array from one input to the next."""
 
     def __init__(self):
         self._arrays: dict[str, np.ndarray] = {}
 
     def array(self, name: str, rows: int, columns: int) -> np.ndarray:
-        """A float64 ``rows`` × ``columns`` array of undefined values: a view
+        """A float32 ``rows`` × ``columns`` array of undefined values: a view
         of the one kept under ``name``."""
         size = rows * columns
         if name not in self._arrays or len(self._arrays[name]) < size:
             self._arrays.pop(name, None)  # freed before the larger one is made
-            self._arrays[name] = np.empty(size)
+            self._arrays[name] = np.empty(size, dtype=np.float32)
         return self._arrays[name][:size].reshape(rows, columns)
+
+    def unit_rows(self, name: str, matrix: np.ndarray, norms: np.ndarray, rows) -> np.ndarray:
+        """``name``'s array, holding the unit rows of ``matrix[rows]``
+        (``_unit64``) narrowed to float32, one block (``_block_rows``) at a
+        time."""
+        out = self.array(name, len(rows), matrix.shape[1])
+        step = _block_rows(matrix.shape[1])
+        for lo in range(0, len(rows), step):
+            out[lo : lo + step] = _unit64(matrix, norms, rows[lo : lo + step])
+        return out
 
 
 def _rank(
     matrix: np.ndarray,
+    norms: np.ndarray,
     query_rows: np.ndarray,
     candidate_rows: np.ndarray,
     k: int,
     work: _Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rank candidate rows of ``matrix`` by cosine against each query row.
+    """Rank candidate rows of ``matrix`` by cosine against each query row;
+    ``norms`` holds the norms of ``matrix``'s rows (``_row_norms``).
 
     Returns ``live``, the positions in ``query_rows`` of the queries that
-    have a direction, and for those queries (len(live) × min(k, n)) arrays
-    of the best cosines and their positions in ``candidate_rows``, best
-    first, where n counts the candidates that have a direction. Exact ties
-    break by candidate position, so candidates sorted by token break them
-    by token.
+    have a direction, and for those queries the best cosine (``_cosines``;
+    -inf without candidates) and a (len(live) × min(k, n)) array of the
+    best candidates' positions in ``candidate_rows``, best first, where n
+    counts the candidates that have a direction. The order is exact: by
+    ``_cosines``, whatever the tiling or the BLAS threads, and then by
+    candidate position, so candidates sorted by token break exact ties by
+    token.
 
-    The norms of the candidates and of the queries are taken first, one
-    block at a time (in float64, like every read of ``matrix``), so rows
-    without a direction are never gathered; the candidates that have one
-    are gathered once and scaled to unit length, and each block of queries
-    only when it is scored. The candidates' unit rows and every tile's
-    scores are held in ``work``'s arrays (a new workspace when none is
-    given). Scores are computed one tile of queries × candidates at a
-    time, each within ``_BLOCK_BYTES``. While a block of ``_MIN_QUERIES``
-    queries (or of all of them, if fewer) can score every candidate at
-    once, there is one tile per query block, as large as the budget allows
-    for its scores and its query rows alike; beyond that, blocks of
-    ``_MIN_QUERIES`` queries meet candidate tiles sized to the budget.
-    Each query keeps a running list of its best min(k, n) candidates. In a
-    tile, only scores that reach both the tile's bound on the row's k-th
-    best (``_kth_bound``) and the running list's last score can enter it,
-    so a tie across the k-th place stays whole; those and the running list
-    are ordered by ``np.lexsort`` on (row, -score, candidate position) and
-    each row is cut back to min(k, n).
+    The candidates that have a direction are gathered once into a float32
+    array of unit rows (``_Workspace.unit_rows``), and each block of
+    queries when it is scored; scores are taken in float32, one tile of
+    queries × candidates at a time, each within ``_BLOCK_BYTES``. While a
+    block of ``_MIN_QUERIES`` queries (or of all of them, if fewer) can
+    score every candidate at once, there is one tile per query block, as
+    large as the budget allows for its scores and its query rows alike;
+    beyond that, blocks of ``_MIN_QUERIES`` queries meet candidate tiles
+    sized to the budget. All of these arrays are ``work``'s (a new
+    workspace when none is given).
+
+    A float32 score is within δ (``_error_bound``) of the exact cosine of
+    the two float64 unit rows, and so is ``_cosines``. So a candidate whose
+    float32 score falls more than 2δ below the row's k-th best float32
+    score is beaten by k others, and one whose score exceeds another's by
+    more than 2δ beats it. Each query keeps a shortlist of the candidates
+    within 2δ of its k-th best float32 score so far; a tile adds those that
+    reach that floor and the tile's bound on the k-th best (``_kth_bound``).
+    The shortlist, best first, falls into runs wherever a score exceeds the
+    next by more than 2δ. The runs keep their order; within each run that
+    reaches the k-th place, and for the row's best, the cosines are taken
+    again in float64 (``_cosines``) and decide, ties by candidate position.
     """
-    candidate_norms = _row_norms(matrix, candidate_rows)
-    defined = np.flatnonzero(candidate_norms > 0.0)
+    defined = np.flatnonzero(norms[candidate_rows] > 0.0)
     n = len(defined)
-    query_norms = _row_norms(matrix, query_rows)
-    live = np.flatnonzero(query_norms > 0.0)
+    live = np.flatnonzero(norms[query_rows] > 0.0)
     width = min(k, n)
-    best = np.empty((len(live), width))
+    best = np.full(len(live), -np.inf)
     positions = np.empty((len(live), width), dtype=np.intp)
     if not width:
         return live, best, positions
-    step = _BLOCK_BYTES // (8 * max(n, matrix.shape[1]))
+    step = _BLOCK_BYTES // (4 * max(n, matrix.shape[1]))
     tile = n
     if step < min(len(live), _MIN_QUERIES):
         step = min(len(live), _MIN_QUERIES)
-        tile = max(1, _BLOCK_BYTES // (8 * step))
+        tile = max(1, _BLOCK_BYTES // (4 * step))
     step = max(1, step)
     work = work or _Workspace()
     chosen = candidate_rows[defined]
     buffer = work.array("scores", min(len(live), step), min(n, tile)).ravel()
-    unit_candidates = work.array("candidates", n, matrix.shape[1])
-    # Gathered one block at a time, so a float32 matrix is never gathered
-    # whole before it is widened.
-    gather = _block_rows(matrix.shape[1])
-    for lo in range(0, n, gather):
-        unit_candidates[lo : lo + gather] = _rows64(matrix, chosen[lo : lo + gather])
-    np.divide(unit_candidates, candidate_norms[defined, np.newaxis], out=unit_candidates)
-    # Equal directions tie exactly, but BLAS may round one row differently
-    # in different columns: each distinct direction is scored at its first
-    # occurrence only, and its repeats take that score when a tile's kept
-    # scores are merged. Only rows whose first coordinate repeats are
-    # compared whole, which keeps the check cheap on real vocabularies.
-    _, lead_group, lead_counts = np.unique(
-        unit_candidates[:, 0], return_inverse=True, return_counts=True
-    )
-    maybe = np.flatnonzero(lead_counts[lead_group] > 1)
-    row_type = np.dtype((np.void, unit_candidates.itemsize * matrix.shape[1]))
-    _, first, group = np.unique(
-        unit_candidates[maybe].view(row_type).ravel(), return_index=True, return_inverse=True
-    )
-    firsts = maybe[first[group]]
-    repeat = firsts != maybe
-    repeats, firsts = maybe[repeat], firsts[repeat]
-    # Each first's repeats, ascending, from ``twin_start[first]`` in ``twins``.
-    twins = repeats[np.argsort(firsts, kind="stable")]
-    twin_counts = np.bincount(firsts, minlength=n)
-    twin_start = np.cumsum(twin_counts) - twin_counts
+    unit_candidates = work.unit_rows("candidates", matrix, norms, chosen)
+    window = 2.0 * _error_bound(matrix.shape[1])
     for start in range(0, len(live), step):
-        queries = live[start : start + step]
-        block = _rows64(matrix, query_rows[queries])
-        np.divide(block, query_norms[queries, np.newaxis], out=block)
-        # Empty places score -inf at position n, behind every candidate.
-        top_scores = np.full((len(block), width), -np.inf)
-        top = np.full((len(block), width), n, dtype=np.intp)
+        queries = query_rows[live[start : start + step]]
+        block = work.unit_rows("queries", matrix, norms, queries)
+        # Each query's shortlist, as flat arrays sorted by row and score,
+        # best first; ``kth`` is each row's k-th best score so far.
+        rows = cols = np.empty(0, dtype=np.intp)
+        scores = np.empty(0, dtype=np.float32)
+        kth = np.full(len(block), -np.inf, dtype=np.float32)
         for lo in range(0, n, tile):
             candidates = unit_candidates[lo : lo + tile]
-            scores = buffer[: len(block) * len(candidates)].reshape(len(block), -1)
-            np.matmul(block, candidates.T, out=scores)
-            scores[:, repeats[(repeats >= lo) & (repeats < lo + tile)] - lo] = -np.inf
-            # Masked repeats never pass the floor, whatever the bounds.
-            floor = np.maximum(_kth_bound(scores, k), top_scores[:, -1:])
-            np.maximum(floor, np.finfo(scores.dtype).min, out=floor)
-            rows, cols = np.divmod(np.flatnonzero(scores >= floor), scores.shape[1])
-            values = scores[rows, cols]
-            del scores
-            cols += lo
-            counts = twin_counts[cols]
-            if counts.any():
-                kept = np.repeat(np.arange(len(cols)), counts)
-                nth = np.arange(len(kept)) - np.repeat(np.cumsum(counts) - counts, counts)
-                rows = np.concatenate([rows, rows[kept]])
-                values = np.concatenate([values, values[kept]])
-                cols = np.concatenate([cols, twins[twin_start[cols[kept]] + nth]])
-            rows = np.concatenate([np.repeat(np.arange(len(block)), width), rows])
-            values = np.concatenate([top_scores.ravel(), values])
-            cols = np.concatenate([top.ravel(), cols])
-            order = np.lexsort((cols, -values, rows))
+            tiled = buffer[: len(block) * len(candidates)].reshape(len(block), -1)
+            np.matmul(block, candidates.T, out=tiled)
+            floor = kth
+            if np.isneginf(kth).any():  # until every row holds k scores
+                floor = np.maximum(_kth_bound(tiled, k)[:, 0], kth)
+            floor = _lowered(floor, window)
+            at_rows, at_cols = np.divmod(
+                np.flatnonzero(tiled >= floor[:, np.newaxis]), tiled.shape[1]
+            )
+            rows = np.concatenate([rows, at_rows])
+            scores = np.concatenate([scores, tiled[at_rows, at_cols]])
+            cols = np.concatenate([cols, at_cols + lo])
+            del tiled
+            order = _best_first(rows, scores)
+            rows, scores, cols = rows[order], scores[order], cols[order]
             per_row = np.bincount(rows, minlength=len(block))
-            taken = order[(np.cumsum(per_row) - per_row)[:, np.newaxis] + np.arange(width)]
-            top_scores, top = values[taken], cols[taken]
-        best[start : start + step] = top_scores
-        positions[start : start + step] = defined[top]
-        del block  # before the next one is gathered
+            first = np.cumsum(per_row) - per_row
+            full = per_row >= k
+            kth[full] = scores[first[full] + k - 1]
+            kept = scores >= _lowered(kth, window)[rows]
+            rows, scores, cols = rows[kept], scores[kept], cols[kept]
+        per_row = np.bincount(rows, minlength=len(block))
+        first = np.cumsum(per_row) - per_row
+        place = np.arange(len(rows)) - first[rows]
+        starts_run = place == 0
+        starts_run[1:] |= scores[:-1].astype(np.float64) - scores[1:] > window
+        run = np.cumsum(starts_run) - 1
+        run_place = place[starts_run][run]
+        run_size = np.bincount(run)[run]
+        uncertain = np.flatnonzero((place == 0) | ((run_place < k) & (run_size > 1)))
+        exact = _cosines(matrix, norms, queries[rows[uncertain]], chosen[cols[uncertain]])
+        # Whole runs are rescored, so sorting them among themselves moves
+        # each entry within its own run's places.
+        order = np.lexsort((cols[uncertain], -exact, run[uncertain]))
+        cols[uncertain] = cols[uncertain][order]
+        rescored = np.empty(len(rows))
+        rescored[uncertain] = exact[order]
+        best[start : start + step] = rescored[first]
+        positions[start : start + step] = defined[cols[first[:, np.newaxis] + np.arange(width)]]
     return live, best, positions
 
 
@@ -247,6 +313,7 @@ def nearest_neighbors(
     ``restrict_to`` limits candidates to the given tokens (those present in
     the space; repeats count once). The query itself and zero vectors are
     never candidates; if fewer than k candidates exist, all are returned.
+    Each score is the float64 cosine of ``_cosines``.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -258,12 +325,16 @@ def nearest_neighbors(
     if not tokens:
         raise ValueError("no candidate tokens to search")
     rows = np.array([index[t] for t in [query, *tokens]])
-    live, scores, top = _rank(space.matrix, rows[:1], rows[1:], k)
-    if not scores.shape[1]:
+    norms = np.zeros(len(space))
+    norms[rows] = _row_norms(space.matrix, rows)
+    live, _, top = _rank(space.matrix, norms, rows[:1], rows[1:], k)
+    if not top.shape[1]:
         raise ValueError("no candidates with a defined similarity")
     if not len(live):
         raise ValueError(f"query token {query!r} has a zero vector; cosine undefined")
-    return NeighborList(query, tuple(zip([tokens[i] for i in top[0]], scores[0].tolist())))
+    neighbors = rows[1:][top[0]]
+    scores = _cosines(space.matrix, norms, np.full(len(neighbors), rows[0]), neighbors)
+    return NeighborList(query, tuple(zip([tokens[i] for i in top[0]], scores.tolist())))
 
 
 def synthesize_word(
@@ -308,12 +379,14 @@ def _plan_synthesis(
     Every missing word is synthesized from originally-present words only.
     With several donor spaces holding a word, the donor whose best
     candidate cosine is highest wins (ties: the earliest donor in source
-    order); neighbor candidates are the words the donor shares with the
-    deficient space. Centroids always come from the deficient space's own
-    original vectors, so spaces of different dimensionality can still
-    donate neighbors to each other. A word no donor can rank (zero vector,
-    or no candidate with a direction) gets no neighbors and is listed as
-    skipped. Union order: first-seen across ``spaces``.
+    order). Best cosines are ``_cosines``'s float64 bits, which no tiling
+    or thread count moves. Neighbor candidates are the words the donor
+    shares with the deficient space. Centroids always come from the
+    deficient space's own original vectors, so spaces of different
+    dimensionality can still donate neighbors to each other. A word no
+    donor can rank (zero vector, or no candidate with a direction) gets no
+    neighbors and is listed as skipped. Union order: first-seen across
+    ``spaces``.
 
     Returns the union, its row table (``_union_positions``) with the entry
     of the j-th missing word of a space set to ``len(space) + j``, one plan
@@ -328,6 +401,8 @@ def _plan_synthesis(
     # the deficient space and how many there are.
     plans: list[_Plan] = []
     work = _Workspace()
+    # Each donor's row norms, taken once for every space it serves.
+    norms: dict[int, np.ndarray] = {}
     for i, space in enumerate(spaces):
         missing = np.flatnonzero(table[i] < 0)
         best = np.empty(len(missing))
@@ -339,15 +414,17 @@ def _plan_synthesis(
             if not len(words):
                 continue
             shared = by_token[(table[i, by_token] >= 0) & (table[j, by_token] >= 0)]
+            if j not in norms:
+                norms[j] = _row_norms(donor.matrix)
             live, scores, top = _rank(
-                donor.matrix, table[j, missing[words]], table[j, shared], k, work
+                donor.matrix, norms[j], table[j, missing[words]], table[j, shared], k, work
             )
             if not top.shape[1]:
                 continue
             words = words[live]
-            won = (counts[words] == 0) | (scores[:, 0] > best[words])
+            won = (counts[words] == 0) | (scores > best[words])
             words = words[won]
-            best[words] = scores[won, 0]
+            best[words] = scores[won]
             neighbors[words, : top.shape[1]] = table[i, shared[top[won]]]
             counts[words] = top.shape[1]
         plans.append((missing, neighbors, counts))

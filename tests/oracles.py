@@ -10,7 +10,6 @@ from typing import BinaryIO
 
 import numpy as np
 
-from metavec import oov
 from metavec.embeddings import (
     EmbeddingSpace,
     ParseError,
@@ -103,18 +102,16 @@ def covariance_spectrum(matrix):
 
 def exhaustive_scores(space, query):
     """(-cosine, token) against ``query`` for every other token that has a
-    direction, ascending: best first, exact ties by token."""
-    unit_query = space.vector(query)
-    unit_query = unit_query / np.linalg.norm(unit_query)
-    scored = []
-    for token in space.tokens:
-        if token == query:
-            continue
-        vector = space.vector(token)
-        norm = np.linalg.norm(vector)
-        if norm == 0.0:
-            continue
-        scored.append((-float(np.dot(vector / norm, unit_query)), token))
+    direction, ascending: best first, exact ties by token. Each cosine is
+    the fixed-order float64 reduction the library rescores with: the two
+    unit rows multiplied elementwise and summed along the row by
+    ``sum(axis=-1)``, no BLAS, so scores compare bit for bit."""
+    others = [t for t in space.tokens if t != query]
+    rows = np.array([space.vector(t) for t in [query, *others]]).reshape(-1, space.dim)
+    norms = np.linalg.norm(rows, axis=1)
+    units = np.divide(rows, norms[:, None], out=np.zeros_like(rows), where=norms[:, None] > 0)
+    cosines = (units[1:] * units[0]).sum(axis=-1)
+    scored = [(-float(c), t) for c, t, norm in zip(cosines, others, norms[1:]) if norm > 0.0]
     scored.sort()
     return scored
 
@@ -375,21 +372,18 @@ def _union_positions(spaces):
 
 
 def _rank(donor, words, candidate_tokens, k):
-    """The ranking kernel behind a token interface: the candidate tokens
-    plus, parallel to ``words``, each word's best cosines and their indices
-    into those tokens (None for a word that cannot be ranked)."""
-    index = donor.index
-    live, scores, top = oov._rank(
-        donor.matrix,
-        np.array([index[w] for w in words], dtype=np.intp),
-        np.array([index[t] for t in candidate_tokens], dtype=np.intp),
-        k,
-    )
-    ranked = [None] * len(words)
-    if top.shape[1]:
-        for i, row_scores, row_top in zip(live, scores, top):
-            ranked[i] = (row_scores, row_top)
-    return list(candidate_tokens), ranked
+    """Parallel to ``words``: each word's best cosine and the indices into
+    ``candidate_tokens`` of its k best, by exhaustive scan (None for a word
+    that cannot be ranked)."""
+    position = {t: i for i, t in enumerate(candidate_tokens)}
+    ranked = []
+    for word in words:
+        pool = [word, *candidate_tokens]
+        scored = []
+        if donor.vector(word).any():
+            scored = exhaustive_scores(EmbeddingSpace(pool, [donor.vector(t) for t in pool]), word)
+        ranked.append((-scored[0][0], [position[t] for _, t in scored[:k]]) if scored else None)
+    return ranked
 
 
 def extend_all_to_union(spaces, k, *, record_neighbors=False):
@@ -415,10 +409,10 @@ def extend_all_to_union(spaces, k, *, record_neighbors=False):
             candidate_tokens = sorted(t for t in own if t in donor_index)
             if not candidate_tokens:
                 continue
-            kept, ranked = _rank(donor, words, candidate_tokens, k)
+            ranked = _rank(donor, words, candidate_tokens, k)
             for word, hit in zip(words, ranked):
-                if hit is not None and (word not in best or hit[0][0] > best[word][0]):
-                    best[word] = (hit[0][0], kept, hit[1])
+                if hit is not None and (word not in best or hit[0] > best[word][0]):
+                    best[word] = (hit[0], candidate_tokens, hit[1])
         plans.append((missing, best))
 
     position = {t: i for i, t in enumerate(union)}

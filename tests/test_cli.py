@@ -1,5 +1,5 @@
-"""End-to-end tests for the command-line interface (in-process, except one
-import check that needs a fresh interpreter)."""
+"""End-to-end tests for the command-line interface (in-process, except an
+import check and a BLAS thread-count check that need fresh interpreters)."""
 import json
 import math
 import os
@@ -582,6 +582,42 @@ class TestCommonFlags:
         )
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0], False]
+
+    def test_synth_oov_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # Ranking is synth-oov's only BLAS use. Its float32 products here
+        # are 40 queries x 40 candidates over 1000 dims, a shape whose bits
+        # OpenBLAS changes with its thread count. Each direction comes four
+        # times among the candidates: itself, an exact twin and two near
+        # copies, about 1e-9 apart in cosine, where float32 scores cannot
+        # tell them apart; ranking by those scores alone gives outputs that
+        # differ between one thread and two.
+        rng = np.random.default_rng(91)
+        base = rng.normal(size=(10, 1000))
+        near = [base + 1e-9 * rng.normal(size=base.shape) for _ in range(2)]
+        shared_rows = np.vstack([base, 2.0 * base, *near])
+        shared = [f"s{i:03d}" for i in rng.permutation(len(shared_rows))]
+        inputs = []
+        for own, scale in (("a", 1.0), ("b", 3.0)):
+            only = base[rng.integers(0, len(base), size=40)] + 0.3 * rng.normal(size=(40, 1000))
+            inputs.append(tmp_path / f"{own}.vec")
+            tokens = shared + [f"{own}{i:02d}" for i in range(40)]
+            write_emb(inputs[-1], tokens, np.vstack([shared_rows * scale, only]))
+        script = "import sys\nfrom metavec.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        src = Path(__file__).resolve().parents[1] / "src"
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            out.mkdir()
+            argv = ["synth-oov", *map(str, inputs), str(out / "x1.bin"), str(out / "x2.bin"),
+                    "--audit", str(out / "audit.tsv")]
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append([(out / f).read_bytes() for f in ("x1.bin", "x2.bin", "audit.tsv")])
+        assert outputs[0] == outputs[1]
 
     def test_precision_flag_shortens_text_output(self, tmp_path):
         rng = np.random.default_rng(21)

@@ -6,7 +6,7 @@ import pytest
 from metavec import embeddings, oov
 from metavec.combine import CombineConfig, combine_average, combine_concat
 from metavec.embeddings import EmbeddingSpace
-from metavec.linalg import cosine
+from metavec.linalg import _row_norms, cosine
 from metavec.oov import (
     NeighborList,
     extend_to_union,
@@ -15,7 +15,7 @@ from metavec.oov import (
     synthesize_word,
 )
 from conftest import traced_peak
-from oracles import exhaustive_neighbors
+from oracles import exhaustive_neighbors, extend_all_to_union
 
 
 def clustered_pair(seed, n_clusters=3, per_cluster=15, dim=12, spread=3.0, noise=0.5):
@@ -354,7 +354,7 @@ class TestQueryBlocks:
         queries[1::2] += rows[6] * 0.8
         e1 = EmbeddingSpace(shared + words, np.vstack([rows, queries]))
         e2 = EmbeddingSpace(shared[::-1], rng.normal(size=(len(shared), dim)))
-        monkeypatch.setattr(oov, "_BLOCK_BYTES", rows_per_block * 8 * len(shared))
+        monkeypatch.setattr(oov, "_BLOCK_BYTES", rows_per_block * 4 * len(shared))
         _, out2, report = extend_to_union(e1, e2, k=k, record_neighbors=True)
         straddled = 0
         for word in words:
@@ -396,21 +396,37 @@ class TestQueryBlocks:
         e1 = EmbeddingSpace(shared + missing, rng.normal(size=(31000, 16)))
         e2 = EmbeddingSpace(shared, rng.normal(size=(30000, 16)))
         _, peak = traced_peak(extend_to_union, e1, e2, k=10)
-        # About 17 MB: the normalized candidates and one 8 MiB score tile.
-        assert peak < 25e6
+        # About 14 MB. Ranking holds the candidates' float32 unit rows (1.9
+        # MB) and one 4 MiB tile of float32 scores, 10.6 MB with the union's
+        # tables; the two union-sized outputs (7.9 MB) then set the peak.
+        # Float64 candidates and 8-byte scores read 18.9 MB.
+        assert peak < 16e6
+
+    def test_rank_holds_no_float64_candidates(self):
+        # 500 queries against 20000 candidates of 64 dims: their float64
+        # unit rows would be 10.2 MB. Ranking holds them in float32 (5.1 MB)
+        # beside one tile of scores, its mask and one block of gathered rows.
+        rng = np.random.default_rng(78)
+        matrix = rng.normal(size=(20500, 64))
+        norms = _row_norms(matrix)
+        candidates, queries = np.arange(20000), np.arange(20000, 20500)
+        (live, _, _), peak = traced_peak(oov._rank, matrix, norms, queries, candidates, 10)
+        assert len(live) == len(queries)
+        assert peak < 8 * len(candidates) * matrix.shape[1] + oov._BLOCK_BYTES
 
     def test_query_rows_are_scaled_one_block_at_a_time(self, monkeypatch):
         # 40000 queries of 32 dims against 16 candidates: their unit rows
         # would be 10.2 MB, a block of 256 of them is 64 KiB. Besides its
-        # results and the query norms, ranking may hold 1 MB.
+        # results, ranking may hold 1 MB.
         monkeypatch.setattr(oov, "_BLOCK_BYTES", 64 << 10)
         monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 64 << 10)
         rng = np.random.default_rng(77)
         queries, candidates = np.arange(16, 40016), np.arange(16)
         matrix = rng.normal(size=(40016, 32))
-        (live, best, top), peak = traced_peak(oov._rank, matrix, queries, candidates, 3)
+        norms = _row_norms(matrix)
+        (live, best, top), peak = traced_peak(oov._rank, matrix, norms, queries, candidates, 3)
         assert len(live) == len(queries)
-        assert peak < live.nbytes + best.nbytes + top.nbytes + 8 * len(queries) + 1e6
+        assert peak < live.nbytes + best.nbytes + top.nbytes + 1e6
 
     def test_nn_average_builds_no_union_sized_space_per_source(self):
         # Three sources, each holding about half of 6000 words (a union of
@@ -451,6 +467,41 @@ class TestQueryBlocks:
         meta, peak = traced_peak(combine_concat, sources, config)
         assert meta.space.dim == 3 * dim
         assert peak < bound
+
+
+class TestDonorChoice:
+    """With several donors, the one whose best cosine is highest wins: by
+    the float64 rescore, so the choice follows no tiling."""
+
+    @staticmethod
+    def spaces():
+        # Space a lacks w29. Donor b holds an exact twin of it (w14, twice
+        # its vector): their cosine is 1 only up to rounding, and for this
+        # vector the float64 rescore gives exactly 1.0 where np.dot gives
+        # 1 - 2**-53. The 1-dim donor c scores exactly 1.0 (w00), a tie
+        # that the earlier donor, b, wins.
+        rng = np.random.default_rng(4)
+        twin = rng.normal(size=5)
+        a = EmbeddingSpace(["w00", "w01", "w02", "w14"], rng.normal(size=(4, 3)))
+        b = EmbeddingSpace(
+            ["w01", "w02", "w14", "w29"], np.vstack([rng.normal(size=(2, 5)), 2.0 * twin, twin])
+        )
+        c = EmbeddingSpace(["w00", "w29"], [[0.5], [3.0]])
+        return [a, b, c]
+
+    @pytest.mark.parametrize("min_queries", [1, 256])
+    @pytest.mark.parametrize("block_bytes", [1, 100, 8 << 20])
+    def test_donor_choice_follows_no_tiling(self, monkeypatch, block_bytes, min_queries):
+        spaces = self.spaces()
+        want, expected = extend_all_to_union(spaces, 1, record_neighbors=True)
+        monkeypatch.setattr(oov, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(oov, "_MIN_QUERIES", min_queries)
+        union, table, plans, report = oov._plan_synthesis(spaces, 1, record_neighbors=True)
+        assert report.neighbors["w29"] == expected.neighbors["w29"] == ("w14",)
+        for space, at, plan, reference in zip(spaces, table, plans, want):
+            rows = np.empty((len(union), space.dim))
+            oov._place(rows, at, space.matrix, plan)
+            assert rows.tobytes() == reference.matrix.tobytes()
 
 
 class TestSynthesisCount:
