@@ -10,7 +10,9 @@ from typing import BinaryIO, Iterable, Sequence
 import numpy as np
 
 from metavec.embeddings import EmbeddingSpace, ParseError, _numbered_lines, _rows64
-from metavec.linalg import OrthogonalMap, apply_map, normalize_step0, solve_procrustes
+from metavec.linalg import (
+    OrthogonalMap, _blocks, _procrustes, _residual, _Step0, normalize_step0,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -143,41 +145,63 @@ def load_bilingual_dictionary(source: bytes | BinaryIO) -> MappingDictionary:
     return MappingDictionary(pairs)
 
 
-def _fit_one(
-    source: EmbeddingSpace,
-    target: EmbeddingSpace,
-    dictionary: MappingDictionary | None,
-) -> tuple[EmbeddingSpace, OrthogonalMap, AlignmentInfo]:
+def _anchors(
+    source: EmbeddingSpace, target: EmbeddingSpace, dictionary: MappingDictionary | None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The source's and the target's rows of each usable dictionary pair,
+    as two index arrays in dictionary order, and the count of pairs left
+    out because a space lacks a token. Without a dictionary every token of
+    both spaces pairs with itself, in source order
+    (``build_intersection_dictionary``)."""
     if dictionary is None:
-        dictionary = build_intersection_dictionary(source, target)
-    source_index = source.index
-    target_index = target.index
-    kept = [
-        (s, t) for s, t in dictionary if s in source_index and t in target_index
-    ]
-    filtered = len(dictionary) - len(kept)
+        targets = np.fromiter(
+            (target.index.get(t, -1) for t in source.tokens), np.intp, len(source)
+        )
+        sources = np.flatnonzero(targets >= 0)
+        if not len(sources):
+            raise ValueError(
+                "vocabularies share no tokens; mapping needs some common vocabulary"
+            )
+        return sources, targets[sources], 0
+    count = len(dictionary)
+    sources = np.fromiter((source.index.get(s, -1) for s, _ in dictionary), np.intp, count)
+    targets = np.fromiter((target.index.get(t, -1) for _, t in dictionary), np.intp, count)
+    kept = np.flatnonzero((sources >= 0) & (targets >= 0))
+    filtered = count - len(kept)
     if filtered:
         logger.warning(
             "filtered %d dictionary pair(s) absent from the spaces", filtered
         )
-    if not kept:
+    if not len(kept):
         raise ValueError("no usable dictionary pairs between source and target")
-    targets = [target_index[t] for _, t in kept]
-    x = _rows64(source.matrix, [source_index[s] for s, _ in kept])
-    z = _rows64(target.matrix, targets)
-    omap = solve_procrustes(x, z)
-    # The residual x·w − z is formed in place, less a fresh gather of the
-    # target rows, so that no more than two anchor-sized arrays are held at
-    # once; the anchors go before the source is mapped.
-    del z
-    x = x @ omap.matrix
-    x -= _rows64(target.matrix, targets)
-    residual = float(np.linalg.norm(x))
-    del x
+    return sources[kept], targets[kept], filtered
+
+
+def _fit_one(
+    source: EmbeddingSpace,
+    step0: _Step0,
+    target: EmbeddingSpace,
+    dictionary: MappingDictionary | None,
+) -> tuple[EmbeddingSpace, OrthogonalMap, AlignmentInfo]:
+    """Fit and map a raw source, normalized by its ``step0``, onto the
+    normalized target. Its normalized rows are made one block at a time:
+    for the sums of x'z over blocks of anchor pairs, and for the mapped
+    rows, written straight into the aligned matrix. The residual is taken
+    from blocks of mapped and target anchor rows. Every product runs at one
+    BLAS thread, so the bits do not depend on the thread count."""
+    sources, targets, filtered = _anchors(source, target, dictionary)
+
+    def target_rows(at):
+        return _rows64(target.matrix, targets[at], copy=False)
+
+    omap = _procrustes(lambda at: step0.rows(sources[at]), target_rows, len(sources), source.dim)
+    mapped = _blocks(step0.rows, len(source), source.dim, omap.matrix)
+    residual = _residual(lambda at: mapped[sources[at]], target_rows, len(sources), source.dim)
     info = AlignmentInfo(
-        dictionary_size=len(kept), filtered_pairs=filtered, residual=residual
+        dictionary_size=len(sources), filtered_pairs=filtered, residual=residual
     )
-    return apply_map(source, omap), omap, info
+    aligned = EmbeddingSpace._own(source.tokens, mapped, meta=source.meta, checked=True)
+    return aligned, omap, info
 
 
 def align_to_target(
@@ -192,27 +216,32 @@ def align_to_target(
     or removing other sources never changes a source's alignment. The
     target keeps its own normalized coordinates.
 
-    ``sources`` may be any iterable, taken one space at a time: each is
-    normalized as it arrives and no reference to it is kept. The ones
-    before the target are held normalized until the target arrives, and
-    every later one is fitted as it arrives, so a stream of spaces never
-    has more than one raw space alive here. Dims and the dictionaries'
-    count are checked as the spaces arrive.
+    ``sources`` may be any iterable, taken one space at a time. Each is
+    held as it arrived, with the statistics of its normalization
+    (``linalg._Step0``), until it is fitted; then only its aligned rows
+    are kept. The target is normalized when it arrives, and every later
+    source is fitted as it arrives, so a stream of spaces that starts with
+    the target never has more than one raw space alive here. Dims and the
+    dictionaries' count are checked as the spaces arrive.
     """
     if target_index < 0:
         raise ValueError(f"target_index {target_index} out of range")
-    # Normalized spaces, each replaced by its mapped space once fitted;
-    # ``maps`` and ``infos`` cover the slots fitted so far.
-    slots: list[EmbeddingSpace] = []
+    # The normalized target, and (space, statistics) pairs, each replaced
+    # by its aligned space once fitted; ``maps`` and ``infos`` cover the
+    # slots fitted so far.
+    slots: list = []
     maps: list[OrthogonalMap] = []
     infos: list[AlignmentInfo | None] = []
     for space in sources:
-        if slots and space.dim != slots[0].dim:
-            dims = sorted({slots[0].dim, space.dim})
-            raise ValueError(f"sources must share one dim, got {dims}")
+        if slots and space.dim != dim:
+            raise ValueError(f"sources must share one dim, got {sorted({dim, space.dim})}")
         if dictionaries is not None and len(slots) == len(dictionaries):
             raise ValueError("dictionaries must be parallel to sources")
-        slots.append(normalize_step0(space))
+        dim = space.dim
+        if len(slots) == target_index:
+            slots.append(normalize_step0(space))
+        else:
+            slots.append((space, _Step0(space.matrix)))
         del space
         if len(slots) <= target_index:
             continue
@@ -223,7 +252,7 @@ def align_to_target(
                 infos.append(None)
                 continue
             dictionary = dictionaries[i] if dictionaries is not None else None
-            slots[i], omap, info = _fit_one(slots[i], target, dictionary)
+            slots[i], omap, info = _fit_one(*slots[i], target, dictionary)
             maps.append(omap)
             infos.append(info)
     if not slots:

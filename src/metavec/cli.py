@@ -45,6 +45,7 @@ from metavec.evaluate import (
     load_similarity_dataset,
     report_records,
 )
+from metavec.linalg import _blas_threads
 from metavec.oov import DEFAULT_K, _extension, format_audit_dump
 
 logger = logging.getLogger(__name__)
@@ -64,21 +65,6 @@ def _nonnegative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
     return value
-
-
-def _thread_limit(threads: int | None):
-    """Cap BLAS worker pools for the duration of a command."""
-    if threads is None:
-        return contextlib.nullcontext()
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        logger.warning(
-            "threadpoolctl is not installed; --threads caps only the I/O worker"
-            " processes, not BLAS threads"
-        )
-        return contextlib.nullcontext()
-    return threadpool_limits(limits=threads)
 
 
 def _cpu_count() -> int:
@@ -419,8 +405,8 @@ def _add_common(parser, *, precision=True, prefix=False, dicts=False, fmt_help=N
         type=_positive_int,
         default=None,
         metavar="N",
-        help="cap the worker processes that parse and format text (default: one "
-        "per usable CPU); also caps BLAS thread pools when threadpoolctl is installed",
+        help="cap the worker processes that parse and format text, and the BLAS "
+        "threads (default: one worker per usable CPU, and the BLAS default)",
     )
     if prefix:
         parser.add_argument(
@@ -517,7 +503,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     try:
-        with _thread_limit(args.threads):
+        with _blas_threads(args.threads):
             return args.func(args, args.parser)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -142,10 +142,10 @@ class EmbeddingSpace:
 _Fill = Callable[[np.ndarray, int, int], None]
 
 
-def _block_rows(values_per_row: int) -> int:
+def _block_rows(values_per_row: int, block_bytes: int | None = None) -> int:
     """Rows per block: as many rows of ``values_per_row`` float64 values as
-    fit in ``_BLOCK_BYTES``, and at least one."""
-    return max(1, _BLOCK_BYTES // (8 * max(1, values_per_row)))
+    fit in ``block_bytes`` (``_BLOCK_BYTES`` when None), and at least one."""
+    return max(1, (block_bytes or _BLOCK_BYTES) // (8 * max(1, values_per_row)))
 
 
 def _rows64(matrix: np.ndarray, rows=slice(None), *, copy: bool = True) -> np.ndarray:

@@ -2,6 +2,8 @@
 PCA-style reduction, cosine similarity."""
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import logging
 import math
 
@@ -12,6 +14,23 @@ from metavec.embeddings import EmbeddingSpace, _block_rows, _rows64
 logger = logging.getLogger(__name__)
 
 ORTHOGONALITY_TOL = 1e-8
+
+# Bytes of float64 rows per block of a sum or product whose result reaches
+# an output (``_blocks``, ``_procrustes`` and ``_residual``). The
+# blocks decide those bits, so their size is fixed here, apart from the
+# memory budget ``_BLOCK_BYTES``.
+_PRODUCT_BYTES = 1 << 20
+
+# Where ``_openblas`` looks for the OpenBLAS libraries this process has
+# loaded, and the names of their thread-count calls (numpy's wheels, older
+# wheels, a plain build); ``_OPENBLAS`` holds what it found, once it looked.
+_MAPS = "/proc/self/maps"
+_OPENBLAS_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+_OPENBLAS: list | None = None
 
 __all__ = [
     "ORTHOGONALITY_TOL",
@@ -109,6 +128,47 @@ class ReductionMap:
         )
 
 
+def _openblas() -> list:
+    """The (get, set) thread-count calls of every OpenBLAS loaded in this
+    process, found through ``_MAPS`` and ctypes on the first call, never
+    at import. With none found (another BLAS, or no ``_MAPS``) the list
+    is empty, and a warning says so once."""
+    global _OPENBLAS
+    if _OPENBLAS is None:
+        found, paths = [], set()
+        with contextlib.suppress(OSError), open(_MAPS) as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+        for path in sorted(paths):
+            try:
+                library = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for get, put in _OPENBLAS_CALLS:
+                if hasattr(library, get):
+                    found.append((getattr(library, get), getattr(library, put)))
+                    break
+        if not found:
+            logger.warning("no OpenBLAS found: outputs may depend on the BLAS thread count")
+        _OPENBLAS = found
+    return _OPENBLAS
+
+
+@contextlib.contextmanager
+def _blas_threads(count: int | None):
+    """Run the body with ``count`` BLAS threads, then put the old count
+    back; None changes nothing. A product's bits depend on the thread
+    count, so every product whose result reaches an output runs at one."""
+    calls = [] if count is None else _openblas()
+    old = [get() for get, _ in calls]
+    for _, put in calls:
+        put(count)
+    try:
+        yield
+    finally:
+        for (_, put), was in zip(calls, old):
+            put(was)
+
+
 def _row_norms(matrix: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """Each row's Euclidean norm (of ``matrix[rows]``, when ``rows`` is
     given), with the bits ``np.linalg.norm(matrix, axis=1)`` gives, taken
@@ -153,6 +213,95 @@ def mean_center_columns(space: EmbeddingSpace) -> EmbeddingSpace:
     return EmbeddingSpace._own(space.tokens, centered, meta=space.meta)
 
 
+def _divisors(norms: np.ndarray) -> np.ndarray:
+    # A zero row is divided by one, so that it stays zero.
+    return np.where(norms == 0.0, 1.0, norms)
+
+
+def _blocks(rows, count: int, dim: int, w: np.ndarray | None = None) -> np.ndarray:
+    """The ``count`` rows that ``rows(at, out)`` gives, times ``w`` when
+    given, made one block of rows (``_PRODUCT_BYTES``) at a time, counted
+    from row 0. ``rows`` gives the rows ``at`` (a slice) in ``out``, or,
+    for a product, in an array of its own.
+
+    The bits of a row of a product depend on the rows BLAS is given with
+    it and on the thread count, so every product takes the same blocks, at
+    one thread: a row's bits then depend on its source alone.
+    """
+    result = np.empty((count, dim if w is None else w.shape[1]))
+    step = _block_rows(dim, _PRODUCT_BYTES)
+    scratch = None if w is None else np.empty((min(step, count), dim))
+    with _blas_threads(1):
+        for start in range(0, count, step):
+            at = slice(start, start + step)
+            if w is None:
+                rows(at, result[at])
+            else:
+                np.matmul(rows(at, scratch[: len(result[at])]), w, out=result[at])
+    return result
+
+
+class _Step0:
+    """``normalize_step0`` of a matrix (float32 or float64), held as
+    statistics: the row norms, the column mean of the unit rows and the
+    row norms after centering, each taken one block of rows at a time.
+    ``rows`` makes any rows from them with the bits they have in the whole
+    normalized matrix, so no normalized copy of a space need exist.
+
+    The mean adds the unit rows one after another, as
+    ``matrix.mean(axis=0)`` does, so that its bits do not depend on the
+    block size. Rows that become zero after centering are left as zeros
+    and counted in a warning.
+    """
+
+    def __init__(self, matrix: np.ndarray, renormalize: bool = True):
+        count, dim = matrix.shape
+        step = _block_rows(dim)
+        self.matrix = matrix
+        self.first = np.empty(count)
+        self.mean = np.zeros(dim)
+        self.second = None
+        # Each block's unit rows go under the sum so far. numpy adds the
+        # rows of a 2-d array one after another, but sums one column
+        # pairwise, so a single dim gets a zero column beside it.
+        stack = np.zeros((min(step, count) + 1, max(dim, 2)))
+        for start in range(0, count, step):
+            at = slice(start, start + step)
+            rows = stack[1 : 1 + len(self.first[at]), :dim]
+            rows[...] = matrix[at]
+            self.first[at] = _divisors(np.linalg.norm(rows, axis=1))
+            np.divide(rows, self.first[at, np.newaxis], out=rows)
+            if start:
+                stack[0] = total
+            total = np.add.reduce(stack[0 if start else 1 : 1 + len(rows)], axis=0)
+        if count:
+            self.mean = total[:dim] / count
+        second = np.empty(count)
+        zeros = 0
+        for start in range(0, count, step):
+            at = slice(start, start + step)
+            norms = np.linalg.norm(self.rows(at, stack[: len(second[at]), :dim]), axis=1)
+            zeros += int(np.count_nonzero(norms == 0.0))
+            second[at] = _divisors(norms)
+        if renormalize:
+            self.second = second
+        if zeros:
+            logger.warning("%d row(s) degenerated to zero after centering", zeros)
+
+    def rows(self, at, out: np.ndarray | None = None) -> np.ndarray:
+        """The normalized rows ``at`` (a slice or an index array), in
+        ``out`` when given."""
+        if out is None:
+            out = _rows64(self.matrix, at)
+        else:
+            out[...] = self.matrix[at]
+        np.divide(out, self.first[at, np.newaxis], out=out)
+        out -= self.mean
+        if self.second is not None:
+            np.divide(out, self.second[at, np.newaxis], out=out)
+        return out
+
+
 def normalize_step0(space: EmbeddingSpace, *, renormalize: bool = True) -> EmbeddingSpace:
     """Length-normalize, mean-center, and (by default) length-normalize again.
 
@@ -164,16 +313,39 @@ def normalize_step0(space: EmbeddingSpace, *, renormalize: bool = True) -> Embed
     """
     if len(space) == 0:
         return space
-    # One copy, centered and scaled in place: the bits of the out-of-place steps.
-    matrix, _ = _unit_rows(space.matrix)
-    matrix -= matrix.mean(axis=0)
-    if renormalize:
-        matrix, zeros = _unit_rows(matrix, out=matrix)
-    else:
-        zeros = int((_row_norms(matrix) == 0.0).sum())
-    if zeros:
-        logger.warning("%d row(s) degenerated to zero after centering", zeros)
-    return EmbeddingSpace._own(space.tokens, matrix, meta=space.meta)
+    matrix = _blocks(_Step0(space.matrix, renormalize).rows, *space.matrix.shape)
+    return EmbeddingSpace._own(space.tokens, matrix, meta=space.meta, checked=True)
+
+
+def _procrustes(x_rows, z_rows, count: int, dim: int) -> OrthogonalMap:
+    """The orthogonal map of ``count`` paired rows of ``dim`` values:
+    ``x_rows(at)`` and ``z_rows(at)`` give the pairs ``at`` (a slice) in
+    float64. x'z is summed over blocks of pairs (``_PRODUCT_BYTES``), in
+    order, at one thread, and so is its SVD taken."""
+    cross = np.zeros((dim, dim))
+    step = _block_rows(dim, _PRODUCT_BYTES)
+    with _blas_threads(1):
+        for start in range(0, count, step):
+            at = slice(start, start + step)
+            cross += x_rows(at).T @ z_rows(at)
+        u, _, vt = np.linalg.svd(cross)
+        return OrthogonalMap(u @ vt)
+
+
+def _residual(x_rows, z_rows, count: int, dim: int) -> float:
+    """The Frobenius norm of x − z over ``count`` paired rows of ``dim``
+    values, given as ``_procrustes`` takes them (``x_rows`` in an array
+    of its own), summed over the same blocks of pairs, at one thread."""
+    squares = 0.0
+    step = _block_rows(dim, _PRODUCT_BYTES)
+    with _blas_threads(1):
+        for start in range(0, count, step):
+            at = slice(start, start + step)
+            gap = x_rows(at)
+            gap -= z_rows(at)
+            gap = gap.ravel()
+            squares += float(gap @ gap)
+    return math.sqrt(squares)
 
 
 def solve_procrustes(x, z) -> OrthogonalMap:
@@ -189,17 +361,18 @@ def solve_procrustes(x, z) -> OrthogonalMap:
         raise ValueError("need at least one paired observation")
     if not (np.isfinite(x).all() and np.isfinite(z).all()):
         raise ValueError("non-finite values in observations")
-    u, _, vt = np.linalg.svd(x.T @ z)
-    return OrthogonalMap(u @ vt)
+    return _procrustes(x.__getitem__, z.__getitem__, *x.shape)
 
 
 def apply_map(space: EmbeddingSpace, omap: OrthogonalMap) -> EmbeddingSpace:
     """Rotate a space into the map's output coordinates (rows become r·w)."""
     if omap.dim != space.dim:
         raise ValueError(f"map dim {omap.dim} does not match space dim {space.dim}")
-    # One product over the whole matrix: the bits of a row depend on the
-    # shape BLAS is given. A float64 matrix is read as it is.
-    mapped = _rows64(space.matrix, copy=False) @ omap.matrix
+
+    def rows(at, out):
+        return _rows64(space.matrix, at, copy=False)
+
+    mapped = _blocks(rows, len(space), space.dim, omap.matrix)
     return EmbeddingSpace._own(space.tokens, mapped, meta=space.meta)
 
 
@@ -225,7 +398,8 @@ def fit_reduction(space: EmbeddingSpace, k: int, post_remove: int = 0) -> Reduct
     mean = centered.mean(axis=0)
     centered -= mean
     full = k > min(centered.shape)
-    _, _, vt = np.linalg.svd(centered, full_matrices=full)
+    with _blas_threads(1):
+        _, _, vt = np.linalg.svd(centered, full_matrices=full)
     basis = _orient_columns(vt[:k].T)
     return ReductionMap(mean, basis, post_remove=post_remove)
 
@@ -242,13 +416,14 @@ def apply_reduction(space: EmbeddingSpace, rmap: ReductionMap) -> EmbeddingSpace
         )
     centered = _rows64(space.matrix)
     centered -= rmap.mean
-    reduced = centered @ rmap.basis
-    del centered
-    if rmap.post_remove and len(space):
-        centered = reduced - reduced.mean(axis=0)
-        _, _, vt = np.linalg.svd(centered, full_matrices=False)
-        directions = _orient_columns(vt[: rmap.post_remove].T)
-        reduced = reduced - (reduced @ directions) @ directions.T
+    with _blas_threads(1):
+        reduced = centered @ rmap.basis
+        del centered
+        if rmap.post_remove and len(space):
+            centered = reduced - reduced.mean(axis=0)
+            _, _, vt = np.linalg.svd(centered, full_matrices=False)
+            directions = _orient_columns(vt[: rmap.post_remove].T)
+            reduced = reduced - (reduced @ directions) @ directions.T
     return EmbeddingSpace._own(space.tokens, reduced, meta=space.meta)
 
 

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -20,6 +22,34 @@ else:
 
 
 TESTS = Path(__file__).parent
+_CLI = "import sys\nfrom metavec.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
+def run_cli(argv, blas_threads=None):
+    """Run the CLI on ``argv`` in a fresh interpreter, with
+    ``OPENBLAS_NUM_THREADS`` set to ``blas_threads`` (when given) before
+    numpy loads; fail the test unless it exits 0."""
+    env = dict(os.environ, PYTHONPATH=str(TESTS.parent / "src"))
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    done = subprocess.run(
+        [sys.executable, "-c", _CLI, *map(str, argv)], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def bytes_by_blas_threads(tmp_path, argv, outputs):
+    """The bytes of the files named ``outputs`` that the CLI writes for
+    ``argv(directory)`` into a fresh directory, at one BLAS thread and at
+    two (``run_cli``): one list of bytes per thread count."""
+    runs = []
+    for threads in (1, 2):
+        out = tmp_path / f"blas{threads}"
+        out.mkdir()
+        run_cli(argv(out), blas_threads=threads)
+        runs.append([(out / name).read_bytes() for name in outputs])
+    return runs
 
 
 def traced_peak(fn, *args, **kwargs):

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface (in-process, except an
-import check and a BLAS thread-count check that need fresh interpreters)."""
+import check and the BLAS thread-count checks, which need fresh
+interpreters)."""
 import json
 import math
 import os
@@ -10,11 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from metavec import cli, linalg
 from metavec.align import load_bilingual_dictionary
 from metavec.cli import main
 from metavec.combine import CombineConfig, combine_mvm, provenance_json
 from metavec.embeddings import EmbeddingSpace, load_embeddings, save_embeddings
 from metavec.linalg import normalize_step0
+from conftest import bytes_by_blas_threads
 
 
 def write_emb(path, tokens, rows, fmt="text"):
@@ -549,14 +552,65 @@ class TestEval:
         assert "undefined: gone" in out
 
 
+def rotated_sources(tmp_path, words=400, dim=100):
+    """Three text files of ``words`` words of ``dim`` dims over a universe
+    of 1.25 times as many, each shifted by an eighth of it and randomly
+    rotated. At this shape OpenBLAS changes the bits of the alignment's
+    products with its thread count: without the one-thread pin, every row
+    of the mvm output differs between one thread and two."""
+    rng = np.random.default_rng(17)
+    universe = [f"w{i:04d}" for i in range(words + words // 4)]
+    latent = rng.normal(size=(len(universe), dim))
+    paths = []
+    for n, start in enumerate((0, words // 8, words // 4)):
+        rotation = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+        paths.append(tmp_path / f"r{n}.vec")
+        window = slice(start, start + words)
+        write_emb(paths[-1], universe[window], latent[window] @ rotation)
+    return paths
+
+
 class TestCommonFlags:
-    def test_threads_flag_does_not_change_output(self, pair, tmp_path):
-        p1, p2 = pair
-        free = tmp_path / "free.vec"
-        capped = tmp_path / "capped.vec"
-        assert main(["mvm", str(p1), str(p2), "-o", str(free)]) == 0
-        assert main(["mvm", str(p1), str(p2), "-o", str(capped), "--threads", "1"]) == 0
-        assert free.read_bytes() == capped.read_bytes()
+    def test_threads_flag_does_not_change_output(self, tmp_path, monkeypatch):
+        # --threads sets the BLAS pool for the whole command (seen here
+        # from inside the run), and the output bytes stay the same.
+        if not linalg._openblas():
+            pytest.skip("numpy does not use OpenBLAS here")
+        seen = []
+        real_mvm = cli._mvm
+
+        def spy(*args):
+            seen.append([get() for get, _ in linalg._openblas()])
+            return real_mvm(*args)
+
+        monkeypatch.setattr(cli, "_mvm", spy)
+        paths = rotated_sources(tmp_path)
+        outputs = []
+        for threads in ("2", "1"):
+            out = tmp_path / f"t{threads}.vec"
+            assert main(["mvm", *map(str, paths), "-o", str(out), "--threads", threads]) == 0
+            outputs.append(out.read_bytes() + Path(f"{out}.provenance.json").read_bytes())
+        assert seen == [[2] * len(seen[0]), [1] * len(seen[0])]
+        assert outputs[0] == outputs[1]
+
+    def test_mvm_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        paths = rotated_sources(tmp_path)
+        runs = bytes_by_blas_threads(
+            tmp_path, lambda out: ["mvm", *paths, "-o", out / "meta.vec"],
+            ["meta.vec", "meta.vec.provenance.json"],
+        )
+        assert runs[0] == runs[1]
+
+    def test_concat_reduce_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # Unpinned, the reduction's SVDs and products change every row
+        # with the thread count at this shape.
+        paths = rotated_sources(tmp_path, words=200, dim=60)
+        argv = ["baseline", *paths, "--method", "concat-reduce", "--dim", "30",
+                "--post-remove", "1"]
+        runs = bytes_by_blas_threads(
+            tmp_path, lambda out: [*argv, "-o", out / "meta.vec"], ["meta.vec"]
+        )
+        assert runs[0] == runs[1]
 
     def test_pipeline_leaves_numpy_ma_unimported(self, pair, tmp_path):
         # numpy imports numpy.ma lazily, e.g. from ``np.unique`` without
@@ -602,22 +656,13 @@ class TestCommonFlags:
             inputs.append(tmp_path / f"{own}.vec")
             tokens = shared + [f"{own}{i:02d}" for i in range(40)]
             write_emb(inputs[-1], tokens, np.vstack([shared_rows * scale, only]))
-        script = "import sys\nfrom metavec.cli import main\nsys.exit(main(sys.argv[1:]))\n"
-        src = Path(__file__).resolve().parents[1] / "src"
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"t{threads}"
-            out.mkdir()
-            argv = ["synth-oov", *map(str, inputs), str(out / "x1.bin"), str(out / "x2.bin"),
-                    "--audit", str(out / "audit.tsv")]
-            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
-            done = subprocess.run(
-                [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True,
-                timeout=120,
-            )
-            assert done.returncode == 0, done.stderr
-            outputs.append([(out / f).read_bytes() for f in ("x1.bin", "x2.bin", "audit.tsv")])
-        assert outputs[0] == outputs[1]
+        runs = bytes_by_blas_threads(
+            tmp_path,
+            lambda out: ["synth-oov", *inputs, out / "x1.bin", out / "x2.bin",
+                         "--audit", out / "audit.tsv"],
+            ["x1.bin", "x2.bin", "audit.tsv"],
+        )
+        assert runs[0] == runs[1]
 
     def test_precision_flag_shortens_text_output(self, tmp_path):
         rng = np.random.default_rng(21)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from metavec import linalg
 from metavec.embeddings import EmbeddingSpace
 from metavec.linalg import (
     ORTHOGONALITY_TOL,
@@ -326,3 +327,42 @@ class TestCosine:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal-length"):
             cosine([1.0, 0.0], [1.0, 0.0, 0.0])
+
+
+class TestBlasThreads:
+    def counts(self):
+        return [get() for get, _ in linalg._openblas()]
+
+    def test_sets_the_count_and_puts_the_old_one_back(self):
+        if not linalg._openblas():
+            pytest.skip("numpy does not use OpenBLAS here")
+        before = self.counts()
+        with linalg._blas_threads(3):
+            assert set(self.counts()) == {3}
+            with linalg._blas_threads(1):
+                assert set(self.counts()) == {1}
+            assert set(self.counts()) == {3}
+        assert self.counts() == before
+        with pytest.raises(RuntimeError), linalg._blas_threads(1):
+            raise RuntimeError
+        assert self.counts() == before
+
+    def test_another_blas_changes_nothing_and_says_so_once(self, tmp_path, monkeypatch, caplog):
+        maps = tmp_path / "maps"
+        maps.write_text("7f00-7f01 r-xp 00000000 00:00 0 /usr/lib/libmkl_rt.so\n")
+        monkeypatch.setattr(linalg, "_MAPS", str(maps))
+        monkeypatch.setattr(linalg, "_OPENBLAS", None)
+        with caplog.at_level(logging.WARNING, logger="metavec.linalg"):
+            for _ in range(2):
+                with linalg._blas_threads(1):
+                    pass
+        assert linalg._OPENBLAS == []
+        assert [r.getMessage() for r in caplog.records] == [
+            "no OpenBLAS found: outputs may depend on the BLAS thread count"
+        ]
+
+    def test_none_looks_nothing_up(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_OPENBLAS", None)
+        with linalg._blas_threads(None):
+            pass
+        assert linalg._OPENBLAS is None
