@@ -200,7 +200,7 @@ def _fit_one(
     info = AlignmentInfo(
         dictionary_size=len(sources), filtered_pairs=filtered, residual=residual
     )
-    aligned = EmbeddingSpace._own(source.tokens, mapped, meta=source.meta, checked=True)
+    aligned = source._with_matrix(mapped, checked=True)
     return aligned, omap, info
 
 

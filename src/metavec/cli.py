@@ -25,10 +25,9 @@ from metavec.align import align_to_target, load_bilingual_dictionary
 from metavec.combine import (
     OOV_POLICIES,
     CombineConfig,
-    _mvm,
+    _plan,
     _provenance_json,
     apply_language_prefixes,
-    combine,
 )
 from metavec.embeddings import (
     EmbeddingSpace,
@@ -220,6 +219,24 @@ def _check_prefix_count(paths, prefixes, parser) -> None:
         parser.error(f"expected one --prefix per input ({len(paths)}), got {len(prefixes)}")
 
 
+def _write_combined(args, config: CombineConfig, dictionaries=None) -> int:
+    """Write the meta-embedding of ``args.sources`` that ``config`` asks
+    for, and for mvm its provenance sidecar. Each source is planned as it
+    is loaded (``combine._plan``), so only one raw input is held, and the
+    union rows stream into the output."""
+    with contextlib.closing(_load_sources(args.sources, args)) as spaces:
+        union, rows, provenance = _plan(spaces, config, dictionaries)
+    dim = provenance["dim"]
+    out = Path(args.output)
+    staged = [_staged(args.output, union, dim, rows, args, args.sources[0])]
+    if config.method == "mvm":
+        sidecar = out.with_name(out.name + ".provenance.json")
+        staged.append((sidecar, [_provenance_json(provenance).encode("utf-8")]))
+    _commit_outputs(staged)
+    print(f"wrote {out} ({len(union)} words, dim {dim})", file=sys.stderr)
+    return 0
+
+
 def cmd_map(args, parser) -> int:
     prefixes = args.prefix or []
     dict_paths = args.dicts or []
@@ -278,18 +295,7 @@ def cmd_mvm(args, parser) -> int:
         language_prefixes=tuple(prefixes) or None,
         oov=args.oov,
     )
-    # Each source is aligned as it is loaded; only one raw input is held.
-    with contextlib.closing(_load_sources(args.sources, args)) as spaces:
-        union, fill, provenance = _mvm(spaces, config, dictionaries)
-    dim = provenance["dim"]
-    out = Path(args.output)
-    sidecar = out.with_name(out.name + ".provenance.json")
-    _commit_outputs([
-        _staged(args.output, union, dim, fill, args, args.sources[0]),
-        (sidecar, [_provenance_json(provenance).encode("utf-8")]),
-    ])
-    print(f"wrote {out} ({len(union)} words, dim {dim})", file=sys.stderr)
-    return 0
+    return _write_combined(args, config, dictionaries)
 
 
 def cmd_baseline(args, parser) -> int:
@@ -301,7 +307,6 @@ def cmd_baseline(args, parser) -> int:
         parser.error("--dim only applies to --method concat-reduce")
     prefixes = args.prefix or []
     _check_prefix_count(args.sources, prefixes, parser)
-    spaces = list(_load_sources(args.sources, args))
     config = CombineConfig(
         method=args.method,
         k_neighbors=args.k,
@@ -310,12 +315,7 @@ def cmd_baseline(args, parser) -> int:
         language_prefixes=tuple(prefixes) or None,
         oov="nn" if args.nn_oov else None,
     )
-    space = combine(spaces, config).space
-    _commit_outputs([
-        _staged(args.output, space.tokens, space.dim, space.matrix, args, args.sources[0])
-    ])
-    print(f"wrote {args.output} ({len(space)} words, dim {space.dim})", file=sys.stderr)
-    return 0
+    return _write_combined(args, config)
 
 
 def cmd_synth_oov(args, parser) -> int:

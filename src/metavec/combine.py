@@ -100,7 +100,9 @@ def apply_language_prefixes(space: EmbeddingSpace, prefix: str) -> EmbeddingSpac
         raise ValueError(f"prefix {prefix!r} must not contain whitespace")
     if not prefix:
         return space
-    return EmbeddingSpace._own([prefix + t for t in space.tokens], space.matrix, meta=space.meta)
+    return EmbeddingSpace._own(
+        [prefix + t for t in space.tokens], space.matrix, meta=space.meta, checked=True
+    )
 
 
 def _next_source(sources: Iterator[EmbeddingSpace]) -> EmbeddingSpace:
@@ -157,8 +159,17 @@ def _check_method(config: CombineConfig | None, method: str) -> CombineConfig:
     return config
 
 
-def _unit_spaces(spaces: Iterable[EmbeddingSpace]) -> list[EmbeddingSpace]:
-    return [EmbeddingSpace._own(s.tokens, _unit_rows(s.matrix)[0], meta=s.meta) for s in spaces]
+def _unit_spaces(
+    sources: Iterable[EmbeddingSpace], config: CombineConfig
+) -> list[EmbeddingSpace]:
+    """The sources under their language prefixes, each scaled to unit rows
+    as it arrives: ``map`` holds no raw source once it is scaled."""
+    spaces = list(
+        map(lambda s: s._with_matrix(_unit_rows(s.matrix)[0]), _prefixed(sources, config))
+    )
+    if not spaces:
+        raise ValueError("need at least one source")
+    return spaces
 
 
 def _union_rows(
@@ -214,19 +225,6 @@ def _provenance(
     return provenance
 
 
-def _combined(
-    sources: Sequence[EmbeddingSpace],
-    config: CombineConfig,
-    tokens: Sequence[str],
-    matrix: np.ndarray,
-    report: SynthesisReport | None,
-    **own,
-) -> MetaEmbedding:
-    """Wrap a combiner's output with its provenance record."""
-    space = EmbeddingSpace._own(tokens, matrix, meta=config.method)
-    return MetaEmbedding(space, _provenance(sources, config, len(space), space.dim, report, **own))
-
-
 def _mean_rows(
     spaces: Sequence[EmbeddingSpace],
     table: np.ndarray,
@@ -274,42 +272,95 @@ def _mean_rows(
         np.divide(total, denominator, out=total)
 
 
-def _mvm(
-    sources: Iterable[EmbeddingSpace],
-    config: CombineConfig,
-    dictionaries: Sequence[MappingDictionary | None] | None,
+def _mean(
+    spaces: Sequence[EmbeddingSpace], config: CombineConfig, **own
 ) -> tuple[list[str], _Fill, dict]:
-    """Align the sources and plan the union's rows: the union, a
-    ``fill(out, start, stop)`` that writes union rows ``start:stop`` (the
-    mean of the aligned rows, each scaled to unit length) and the
-    provenance record. ``combine_mvm`` fills its matrix whole with it; the
-    CLI streams the rows into the output, so no union-sized matrix exists.
-
-    ``sources`` may be any iterable: alignment takes one space at a time
-    (``align_to_target``), and the CLI passes its loader's stream.
-    """
-    dictionaries = _prefixed_dictionaries(dictionaries, config)
-    aligned = align_to_target(_prefixed(sources, config), config.target_index, dictionaries)
-    if len(aligned) < 2:
-        raise ValueError("mvm needs at least two sources")
-    # ``fill`` reads ``members``; the maps are freed with ``aligned``.
-    members, infos = list(aligned.mapped), aligned.infos
-    del aligned
-    union, table, plans, report = _union_rows(members, config)
+    """The union of ``spaces``, a fill of its rows (the per-word mean,
+    ``_mean_rows``, scaled to unit length for mvm) and the provenance
+    record, with the method's ``own`` keys."""
+    union, table, plans, report = _union_rows(spaces, config)
 
     def fill(out: np.ndarray, start: int, stop: int) -> None:
         # Both steps are row-local, so a run of rows gets the bits it has
         # in the whole matrix.
-        _mean_rows(members, table[:, start:stop], plans, config.oov_policy, out)
-        _unit_rows(out, out=out)
+        _mean_rows(spaces, table[:, start:stop], plans, config.oov_policy, out)
+        if config.method == "mvm":
+            _unit_rows(out, out=out)
 
-    # Every step keeps each space's meta, so the members name the sources.
-    provenance = _provenance(
-        members, config, len(union), members[0].dim, report,
-        dictionary_sizes=[info.dictionary_size if info else None for info in infos],
-        alignment_residuals=[info.residual if info else None for info in infos],
-    )
+    # Every step keeps each space's meta, so the spaces name the sources.
+    return union, fill, _provenance(spaces, config, len(union), spaces[0].dim, report, **own)
+
+
+def _concat(
+    sources: Iterable[EmbeddingSpace], config: CombineConfig
+) -> tuple[list[str], _Fill, dict]:
+    """Plan the concatenation of each word's unit rows; a block whose
+    source lacks the word is zero, or NN-synthesized under "nn"."""
+    if config.oov_policy == "available":
+        raise ValueError("concatenation has no 'available' policy; use zero or nn")
+    spaces = _unit_spaces(sources, config)
+    union, table, plans, report = _union_rows(spaces, config)
+    dims = [space.dim for space in spaces]
+
+    def fill(out: np.ndarray, start: int, stop: int) -> None:
+        out[...] = 0.0
+        offset = 0
+        for space, at, plan in zip(spaces, table, plans):
+            _place(out[:, offset : offset + space.dim], at[start:stop], space.matrix, plan)
+            offset += space.dim
+
+    provenance = _provenance(spaces, config, len(union), sum(dims), report, block_dims=dims)
     return union, fill, provenance
+
+
+def _plan(
+    sources: Iterable[EmbeddingSpace],
+    config: CombineConfig,
+    dictionaries: Sequence[MappingDictionary | None] | None = None,
+) -> tuple[list[str], np.ndarray | _Fill, dict]:
+    """The meta-embedding ``config.method`` makes of ``sources``: the union
+    vocabulary, its rows as ``embeddings._chunks`` takes them, and the
+    provenance record.
+
+    The rows are a ``fill(out, start, stop)`` that writes union rows
+    ``start:stop``, except for concat-reduce, whose reduction is fitted on
+    the whole concatenation: its rows are the reduced matrix. ``combine``
+    fills a matrix whole; the CLI streams the rows into its output.
+    ``sources`` may be any iterable: each space is aligned
+    (``align_to_target``) or scaled to unit rows as it arrives.
+    """
+    if config.method == "mvm":
+        dictionaries = _prefixed_dictionaries(dictionaries, config)
+        aligned = align_to_target(_prefixed(sources, config), config.target_index, dictionaries)
+        if len(aligned) < 2:
+            raise ValueError("mvm needs at least two sources")
+        # The fill reads ``members``; the maps are freed with ``aligned``.
+        members, infos = list(aligned.mapped), aligned.infos
+        del aligned
+        return _mean(
+            members, config,
+            dictionary_sizes=[info.dictionary_size if info else None for info in infos],
+            alignment_residuals=[info.residual if info else None for info in infos],
+        )
+    if dictionaries is not None:
+        raise ValueError("dictionaries only apply to the mvm method")
+    if config.method == "average":
+        spaces = _unit_spaces(sources, config)
+        dims = {space.dim for space in spaces}
+        if len(dims) != 1:
+            raise ValueError(f"averaging needs one shared dim, got {sorted(dims)}")
+        return _mean(spaces, config)
+    union, rows, provenance = _concat(sources, config)
+    if config.method == "concat-reduce":
+        concat = _filled(union, provenance["dim"], rows, config.method)
+        del rows  # and with the fill, the unit spaces it reads
+        rmap = fit_reduction(concat, config.reduce_dim, post_remove=config.post_remove)
+        rows = apply_reduction(concat, rmap).matrix
+        provenance.update(
+            dim=rows.shape[1], reduce_dim=config.reduce_dim, post_remove=config.post_remove,
+            concat_dim=concat.dim,
+        )
+    return union, rows, provenance
 
 
 def combine_mvm(
@@ -327,88 +378,45 @@ def combine_mvm(
     "available" or "zero" to reproduce mapping-only ablations. ``sources``
     may be any iterable; each space is aligned as it arrives.
     """
-    config = _check_method(config, "mvm")
-    union, fill, provenance = _mvm(sources, config, dictionaries)
-    return MetaEmbedding(_filled(union, provenance["dim"], fill, config.method), provenance)
+    return combine(sources, _check_method(config, "mvm"), dictionaries)
 
 
 def combine_average(
-    sources: Sequence[EmbeddingSpace], config: CombineConfig | None = None
+    sources: Iterable[EmbeddingSpace], config: CombineConfig | None = None
 ) -> MetaEmbedding:
     """Row-normalize each source and average per word, with no mapping or
     centering; by default a word missing from some sources is averaged
     over the spaces that do contain it."""
-    config = _check_method(config, "average")
-    if not sources:
-        raise ValueError("need at least one source")
-    spaces = list(_prefixed(sources, config))
-    dims = {s.dim for s in spaces}
-    if len(dims) != 1:
-        raise ValueError(f"averaging needs one shared dim, got {sorted(dims)}")
-    spaces = _unit_spaces(spaces)
-    union, table, plans, report = _union_rows(spaces, config)
-    matrix = np.empty((len(union), spaces[0].dim))
-    _mean_rows(spaces, table, plans, config.oov_policy, matrix)
-    return _combined(sources, config, union, matrix, report)
+    return combine(sources, _check_method(config, "average"))
 
 
 def combine_concat(
-    sources: Sequence[EmbeddingSpace], config: CombineConfig | None = None
+    sources: Iterable[EmbeddingSpace], config: CombineConfig | None = None
 ) -> MetaEmbedding:
     """Concatenate each word's row-normalized vectors over the union
     vocabulary; a block whose source lacks the word is zero-filled, or
     NN-synthesized under the "nn" policy."""
-    return _concat(sources, _check_method(config, "concat"))
-
-
-def _concat(sources: Sequence[EmbeddingSpace], config: CombineConfig) -> MetaEmbedding:
-    if not sources:
-        raise ValueError("need at least one source")
-    if config.oov_policy == "available":
-        raise ValueError("concatenation has no 'available' policy; use zero or nn")
-    spaces = _unit_spaces(_prefixed(sources, config))
-    union, table, plans, report = _union_rows(spaces, config)
-    matrix = np.zeros((len(union), sum(s.dim for s in spaces)))
-    offset = 0
-    for space, at, plan in zip(spaces, table, plans):
-        _place(matrix[:, offset : offset + space.dim], at, space.matrix, plan)
-        offset += space.dim
-    return _combined(
-        sources, config, union, matrix, report, block_dims=[s.dim for s in spaces]
-    )
+    return combine(sources, _check_method(config, "concat"))
 
 
 def combine_concat_reduce(
-    sources: Sequence[EmbeddingSpace], config: CombineConfig | None = None
+    sources: Iterable[EmbeddingSpace], config: CombineConfig | None = None
 ) -> MetaEmbedding:
     """Concatenate, then reduce the concatenation to ``reduce_dim``
     dimensions (optionally stripping top components afterwards)."""
-    config = _check_method(config, "concat-reduce")
-    base = _concat(sources, config)
-    rmap = fit_reduction(base.space, config.reduce_dim, post_remove=config.post_remove)
-    space = apply_reduction(base.space, rmap)
-    base.provenance.update(
-        dim=space.dim, reduce_dim=config.reduce_dim, post_remove=config.post_remove,
-        concat_dim=base.space.dim,
-    )
-    return MetaEmbedding(space, base.provenance)
+    return combine(sources, _check_method(config, "concat-reduce"))
 
 
 def combine(
-    sources: Sequence[EmbeddingSpace],
+    sources: Iterable[EmbeddingSpace],
     config: CombineConfig,
     dictionaries: Sequence[MappingDictionary | None] | None = None,
 ) -> MetaEmbedding:
-    """Dispatch to the combiner named by ``config.method``."""
-    if config.method == "mvm":
-        return combine_mvm(sources, config, dictionaries)
-    if dictionaries is not None:
-        raise ValueError("dictionaries only apply to the mvm method")
-    if config.method == "average":
-        return combine_average(sources, config)
-    if config.method == "concat":
-        return combine_concat(sources, config)
-    return combine_concat_reduce(sources, config)
+    """The meta-embedding of the method ``config.method`` names, held
+    whole. ``sources`` may be any iterable; each space is taken as it
+    arrives."""
+    union, rows, provenance = _plan(sources, config, dictionaries)
+    return MetaEmbedding(_filled(union, provenance["dim"], rows, config.method), provenance)
 
 
 def provenance_json(meta: MetaEmbedding) -> str:

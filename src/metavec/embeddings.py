@@ -86,8 +86,19 @@ class EmbeddingSpace:
         space._setup(tokens, matrix, meta, checked)
         return space
 
+    def _with_matrix(self, matrix: np.ndarray, *, checked: bool = False) -> EmbeddingSpace:
+        """This space's tokens and meta over a float64 ``matrix`` the
+        library has just made, wrapped as ``_own`` wraps it. The token tuple
+        and the cached index are shared: the tokens are known unique, so
+        only the matrix is checked."""
+        space = EmbeddingSpace.__new__(EmbeddingSpace)
+        space._setup(self.tokens, matrix, self.meta, checked, unique=True)
+        space._index = self._index
+        return space
+
     def _setup(
-        self, tokens: Iterable[str], matrix: np.ndarray, meta: str | None, checked: bool = False
+        self, tokens: Iterable[str], matrix: np.ndarray, meta: str | None,
+        checked: bool = False, unique: bool = False,
     ) -> None:
         tokens = tuple(tokens)
         if matrix.ndim != 2:
@@ -98,7 +109,7 @@ class EmbeddingSpace:
             )
         if matrix.shape[1] < 1:
             raise ValueError("vector dimensionality must be at least 1")
-        if len(set(tokens)) != len(tokens):
+        if not unique and len(set(tokens)) != len(tokens):
             raise ValueError("tokens must be unique")
         if not checked:
             # One block at a time, so the check's bool temporary stays small.
@@ -164,12 +175,16 @@ def _rows64(matrix: np.ndarray, rows=slice(None), *, copy: bool = True) -> np.nd
     return picked.astype(np.float64, copy=copy and not picked.flags.owndata)
 
 
-def _filled(tokens: Sequence[str], dim: int, fill: _Fill, meta: str | None) -> EmbeddingSpace:
-    """The space whose matrix ``fill(matrix, 0, len(tokens))`` writes: the
-    rows ``_chunks`` encodes block by block, held whole."""
-    matrix = np.empty((len(tokens), dim))
-    fill(matrix, 0, len(tokens))
-    return EmbeddingSpace._own(tokens, matrix, meta=meta)
+def _filled(
+    tokens: Sequence[str], dim: int, rows: np.ndarray | _Fill, meta: str | None
+) -> EmbeddingSpace:
+    """The space of ``tokens`` and their ``rows``, as ``_chunks`` takes
+    them: a matrix, or a fill whose rows ``_chunks`` encodes block by block,
+    here written whole by ``fill(matrix, 0, len(tokens))``."""
+    if not isinstance(rows, np.ndarray):
+        fill, rows = rows, np.empty((len(tokens), dim))
+        fill(rows, 0, len(tokens))
+    return EmbeddingSpace._own(tokens, rows, meta=meta)
 
 
 def _binary_stream(source: bytes | bytearray | memoryview | BinaryIO) -> BinaryIO:

@@ -201,7 +201,7 @@ def l2_normalize_rows(space: EmbeddingSpace) -> EmbeddingSpace:
     scaled, zeros = _unit_rows(space.matrix)
     if zeros:
         logger.warning("%d zero row(s) left unnormalized", zeros)
-    return EmbeddingSpace._own(space.tokens, scaled, meta=space.meta)
+    return space._with_matrix(scaled)
 
 
 def mean_center_columns(space: EmbeddingSpace) -> EmbeddingSpace:
@@ -210,7 +210,7 @@ def mean_center_columns(space: EmbeddingSpace) -> EmbeddingSpace:
         return space
     centered = _rows64(space.matrix)
     centered -= centered.mean(axis=0)
-    return EmbeddingSpace._own(space.tokens, centered, meta=space.meta)
+    return space._with_matrix(centered)
 
 
 def _divisors(norms: np.ndarray) -> np.ndarray:
@@ -314,7 +314,7 @@ def normalize_step0(space: EmbeddingSpace, *, renormalize: bool = True) -> Embed
     if len(space) == 0:
         return space
     matrix = _blocks(_Step0(space.matrix, renormalize).rows, *space.matrix.shape)
-    return EmbeddingSpace._own(space.tokens, matrix, meta=space.meta, checked=True)
+    return space._with_matrix(matrix, checked=True)
 
 
 def _procrustes(x_rows, z_rows, count: int, dim: int) -> OrthogonalMap:
@@ -373,7 +373,7 @@ def apply_map(space: EmbeddingSpace, omap: OrthogonalMap) -> EmbeddingSpace:
         return _rows64(space.matrix, at, copy=False)
 
     mapped = _blocks(rows, len(space), space.dim, omap.matrix)
-    return EmbeddingSpace._own(space.tokens, mapped, meta=space.meta)
+    return space._with_matrix(mapped)
 
 
 def _orient_columns(basis: np.ndarray) -> np.ndarray:
@@ -424,7 +424,7 @@ def apply_reduction(space: EmbeddingSpace, rmap: ReductionMap) -> EmbeddingSpace
             _, _, vt = np.linalg.svd(centered, full_matrices=False)
             directions = _orient_columns(vt[: rmap.post_remove].T)
             reduced = reduced - (reduced @ directions) @ directions.T
-    return EmbeddingSpace._own(space.tokens, reduced, meta=space.meta)
+    return space._with_matrix(reduced)
 
 
 def cosine(u, v) -> float:

@@ -4,6 +4,7 @@ interpreters)."""
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -577,13 +578,13 @@ class TestCommonFlags:
         if not linalg._openblas():
             pytest.skip("numpy does not use OpenBLAS here")
         seen = []
-        real_mvm = cli._mvm
+        real_plan = cli._plan
 
         def spy(*args):
             seen.append([get() for get, _ in linalg._openblas()])
-            return real_mvm(*args)
+            return real_plan(*args)
 
-        monkeypatch.setattr(cli, "_mvm", spy)
+        monkeypatch.setattr(cli, "_plan", spy)
         paths = rotated_sources(tmp_path)
         outputs = []
         for threads in ("2", "1"):
@@ -686,3 +687,14 @@ class TestCommonFlags:
             main(["--version"])
         assert exc.value.code == 0
         assert "metavec" in capsys.readouterr().out
+
+    def test_readme_command_lines_parse(self):
+        # Every example of the README's "Command line" section names
+        # flags the parser knows; nothing is run.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("\n## Command line\n", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(line) for line in block.splitlines() if line.startswith("metavec ")]
+        assert {argv[1] for argv in lines} == {"map", "mvm", "baseline", "synth-oov", "eval"}
+        for argv in lines:
+            cli.build_parser().parse_args(argv[1:])

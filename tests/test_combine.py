@@ -201,8 +201,9 @@ class TestCombineAverage:
             combine_average([make_space(n=4, dim=3), make_space(n=4, dim=4)])
 
     def test_needs_a_source(self):
-        with pytest.raises(ValueError, match="at least one"):
-            combine_average([])
+        for empty in ([], iter([])):
+            with pytest.raises(ValueError, match="need at least one source"):
+                combine_average(empty)
 
 
 class TestCombineConcat:
@@ -257,6 +258,11 @@ class TestCombineConcat:
         meta = combine_concat([e1, e2], CombineConfig(method="concat", oov="nn", k_neighbors=3))
         block = meta.space.vector("w8")[4:]
         assert np.linalg.norm(block) > 0.0
+
+    def test_needs_a_source(self):
+        for empty in ([], iter([])):
+            with pytest.raises(ValueError, match="need at least one source"):
+                combine_concat(empty)
 
     def test_available_policy_rejected(self, make_space):
         space = make_space()
@@ -332,6 +338,24 @@ class TestCombineDispatch:
             assert meta.space.dim == expected_dim
         config = CombineConfig(method="concat-reduce", reduce_dim=5)
         assert combine([space, space], config).space.dim == 5
+
+    @pytest.mark.parametrize("oov", [None, "nn"])
+    @pytest.mark.parametrize(
+        "method, combiner",
+        [("mvm", combine_mvm), ("average", combine_average), ("concat", combine_concat),
+         ("concat-reduce", combine_concat_reduce)],
+    )
+    def test_a_stream_combines_as_a_list(self, make_space, method, combiner, oov):
+        # Vocabularies of 8, 10 and 12 words: the smaller spaces lack words.
+        spaces = [make_space(n=8 + 2 * s, dim=4, seed=s, meta=f"s{s}") for s in range(3)]
+        reduce_dim = 5 if method == "concat-reduce" else None
+        config = CombineConfig(method=method, k_neighbors=2, reduce_dim=reduce_dim, oov=oov)
+        listed = combine(spaces, config)
+        assert listed.provenance["sources"] == ["s0", "s1", "s2"]
+        for streamed in (combine(iter(spaces), config), combiner(iter(spaces), config)):
+            assert streamed.space.tokens == listed.space.tokens
+            assert streamed.space.matrix.tobytes() == listed.space.matrix.tobytes()
+            assert provenance_json(streamed) == provenance_json(listed)
 
     def test_dictionaries_only_for_mvm(self, make_space):
         space = make_space(n=6, dim=3, seed=99)

@@ -20,6 +20,7 @@ from metavec.linalg import (
     solve_procrustes,
 )
 
+from conftest import traced_peak
 from oracles import covariance_spectrum, grid_best_orthogonal, top_principal_direction
 
 ROT90 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -218,6 +219,15 @@ class TestApplyMap:
     def test_dimension_mismatch_rejected(self, make_space):
         with pytest.raises(ValueError, match="dim"):
             apply_map(make_space(n=3, dim=4), OrthogonalMap.identity(3))
+
+    def test_shares_the_tokens_and_builds_no_token_set(self):
+        # 200k tokens of 2 dims: a set of them would take 8 MiB, against
+        # the 3.2 MB of the mapped rows.
+        space = EmbeddingSpace([f"w{i}" for i in range(200_000)], np.zeros((200_000, 2)))
+        index = space.index
+        out, peak = traced_peak(apply_map, space, OrthogonalMap.identity(2))
+        assert out.tokens is space.tokens and out.index is index
+        assert peak < out.matrix.nbytes + (2 << 20)
 
 
 class TestReduction:

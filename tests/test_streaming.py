@@ -1,9 +1,11 @@
-"""The CLI streams union rows into its outputs: ``synth-oov`` and ``mvm``
-write the bytes that the library functions' spaces save to, never hold a
-union-sized matrix, and leave no file when a block of rows fails.
+"""The CLI streams union rows into its outputs: ``synth-oov``, ``mvm``
+and ``baseline`` write the bytes that the library functions' spaces save
+to, never hold a union-sized matrix (but for concat-reduce's reduction),
+and leave no file when a block of rows fails.
 Alignment takes its sources one at a time: a stream gives the bits a list
 gives, and no raw source outlives its normalization."""
 import importlib
+import itertools
 import tempfile
 import tracemalloc
 import weakref
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from metavec import cli, embeddings, oov
 from metavec.align import MappingDictionary, align_to_target
-from metavec.combine import CombineConfig, combine_mvm, provenance_json
+from metavec.combine import CombineConfig, combine, combine_mvm, provenance_json
 from metavec.embeddings import EmbeddingSpace, load_embeddings, save_embeddings
 from metavec.oov import extend_to_union, format_audit_dump
 from conftest import traced_peak
@@ -96,6 +98,20 @@ def test_streamed_outputs_equal_the_library_spaces(
         sidecar = tmp / "meta.provenance.json"
         assert sidecar.read_text(encoding="utf-8") == provenance_json(meta)
 
+        methods = ["average", "concat", "concat-reduce"]
+        for method, nn_oov in itertools.product(methods, [False, True]):
+            # Every source has a dim of at least 1, so a concatenation has 2 or more.
+            reduce = ["--dim", "2", "--post-remove", "1"] if method == "concat-reduce" else []
+            nn = ["--nn-oov"] if nn_oov else []
+            run_cli(["baseline", *map(str, inputs), "-o", str(out), "--method", method,
+                     "--k", str(k), *nn, *reduce, *common], workers)
+            config = CombineConfig(
+                method=method, k_neighbors=k, oov="nn" if nn_oov else None,
+                reduce_dim=2 if reduce else None, post_remove=1 if reduce else 0,
+            )
+            save_embeddings(combine(loaded, config).space, tmp / "expected", format=fmt)
+            assert out.read_bytes() == (tmp / "expected").read_bytes()
+
 
 @pytest.mark.parametrize("fmt", ["text", "binary"])
 @pytest.mark.parametrize("workers", [1, 2])
@@ -146,6 +162,59 @@ def test_synth_oov_never_holds_a_union_matrix(tmp_path, monkeypatch):
     inputs = 2 * 1600 * 600 * 8
     union = 3100 * 600 * 8
     assert peak < inputs + union * 4 / 5
+
+
+@pytest.mark.parametrize("method", [["average", "--nn-oov"], ["concat"]])
+def test_baseline_never_holds_a_union_matrix(tmp_path, monkeypatch, method):
+    # Three spaces of 1600 words share 100: a union of 4600 words, 11 MB of
+    # float64 rows at 300 dims for an average, 33 MB for a concatenation.
+    # The run holds the unit-row copies of the inputs (11.5 MB), with one
+    # float32 input beside them while it is scaled; on top of them come the
+    # union plan, ranking's blocks and tiles, and one 64 KiB block of rows.
+    monkeypatch.setattr(oov, "_BLOCK_BYTES", 128 << 10)
+    monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 64 << 10)
+    rng = np.random.default_rng(7)
+    shared = [f"s{i:03d}" for i in range(100)]
+    paths = []
+    for n in range(3):
+        paths.append(tmp_path / f"e{n}.bin")
+        tokens = shared + [f"{n}w{i:04d}" for i in range(1500)]
+        binary_file(paths[-1], tokens, rng.normal(size=(len(tokens), 300)))
+    argv = ["baseline", *map(str, paths), "-o", str(tmp_path / "m.bin"), "--method", *method,
+            "--k", "2", "--threads", "1"]
+    code, peak = traced_peak(cli.main, argv)
+    assert code == 0
+    units = 3 * 1600 * 300 * 8
+    union = 4600 * 300 * 8
+    assert peak < units + union / 2
+
+
+def test_concat_reduce_fits_with_only_the_concatenation_held(tmp_path, monkeypatch):
+    # Three spaces of 600 words share 100: 1600 words, 11.5 MB of
+    # concatenated float64 rows at 3 x 300 dims. The unit-row copies of the
+    # inputs (4.3 MB) that made it are freed before the reduction is fitted.
+    rng = np.random.default_rng(8)
+    shared = [f"s{i:03d}" for i in range(100)]
+    paths = []
+    for n in range(3):
+        paths.append(tmp_path / f"e{n}.bin")
+        tokens = shared + [f"{n}w{i:03d}" for i in range(500)]
+        binary_file(paths[-1], tokens, rng.normal(size=(len(tokens), 300)))
+    held = []
+    fit_reduction = combine_module.fit_reduction
+
+    def measured(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return fit_reduction(*args, **kwargs)
+
+    monkeypatch.setattr(combine_module, "fit_reduction", measured)
+    argv = ["baseline", *map(str, paths), "-o", str(tmp_path / "m.bin"),
+            "--method", "concat-reduce", "--dim", "100", "--threads", "1"]
+    code, _ = traced_peak(cli.main, argv)
+    assert code == 0
+    concat = 1600 * 900 * 8
+    units = 3 * 600 * 300 * 8
+    assert held[0] < concat + units / 4
 
 
 def test_mvm_never_holds_a_union_matrix_after_alignment(tmp_path, monkeypatch):
