@@ -100,6 +100,7 @@ def apply_language_prefixes(space: EmbeddingSpace, prefix: str) -> EmbeddingSpac
         raise ValueError(f"prefix {prefix!r} must not contain whitespace")
     if not prefix:
         return space
+    # The source's matrix is checked and its tokens unique; one prefix keeps them so.
     return EmbeddingSpace._own(
         [prefix + t for t in space.tokens], space.matrix, meta=space.meta, checked=True
     )

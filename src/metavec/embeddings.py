@@ -78,12 +78,13 @@ class EmbeddingSpace:
 
         For arrays the library has just made and holds nowhere else, or for
         another space's (already read-only) matrix. ``checked`` says that
-        the caller found every value finite already, as the parsers do.
+        the caller found every value finite and the tokens unique already,
+        as the parsers do.
         """
         if matrix.dtype != np.float32:
             matrix = np.asarray(matrix, dtype=np.float64)
         space = cls.__new__(cls)
-        space._setup(tokens, matrix, meta, checked)
+        space._setup(tokens, matrix, meta, checked, unique=checked)
         return space
 
     def _with_matrix(self, matrix: np.ndarray, *, checked: bool = False) -> EmbeddingSpace:
@@ -265,52 +266,82 @@ def _parse_header_fields(fields: Sequence[str]) -> tuple[int, int] | None:
 
 
 class _Rows:
-    """A matrix of ``dtype`` filled one row at a time and checked for
-    finiteness one block of rows at a time.
+    """The one place that decides which parsed rows are kept.
 
-    The matrix grows in place by half (at least a block) when full, and
-    ``finish`` cuts it in place to the rows appended. Each row carries a
-    mark (a line number, or a token and offset); ``error`` turns the mark of
-    the first non-finite row into the exception to raise.
+    ``add`` keeps the first row of each token in a matrix of ``dtype``. A
+    repeat is dropped and counted, or raised under ``on_duplicate="error"``;
+    once ``max_vocab`` rows are kept (``full``), a row of a new token ends
+    the parse. A row that is not kept is checked for finiteness at once,
+    kept rows one block at a time (``check``, also called before any later
+    error is raised). Each row's mark is the ``at`` (``"line"`` or
+    ``"offset"``) of its errors; a non-finite row raises ``non_finite``
+    formatted with its token. The matrix grows in place by half (at least a
+    block) when full, and ``finish`` cuts it in place to the rows kept.
     """
 
     def __init__(
-        self,
-        dim: int,
-        capacity: int,
-        error: Callable[[object], ParseError],
-        dtype: type = np.float64,
+        self, dim: int, capacity: int, on_duplicate: str, max_vocab: int | None,
+        at: str, non_finite: str, dtype: type = np.float64,
     ):
         self.matrix = np.empty((capacity, dim), dtype=dtype)
-        self.count = 0
-        self.checked = 0
-        self.marks: list = []
-        self.error = error
+        self.tokens: list[str] = []
+        self.seen: set[str] = set()
+        self.duplicates = 0
+        self.marks: list[int] = []
+        self.on_duplicate = on_duplicate
+        self.max_vocab = max_vocab
+        self.at = at
+        self.non_finite = non_finite
         self.block = _block_rows(dim)
 
-    def append(self, values, mark) -> None:
-        if self.count == len(self.matrix):
-            grown = self.count + max(self.block, self.count // 2)
+    @property
+    def full(self) -> bool:
+        return self.max_vocab is not None and len(self.tokens) >= self.max_vocab
+
+    def add(self, token: str, values, mark: int) -> bool:
+        """Take one parsed row; False if it ends the parse."""
+        if token in self.seen:
+            self.check(token, values, mark)
+            if self.on_duplicate == "error":
+                raise ParseError(f"duplicate token {token!r}", **{self.at: mark})
+            self.duplicates += 1
+            return True
+        if self.full:
+            self.check(token, values, mark)
+            return False
+        count = len(self.tokens)
+        if count == len(self.matrix):
+            grown = count + max(self.block, count // 2)
             self.matrix.resize((grown, self.matrix.shape[1]), refcheck=False)
-        self.matrix[self.count] = values
-        self.count += 1
+        self.matrix[count] = values
+        self.seen.add(token)
+        self.tokens.append(token)
         self.marks.append(mark)
         if len(self.marks) == self.block:
             self.check()
+        return True
 
-    def check(self, values=None, mark=None) -> None:
-        """Raise for the first non-finite row not yet checked, then for
-        ``values``, a row that is read but not appended."""
-        pending = self.matrix[self.checked : self.count]
-        marks, self.marks, self.checked = self.marks, [], self.count
+    def check(self, token: str | None = None, values=None, mark: int | None = None) -> None:
+        """Raise for the first non-finite kept row not yet checked, then
+        for ``values``, the row of ``token`` that is read but not kept."""
+        first = len(self.tokens) - len(self.marks)
+        pending = self.matrix[first : len(self.tokens)]
+        marks, self.marks = self.marks, []
         if not np.isfinite(pending).all():
-            raise self.error(marks[np.flatnonzero(~np.isfinite(pending).all(axis=1))[0]])
-        if values is not None and not np.isfinite(values).all():
-            raise self.error(mark)
+            bad = np.flatnonzero(~np.isfinite(pending).all(axis=1))[0]
+            token, mark = self.tokens[first + bad], marks[bad]
+        elif values is None or np.isfinite(values).all():
+            return
+        raise ParseError(self.non_finite.format(token), **{self.at: mark})
 
     def finish(self) -> np.ndarray:
+        """The matrix cut to the rows kept, once they are all checked. The
+        set of tokens seen is freed, and the repeats dropped are logged."""
         self.check()
-        self.matrix.resize((self.count, self.matrix.shape[1]), refcheck=False)
+        del self.seen
+        if self.duplicates:
+            logger.warning("dropped %d duplicate token(s), kept first occurrence", self.duplicates)
+        self.matrix.resize((len(self.tokens), self.matrix.shape[1]), refcheck=False)
         return self.matrix
 
 
@@ -384,50 +415,33 @@ def parse_text_embeddings(
     """
     _check_parse_options(on_duplicate, max_vocab)
     text = _text_lines(_binary_stream(source))
-
-    def non_finite(line: int) -> ParseError:
-        return ParseError("non-finite value", line=line)
-
     rows: _Rows | None = None
     header: tuple[int, int] | None = None
-    tokens: list[str] = []
-    seen: set[str] = set()
-    duplicates = 0
+
+    def intake(dim: int) -> _Rows:
+        return _Rows(dim, 0, on_duplicate, max_vocab, at="line", non_finite="non-finite value")
+
     # The data lines read since the last block: (line number, token), and
     # the text after each token.
     pending: list[tuple[int, str]] = []
     rests: list[str] = []
 
     def flush() -> bool:
-        """Take the pending lines in order; False once ``max_vocab`` stops
-        the parse."""
-        nonlocal duplicates
+        """Add the pending lines in order; False once one ends the parse."""
         dim = rows.matrix.shape[1]
         values = _read_block(rests, dim)
         if values is not None:
-            rests.clear()  # the text is not held while the rows are appended
+            rests.clear()  # the text is not held while the rows are added
         for i, (lineno, token) in enumerate(pending):
             vector = _line_vector(rests[i], dim, lineno) if values is None else values[i]
-            if token in seen:
-                rows.check(vector, lineno)
-                if on_duplicate == "error":
-                    raise ParseError(f"duplicate token {token!r}", line=lineno)
-                duplicates += 1
-            elif max_vocab is not None and len(tokens) >= max_vocab:
-                rows.check(vector, lineno)
+            if not rows.add(token, vector, lineno):
                 return False
-            else:
-                seen.add(token)
-                tokens.append(token)
-                rows.append(vector, lineno)
         pending.clear()
         rests.clear()
         return True
 
     lineno = 0
     awaiting_header = expect_header is not False
-    stopped = False
-    bad_bytes: UnicodeDecodeError | None = None
     try:
         try:
             for lineno, line in enumerate(text, start=1):
@@ -443,27 +457,26 @@ def parse_text_embeddings(
                         problem = _header_dim_problem(header[1])
                         if problem is not None:
                             raise ParseError(problem, line=lineno)
-                        rows = _Rows(header[1], 0, non_finite)
+                        rows = intake(header[1])
                         continue
                 rest = parts[1] if len(parts) == 2 else ""
                 if rows is None:
                     dim = len(rest.split())
                     if dim < 1:
                         raise ParseError("no vector values on first data line", line=lineno)
-                    rows = _Rows(dim, 0, non_finite)
+                    rows = intake(dim)
                 pending.append((lineno, parts[0]))
                 rests.append(rest)
                 if len(pending) == rows.block and not flush():
-                    stopped = True
                     break
+            else:
+                if pending:
+                    flush()
         except UnicodeDecodeError as exc:
-            bad_bytes = exc
-        # The lines read before any bad bytes are taken first, so an error
-        # among them, or reaching max_vocab, comes before the bad bytes.
-        if pending and not stopped:
-            stopped = not flush()
-        if bad_bytes is not None and not stopped:
-            raise ParseError(f"not valid UTF-8: {bad_bytes}", line=lineno + 1)
+            # The lines read before the bad bytes are taken first, so an error
+            # among them, or reaching max_vocab, comes before the bad bytes.
+            if not pending or flush():
+                raise ParseError(f"not valid UTF-8: {exc}", line=lineno + 1) from None
     except ParseError:
         # A non-finite row read before the failure is reported first.
         if rows is not None:
@@ -475,14 +488,10 @@ def parse_text_embeddings(
     if rows is None:
         raise ParseError("empty stream")
     matrix = rows.finish()
-    if duplicates:
-        logger.warning("dropped %d duplicate token(s), kept first occurrence", duplicates)
-    if header is not None and max_vocab is None and len(tokens) + duplicates != header[0]:
-        logger.warning(
-            "header announces %d words but %d data lines were read",
-            header[0], len(tokens) + duplicates,
-        )
-    return EmbeddingSpace._own(tokens, matrix, meta=meta, checked=True)
+    read = len(rows.tokens) + rows.duplicates
+    if header is not None and max_vocab is None and read != header[0]:
+        logger.warning("header announces %d words but %d data lines were read", header[0], read)
+    return EmbeddingSpace._own(rows.tokens, matrix, meta=meta, checked=True)
 
 
 def _bytes_left(stream: BinaryIO) -> int:
@@ -593,17 +602,14 @@ def parse_binary_embeddings(
     if max_vocab is not None:
         capacity = min(capacity, max_vocab)
 
-    def non_finite(mark: tuple[str, int]) -> ParseError:
-        return ParseError(f"non-finite value for token {mark[0]!r}", offset=mark[1])
-
-    rows = _Rows(dim, capacity, non_finite, np.float32)
-    tokens: list[str] = []
-    seen: set[str] = set()
-    duplicates = 0
+    rows = _Rows(
+        dim, capacity, on_duplicate, max_vocab, at="offset",
+        non_finite="non-finite value for token {!r}", dtype=np.float32,
+    )
     pos = nl + 1
     try:
         for _ in range(vocab_size):
-            if max_vocab is not None and len(tokens) >= max_vocab:
+            if rows.full:
                 break
             if pos - held.base == held.size or held.data[pos - held.base] == 0x0A:
                 pos = held.past_newlines(pos)
@@ -625,24 +631,14 @@ def parse_binary_embeddings(
             # A view of the buffer, copied into the matrix before the next read.
             vector = np.frombuffer(held.data, dtype="<f4", count=dim, offset=start - held.base)
             pos = start + vector_bytes
-            if token in seen:
-                rows.check(vector, (token, start))
-                if on_duplicate == "error":
-                    raise ParseError(f"duplicate token {token!r}", offset=start)
-                duplicates += 1
-                continue
-            seen.add(token)
-            tokens.append(token)
-            rows.append(vector, (token, start))
+            rows.add(token, vector, start)
     except ParseError:
         # A non-finite row read before the failure is reported first.
         rows.check()
         raise
     matrix = rows.finish()
 
-    if duplicates:
-        logger.warning("dropped %d duplicate token(s), kept first occurrence", duplicates)
-    if max_vocab is None or len(tokens) < max_vocab:
+    if not rows.full:
         pos = held.past_newlines(pos)
         if pos - held.base < held.size:
             remaining = held.size - (pos - held.base)
@@ -652,7 +648,7 @@ def parse_binary_embeddings(
                 f"header announces {vocab_size} words but {remaining} bytes remain",
                 offset=pos,
             )
-    return EmbeddingSpace._own(tokens, matrix, meta=meta, checked=True)
+    return EmbeddingSpace._own(rows.tokens, matrix, meta=meta, checked=True)
 
 
 def _check_writable_token(token: str) -> None:
@@ -787,13 +783,12 @@ def load_embeddings(path: str | Path, format: str = "auto", **kwargs) -> Embeddi
     path = Path(path)
     if format == "auto":
         format = detect_format(path)
+    if format not in ("text", "binary"):
+        raise ValueError(f"unknown format: {format!r}")
     kwargs.setdefault("meta", path.name)
+    parse = parse_binary_embeddings if format == "binary" else parse_text_embeddings
     with open(path, "rb") as stream:
-        if format == "binary":
-            return parse_binary_embeddings(stream, **kwargs)
-        if format == "text":
-            return parse_text_embeddings(stream, **kwargs)
-    raise ValueError(f"unknown format: {format!r}")
+        return parse(stream, **kwargs)
 
 
 def save_embeddings(

@@ -6,6 +6,7 @@ agreement between the two is evidence, not tautology.
 """
 import codecs
 import logging
+import math
 from typing import BinaryIO
 
 import numpy as np
@@ -18,7 +19,6 @@ from metavec.embeddings import (
     _check_writable_token,
     _header_dim_problem,
     _parse_header_fields,
-    _Rows,
 )
 from metavec.oov import SynthesisReport
 
@@ -278,16 +278,14 @@ def parse_text_per_line(
     ``on_duplicate`` is ``"keep-first"`` (drop and count repeats) or
     ``"error"``. ``max_vocab`` caps the number of tokens kept.
 
-    Values are read with Python's ``float`` into a matrix that grows as
-    lines arrive; the header's word count is never used to size it.
+    Each line's values are read with Python's ``float`` and checked for
+    finiteness as the line arrives, before it is kept, dropped as a repeat
+    or found past ``max_vocab``. The kept rows are held in a list.
     """
     _check_parse_options(on_duplicate, max_vocab)
-
-    def non_finite(line: int) -> ParseError:
-        return ParseError("non-finite value", line=line)
-
-    rows: _Rows | None = None
+    dim: int | None = None
     header: tuple[int, int] | None = None
+    vectors: list[list[float]] = []
     tokens: list[str] = []
     seen: set[str] = set()
     duplicates = 0
@@ -309,14 +307,12 @@ def parse_text_per_line(
                         raise ParseError(
                             "header dimensionality must be at least 1", line=lineno
                         )
-                    rows = _Rows(dim, 0, non_finite)
                     continue
             token, values = fields[0], fields[1:]
-            if rows is None:
+            if dim is None:
                 dim = len(values)
                 if dim < 1:
                     raise ParseError("no vector values on first data line", line=lineno)
-                rows = _Rows(dim, 0, non_finite)
             if len(values) != dim:
                 raise ParseError(
                     f"expected {dim} values, found {len(values)}", line=lineno
@@ -325,31 +321,24 @@ def parse_text_per_line(
                 vector = list(map(float, values))
             except ValueError:
                 raise ParseError("malformed number", line=lineno) from None
+            if not all(map(math.isfinite, vector)):
+                raise ParseError("non-finite value", line=lineno)
             if token in seen:
-                rows.check(vector, lineno)
                 if on_duplicate == "error":
                     raise ParseError(f"duplicate token {token!r}", line=lineno)
                 duplicates += 1
                 continue
             if max_vocab is not None and len(tokens) >= max_vocab:
-                rows.check(vector, lineno)
                 break
             seen.add(token)
             tokens.append(token)
-            rows.append(vector, lineno)
+            vectors.append(vector)
     except UnicodeDecodeError as exc:
-        # A non-finite row read before the bad bytes is reported first.
-        if rows is not None:
-            rows.check()
         raise ParseError(f"not valid UTF-8: {exc}", line=lineno + 1) from None
-    except ParseError:
-        if rows is not None:
-            rows.check()
-        raise
 
-    if rows is None:
+    if dim is None:
         raise ParseError("empty stream")
-    matrix = rows.finish()
+    matrix = np.array(vectors, dtype=np.float64).reshape(len(vectors), dim)
     if duplicates:
         logger.warning("dropped %d duplicate token(s), kept first occurrence", duplicates)
     if header is not None and max_vocab is None and len(tokens) + duplicates != header[0]:

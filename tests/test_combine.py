@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from metavec.combine import (
 from metavec.embeddings import EmbeddingSpace
 from metavec.linalg import cosine, normalize_step0
 from metavec.oov import extend_to_union
+from conftest import traced_peak
 
 
 def cosine_matrix(space):
@@ -72,6 +75,16 @@ class TestLanguagePrefixes:
         space = EmbeddingSpace(["dog"], [[1.0, 0.0]])
         with pytest.raises(ValueError, match="whitespace"):
             apply_language_prefixes(space, "en ")
+
+    def test_prefixed_tokens_are_not_hashed_again(self):
+        # Distinct tokens stay distinct under one prefix, so only the new
+        # strings, their list and the space's tuple are made; a set of the
+        # 200k prefixed tokens would add 8 MiB.
+        space = EmbeddingSpace([f"w{i}" for i in range(200_000)], np.zeros((200_000, 1)))
+        out, peak = traced_peak(apply_language_prefixes, space, "en:")
+        assert out.tokens[:2] == ("en:w0", "en:w1") and out.matrix is space.matrix
+        strings = sum(map(sys.getsizeof, out.tokens))
+        assert peak <= strings + 2 * sys.getsizeof(out.tokens) + (1 << 20)
 
 
 class TestCombineMvm:

@@ -417,6 +417,19 @@ class TestPathHelpers:
         loaded = load_embeddings(path, format="binary")
         assert loaded.tokens == space.tokens
 
+    def test_load_rejects_an_unknown_format_before_opening(self, tmp_path, monkeypatch):
+        with pytest.raises(ValueError, match="unknown format: 'bogus'"):
+            load_embeddings(tmp_path / "missing.vec", format="bogus")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the file was opened")
+
+        path = tmp_path / "toy.vec"
+        path.write_bytes(b"a 1.0\n")
+        monkeypatch.setattr(embeddings, "open", refuse, raising=False)
+        with pytest.raises(ValueError, match="unknown format: 'bogus'"):
+            load_embeddings(path, format="bogus")
+
     def test_load_sets_meta_to_file_name(self, tmp_path, make_space):
         path = tmp_path / "toy.txt"
         save_embeddings(make_space(n=3, dim=2), path)

@@ -1,6 +1,8 @@
 """Memory of the parsers and of space construction: tracemalloc peaks
 against the bytes of the matrix a parser returns, hostile headers, and
 which constructions copy their matrix."""
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,8 @@ from conftest import traced_peak
 
 ROWS, DIM = 2000, 100
 # What a binary parse holds besides its matrix and its read buffer: the
-# tokens, the set of tokens seen and the marks of one block of rows (about
-# 0.45 MB here). A float64 matrix would add 0.8 MB over the float32 one.
+# tokens, the set of tokens seen and the byte offsets of one block of rows
+# (about 0.40 MB here). A float64 matrix would add 0.8 MB over the float32 one.
 BINARY_EXTRA = 600_000
 
 
@@ -49,6 +51,24 @@ def test_binary_load_reads_the_file_in_blocks(space, tmp_path, monkeypatch):
     assert parsed.matrix.dtype == np.float32
     assert parsed.matrix.tobytes() == space.matrix.astype("<f4").tobytes()
     assert peak <= ROWS * DIM * 4 + (64 << 10) + BINARY_EXTRA
+
+
+def test_binary_parse_hashes_its_tokens_once(monkeypatch):
+    # 200k one-value words, so the tokens outweigh the matrix. The parse
+    # holds the token strings, their list and the space's tuple, and one
+    # set of them (half as much again while the set grows); the space is
+    # built after that set is freed, without hashing the tokens again.
+    # Hashing them again held a second set: 36 MB here, against 23.5 MB.
+    # 64 KiB blocks keep one block's offsets and the read buffer within the
+    # 1 MiB allowed beside them.
+    monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 64 << 10)
+    tokens = [f"w{i}" for i in range(200_000)]
+    payload = write_binary_embeddings(EmbeddingSpace._own(tokens, np.zeros((len(tokens), 1))))
+    parsed, peak = traced_peak(parse_binary_embeddings, payload)
+    assert parsed.tokens == tuple(tokens)
+    strings = sum(map(sys.getsizeof, parsed.tokens))
+    held = strings + 2 * sys.getsizeof(tokens) + 1.5 * sys.getsizeof(set(tokens))
+    assert peak <= held + parsed.matrix.nbytes + (1 << 20)
 
 
 def test_text_parse_ignores_header_count_when_sizing(space, caplog):

@@ -356,3 +356,36 @@ def test_binary_parser_matches_whole_read_oracle(payload, max_vocab, on_duplicat
             for source in (payload, ShortReads(payload)):
                 actual = outcome(parse_binary_embeddings, source, "metavec.embeddings", **options)
                 assert actual == expected, (block_bytes, type(source))
+
+
+def seeded_binary_payload(inf: bool) -> bytes:
+    """3000 words of 100 dims, enough for several default blocks (1310 rows
+    each), with 40 repeats of earlier words planted after the 500th and a
+    newline before some tokens; with ``inf``, the 2700th word, in the third
+    block, holds an infinity."""
+    rng = np.random.default_rng(3000)
+    vectors = rng.normal(size=(3000, 100)).astype("<f4")
+    if inf:
+        vectors[2700, 17] = np.inf
+    repeats = set(rng.choice(np.arange(500, 3000), size=40, replace=False).tolist())
+    entries = []
+    for i, (token, vector) in enumerate(zip(words(3000), vectors)):
+        entries.append((token, vector))
+        if i in repeats:
+            entries.append((f"w{rng.integers(0, i)}", rng.normal(size=100).astype("<f4")))
+    body = b"".join(
+        b"\n" * int(rng.integers(0, 10) == 0) + token.encode() + b" " + vector.tobytes()
+        for token, vector in entries
+    )
+    return f"{len(entries)} 100\n".encode() + body
+
+
+@pytest.mark.parametrize("inf", [False, True])
+@pytest.mark.parametrize("on_duplicate", ["keep-first", "error"])
+@pytest.mark.parametrize("max_vocab", [None, 1000, 2999])
+def test_binary_parser_matches_whole_read_oracle_on_a_seeded_matrix(inf, on_duplicate, max_vocab):
+    payload = seeded_binary_payload(inf)
+    options = dict(on_duplicate=on_duplicate, max_vocab=max_vocab)
+    assert outcome(parse_binary_embeddings, payload, "metavec.embeddings", **options) == outcome(
+        parse_binary_whole, payload, "oracles", **options
+    )
