@@ -5,7 +5,7 @@ import contextlib
 import io
 import logging
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -262,3 +262,64 @@ def align_to_target(
     if dictionaries is not None and len(dictionaries) != len(slots):
         raise ValueError("dictionaries must be parallel to sources")
     return AlignedCollection(slots[target_index], slots, maps, infos)
+
+
+def apply_language_prefixes(space: EmbeddingSpace, prefix: str) -> EmbeddingSpace:
+    """Prepend ``prefix`` to every token; vectors are untouched.
+
+    Prefixing keeps homographs from colliding when vocabularies of
+    different languages are unioned.
+    """
+    if any(ch.isspace() for ch in prefix):
+        raise ValueError(f"prefix {prefix!r} must not contain whitespace")
+    if not prefix:
+        return space
+    # The source's matrix is checked and its tokens unique; one prefix keeps them so.
+    return EmbeddingSpace._own(
+        [prefix + t for t in space.tokens], space.matrix, meta=space.meta, checked=True
+    )
+
+
+def _next_source(sources: Iterator[EmbeddingSpace]) -> EmbeddingSpace:
+    """The next source, for the next language prefix."""
+    for space in sources:
+        return space
+    raise ValueError("language_prefixes must be parallel to sources")
+
+
+def _prefixed(
+    sources: Iterable[EmbeddingSpace], prefixes: Sequence[str] | None
+) -> Iterator[EmbeddingSpace]:
+    """The sources under their language prefixes, one at a time as they
+    arrive. No name here holds a source while the caller works on it."""
+    if prefixes is None:
+        yield from sources
+        return
+    sources = iter(sources)
+    for prefix in prefixes:
+        yield apply_language_prefixes(_next_source(sources), prefix)
+    for _ in sources:
+        raise ValueError("language_prefixes must be parallel to sources")
+
+
+def _aligned(
+    sources: Iterable[EmbeddingSpace],
+    prefixes: Sequence[str] | None,
+    target_index: int,
+    dictionaries: Sequence[MappingDictionary | None] | None,
+) -> AlignedCollection:
+    """``align_to_target`` of the sources, each under its language prefix as
+    it arrives, with each dictionary's pairs under its source's and the
+    target's prefix: how every command reaches alignment. Dictionaries not
+    parallel to the prefixes, or a target index past them, fail before any
+    source is read; ``_prefixed`` checks the sources as they arrive."""
+    if prefixes is not None and dictionaries is not None:
+        if len(dictionaries) != len(prefixes):
+            raise ValueError("dictionaries must be parallel to sources")
+        if target_index >= len(prefixes):
+            raise ValueError(f"target_index {target_index} out of range")
+        target = prefixes[target_index]
+        dictionaries = [
+            None if d is None else d.prefixed(p, target) for p, d in zip(prefixes, dictionaries)
+        ]
+    return align_to_target(_prefixed(sources, prefixes), target_index, dictionaries)

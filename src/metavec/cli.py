@@ -21,14 +21,8 @@ from pathlib import Path
 from typing import BinaryIO
 
 from metavec import __version__
-from metavec.align import align_to_target, load_bilingual_dictionary
-from metavec.combine import (
-    OOV_POLICIES,
-    CombineConfig,
-    _plan,
-    _provenance_json,
-    apply_language_prefixes,
-)
+from metavec.align import _aligned, load_bilingual_dictionary
+from metavec.combine import OOV_POLICIES, CombineConfig, _plan, _provenance_json
 from metavec.embeddings import (
     EmbeddingSpace,
     ParseError,
@@ -237,22 +231,29 @@ def _write_combined(args, config: CombineConfig, dictionaries=None) -> int:
     return 0
 
 
+def _dictionaries(args, parser, count: int, target_index: int) -> list | None:
+    """The --dict files, one per non-target source of ``count`` in order,
+    parallel to the sources with None at the target; None without --dict."""
+    if not args.dicts:
+        return None
+    if len(args.dicts) != count - 1:
+        parser.error(
+            f"expected one --dict per non-target source ({count - 1}), got {len(args.dicts)}"
+        )
+    dictionaries: list = []
+    for path in args.dicts:
+        with open(path, "rb") as handle:
+            dictionaries.append(load_bilingual_dictionary(handle))
+    dictionaries.insert(target_index, None)
+    return dictionaries
+
+
 def cmd_map(args, parser) -> int:
-    prefixes = args.prefix or []
-    dict_paths = args.dicts or []
-    if len(dict_paths) > 1:
-        parser.error("map takes at most one --dict")
-    _check_prefix_count([args.source, args.target], prefixes, parser)
-    dictionaries = None
-    if dict_paths:
-        with open(dict_paths[0], "rb") as handle:
-            dictionary = load_bilingual_dictionary(handle)
-        if prefixes:
-            dictionary = dictionary.prefixed(*prefixes)
-        dictionaries = [dictionary, None]
-    with contextlib.closing(_load_sources([args.source, args.target], args)) as loaded:
-        spaces = map(apply_language_prefixes, loaded, prefixes) if prefixes else loaded
-        collection = align_to_target(spaces, target_index=1, dictionaries=dictionaries)
+    paths = [args.source, args.target]
+    _check_prefix_count(paths, args.prefix, parser)
+    dictionaries = _dictionaries(args, parser, len(paths), 1)
+    with contextlib.closing(_load_sources(paths, args)) as spaces:
+        collection = _aligned(spaces, args.prefix, 1, dictionaries)
     # The normalized target is freed before the output is written.
     mapped, info = collection.mapped[0], collection.infos[0]
     del collection
@@ -273,21 +274,7 @@ def cmd_mvm(args, parser) -> int:
         )
     prefixes = args.prefix or []
     _check_prefix_count(args.sources, prefixes, parser)
-    dict_paths = args.dicts or []
-    dictionaries = None
-    if dict_paths:
-        if len(dict_paths) != len(args.sources) - 1:
-            parser.error(
-                "expected one --dict per non-target source "
-                f"({len(args.sources) - 1}), got {len(dict_paths)}"
-            )
-        loaded = []
-        for path in dict_paths:
-            with open(path, "rb") as handle:
-                loaded.append(load_bilingual_dictionary(handle))
-        dictionaries = []
-        for index in range(len(args.sources)):
-            dictionaries.append(None if index == args.target_index else loaded.pop(0))
+    dictionaries = _dictionaries(args, parser, len(args.sources), args.target_index)
     config = CombineConfig(
         method="mvm",
         target_index=args.target_index,

@@ -5,11 +5,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from metavec.align import MappingDictionary, align_to_target
+from metavec.align import MappingDictionary, _aligned, _prefixed, apply_language_prefixes
 from metavec.embeddings import EmbeddingSpace, _block_rows, _Fill, _filled
 from metavec.linalg import _unit_rows, apply_reduction, fit_reduction
 from metavec.oov import (
@@ -90,68 +90,6 @@ class MetaEmbedding:
     provenance: dict
 
 
-def apply_language_prefixes(space: EmbeddingSpace, prefix: str) -> EmbeddingSpace:
-    """Prepend ``prefix`` to every token; vectors are untouched.
-
-    Prefixing keeps homographs from colliding when vocabularies of
-    different languages are unioned.
-    """
-    if any(ch.isspace() for ch in prefix):
-        raise ValueError(f"prefix {prefix!r} must not contain whitespace")
-    if not prefix:
-        return space
-    # The source's matrix is checked and its tokens unique; one prefix keeps them so.
-    return EmbeddingSpace._own(
-        [prefix + t for t in space.tokens], space.matrix, meta=space.meta, checked=True
-    )
-
-
-def _next_source(sources: Iterator[EmbeddingSpace]) -> EmbeddingSpace:
-    """The next source, for the next language prefix."""
-    for space in sources:
-        return space
-    raise ValueError("language_prefixes must be parallel to sources")
-
-
-def _prefixed(
-    sources: Iterable[EmbeddingSpace], config: CombineConfig
-) -> Iterator[EmbeddingSpace]:
-    """The sources under their language prefixes, one at a time as they
-    arrive. No name here holds a source while the caller works on it."""
-    prefixes = config.language_prefixes
-    if prefixes is None:
-        yield from sources
-        return
-    sources = iter(sources)
-    for prefix in prefixes:
-        yield apply_language_prefixes(_next_source(sources), prefix)
-    for _ in sources:
-        raise ValueError("language_prefixes must be parallel to sources")
-
-
-def _prefixed_dictionaries(
-    dictionaries: Sequence[MappingDictionary | None] | None, config: CombineConfig
-) -> Sequence[MappingDictionary | None] | None:
-    """The dictionaries under their sources' and the target's prefixes.
-
-    The prefixes are parallel to the sources (``_prefixed`` checks that as
-    they arrive), so dictionaries that are not parallel to the prefixes,
-    or a target index past them, fail here, before any source is read.
-    """
-    prefixes = config.language_prefixes
-    if dictionaries is None or prefixes is None:
-        return dictionaries
-    if len(dictionaries) != len(prefixes):
-        raise ValueError("dictionaries must be parallel to sources")
-    if config.target_index >= len(prefixes):
-        raise ValueError(f"target_index {config.target_index} out of range")
-    target_prefix = prefixes[config.target_index]
-    return [
-        None if dictionary is None else dictionary.prefixed(prefix, target_prefix)
-        for prefix, dictionary in zip(prefixes, dictionaries)
-    ]
-
-
 def _check_method(config: CombineConfig | None, method: str) -> CombineConfig:
     if config is None:
         return CombineConfig(method=method)
@@ -165,9 +103,8 @@ def _unit_spaces(
 ) -> list[EmbeddingSpace]:
     """The sources under their language prefixes, each scaled to unit rows
     as it arrives: ``map`` holds no raw source once it is scaled."""
-    spaces = list(
-        map(lambda s: s._with_matrix(_unit_rows(s.matrix)[0]), _prefixed(sources, config))
-    )
+    prefixed = _prefixed(sources, config.language_prefixes)
+    spaces = list(map(lambda s: s._with_matrix(_unit_rows(s.matrix)[0]), prefixed))
     if not spaces:
         raise ValueError("need at least one source")
     return spaces
@@ -331,8 +268,7 @@ def _plan(
     (``align_to_target``) or scaled to unit rows as it arrives.
     """
     if config.method == "mvm":
-        dictionaries = _prefixed_dictionaries(dictionaries, config)
-        aligned = align_to_target(_prefixed(sources, config), config.target_index, dictionaries)
+        aligned = _aligned(sources, config.language_prefixes, config.target_index, dictionaries)
         if len(aligned) < 2:
             raise ValueError("mvm needs at least two sources")
         # The fill reads ``members``; the maps are freed with ``aligned``.

@@ -292,7 +292,9 @@ class _Rows:
         self.max_vocab = max_vocab
         self.at = at
         self.non_finite = non_finite
-        self.block = _block_rows(dim)
+        # Sized as if a row held at least 32 values: a narrow row's pending
+        # line or mark outweighs its values.
+        self.block = _block_rows(max(dim, 32))
 
     @property
     def full(self) -> bool:

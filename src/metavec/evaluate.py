@@ -122,12 +122,18 @@ def load_similarity_dataset(
 
 
 def _fractional_ranks(values: np.ndarray) -> np.ndarray:
-    # Counting definition: rank = (# strictly smaller) + (ties + 1) / 2,
-    # counting the value itself among its ties. Quadratic, but dataset
-    # sizes are small.
-    smaller = (values[np.newaxis, :] < values[:, np.newaxis]).sum(axis=1)
-    equal = (values[np.newaxis, :] == values[:, np.newaxis]).sum(axis=1)
-    return smaller + (equal + 1) / 2.0
+    """Rank = (# strictly smaller) + (ties + 1) / 2, counting the value
+    itself among its ties, from one stable sort: a run of equal values at
+    sorted positions i…j−1 ranks i + (j − i + 1) / 2. A NaN equals nothing,
+    itself included, so it ranks 1/2; it sorts last, so no number counts it."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[starts, len(values)])
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
+    ranks[np.isnan(values)] = 0.5
+    return ranks
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -72,6 +72,16 @@ def average_ranks(values):
     return ranks
 
 
+def counting_ranks(values):
+    """Fractional ranks by counting: (# strictly smaller) + (ties + 1) / 2,
+    the value itself among its ties, from two n×n comparison arrays. A NaN
+    equals nothing, itself included, so it ranks 1/2."""
+    values = np.asarray(values, dtype=np.float64)
+    smaller = (values[np.newaxis, :] < values[:, np.newaxis]).sum(axis=1)
+    equal = (values[np.newaxis, :] == values[:, np.newaxis]).sum(axis=1)
+    return smaller + (equal + 1) / 2.0
+
+
 def spearman_reference(xs, ys):
     """Rank-then-Pearson Spearman correlation; nan when either side is constant."""
     rx = average_ranks(xs)

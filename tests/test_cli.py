@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from metavec import cli, linalg
-from metavec.align import load_bilingual_dictionary
+from metavec.align import align_to_target, load_bilingual_dictionary
 from metavec.cli import main
-from metavec.combine import CombineConfig, combine_mvm, provenance_json
+from metavec.combine import (
+    CombineConfig, apply_language_prefixes, combine_mvm, provenance_json,
+)
 from metavec.embeddings import EmbeddingSpace, load_embeddings, save_embeddings
 from metavec.linalg import normalize_step0
 from conftest import bytes_by_blas_threads
@@ -105,6 +107,40 @@ class TestMap:
         assert main(argv) == 0
         assert stdout_value(capsys, "dictionary size") == "2"
         assert load_embeddings(out).tokens == ("en/one", "en/two", "en/three")
+
+    def test_two_dicts_are_a_usage_error_that_writes_nothing(self, pair, tmp_path, capsys):
+        # One --dict, for the source: the target needs none.
+        p1, p2 = pair
+        dic = tmp_path / "d.tsv"
+        dic.write_bytes(b"b\tb\n")
+        out = tmp_path / "out.vec"
+        with pytest.raises(SystemExit) as exc:
+            main(["map", str(p1), str(p2), "-o", str(out), "--dict", str(dic), "--dict", str(dic)])
+        assert exc.value.code == 2
+        assert "expected one --dict per non-target source (1), got 2" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == sorted([dic, p1, p2])
+
+    def test_prefixed_dict_output_is_the_aligned_prefixed_source(self, tmp_path, capsys):
+        # Prefixed sources share no token, so the dictionary, under the
+        # source's and the target's prefix, is all that links them.
+        rng = np.random.default_rng(9)
+        paths = [tmp_path / "en.vec", tmp_path / "de.vec"]
+        for path in paths:
+            write_emb(path, [f"w{i}" for i in range(8)], rng.normal(size=(8, 3)))
+        dic = tmp_path / "en-de.tsv"
+        dic.write_bytes(b"w0\tw1\nw2\tw2\nw3\tw5\nw6\tw4\nw7\tw7\n")
+        out = tmp_path / "out.vec"
+        argv = ["map", *map(str, paths), "-o", str(out),
+                "--prefix", "en/", "--prefix", "de/", "--dict", str(dic)]
+        assert main(argv) == 0
+        with open(dic, "rb") as handle:
+            dictionary = load_bilingual_dictionary(handle).prefixed("en/", "de/")
+        spaces = [apply_language_prefixes(load_embeddings(p), pre)
+                  for p, pre in zip(paths, ("en/", "de/"))]
+        aligned = align_to_target(spaces, target_index=1, dictionaries=[dictionary, None])
+        save_embeddings(aligned.mapped[0], tmp_path / "expected.vec")
+        assert out.read_bytes() == (tmp_path / "expected.vec").read_bytes()
+        assert stdout_value(capsys, "dictionary size") == "5"
 
     def test_output_mirrors_binary_input_format(self, tmp_path):
         rng = np.random.default_rng(6)

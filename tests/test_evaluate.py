@@ -17,6 +17,7 @@ from metavec.evaluate import (
     report_records,
     spearman,
 )
+from conftest import traced_peak
 from oracles import spearman_reference
 
 
@@ -186,6 +187,15 @@ class TestSpearman:
             base = spearman(xs, ys)
             warped = spearman(np.exp(xs / 3.0), ys * 7.0 + 2.0)
             assert warped == pytest.approx(base, abs=1e-12)
+
+    def test_ranks_hold_no_square_array(self):
+        # Two n×n comparison arrays took 25 MB here; one sort takes a few
+        # arrays of n values for each side.
+        rng = np.random.default_rng(5)
+        xs, ys = rng.normal(size=(2, 5000)).round(2)
+        rho, peak = traced_peak(spearman, xs, ys)
+        assert rho == pytest.approx(spearman_reference(xs, ys), abs=1e-12)
+        assert peak <= 16 * xs.nbytes
 
     def test_ties_averaged_not_broken_by_position(self):
         # Swapping the positions of tied values must not change the result.

@@ -71,6 +71,30 @@ def test_binary_parse_hashes_its_tokens_once(monkeypatch):
     assert peak <= held + parsed.matrix.nbytes + (1 << 20)
 
 
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_narrow_rows_are_checked_in_small_batches(fmt):
+    # 100k one-value words at the default block size. A batch of rows is
+    # sized as if each held 32 values (4096 rows), so the pending lines or
+    # marks of one batch stay small beside the tokens, the set of tokens
+    # seen (half as much again while it grows) and the matrix. Batches of
+    # 131072 rows, a float64 matrix's 1 MiB of one-value rows, held every
+    # pending line: the text parse peaked at 24.1 MB against this bound of
+    # 15.2, the binary one at 16.0 against 15.9; batches of 4096 rows peak
+    # at 12.6 and 12.7 MB.
+    tokens = [f"w{i}" for i in range(100_000)]
+    space = EmbeddingSpace._own(tokens, np.random.default_rng(3).normal(size=(len(tokens), 1)))
+    text = fmt == "text"
+    payload = write_text_embeddings(space, precision=7) if text else write_binary_embeddings(space)
+    parse = parse_text_embeddings if text else parse_binary_embeddings
+    # The binary parser also holds its read buffer, one block.
+    buffer = 0 if text else embeddings._BLOCK_BYTES
+    parsed, peak = traced_peak(parse, payload)
+    assert parsed.tokens == tuple(tokens)
+    strings = sum(map(sys.getsizeof, parsed.tokens))
+    held = strings + 2 * sys.getsizeof(tokens) + 1.5 * sys.getsizeof(set(tokens))
+    assert peak <= held + parsed.matrix.nbytes + buffer + (1 << 20)
+
+
 def test_text_parse_ignores_header_count_when_sizing(space, caplog):
     payload = write_text_embeddings(space, precision=7)
     lying = f"{100 * ROWS} {DIM}".encode() + payload[payload.index(b"\n"):]
