@@ -4,15 +4,14 @@ from __future__ import annotations
 import contextlib
 import io
 import logging
+from collections import deque
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from metavec.embeddings import EmbeddingSpace, ParseError, _numbered_lines, _rows64
-from metavec.linalg import (
-    OrthogonalMap, _blocks, _procrustes, _residual, _Step0, normalize_step0,
-)
+from metavec.linalg import OrthogonalMap, _blocks, _procrustes, _residual, _Step0
 
 logger = logging.getLogger(__name__)
 
@@ -177,31 +176,104 @@ def _anchors(
     return sources[kept], targets[kept], filtered
 
 
+class _Source(NamedTuple):
+    """A source as alignment leaves it: its space as it arrived, what its
+    normalized rows are read from through ``_rows64`` (``normalized``: the
+    statistics of its normalization, ``linalg._Step0``, or a normalized
+    matrix), its map onto the target's normalized rows and the fit's report
+    (both None for the target). Its aligned rows are its normalized rows
+    times ``omap.matrix``, or the target's normalized rows; ``aligned``
+    makes them all."""
+
+    space: EmbeddingSpace
+    normalized: _Step0 | np.ndarray
+    omap: OrthogonalMap | None
+    info: AlignmentInfo | None
+
+    def aligned(self) -> EmbeddingSpace:
+        """The space of all the aligned rows of a source held with its
+        ``_Step0``, made one block of rows at a time in source order
+        (``linalg._blocks``)."""
+        w = None if self.omap is None else self.omap.matrix
+        matrix = _blocks(self.normalized.rows, *self.space.matrix.shape, w)
+        return self.space._with_matrix(matrix, checked=True)
+
+
 def _fit_one(
-    source: EmbeddingSpace,
-    step0: _Step0,
-    target: EmbeddingSpace,
-    dictionary: MappingDictionary | None,
-) -> tuple[EmbeddingSpace, OrthogonalMap, AlignmentInfo]:
-    """Fit and map a raw source, normalized by its ``step0``, onto the
-    normalized target. Its normalized rows are made one block at a time:
-    for the sums of x'z over blocks of anchor pairs, and for the mapped
-    rows, written straight into the aligned matrix. The residual is taken
-    from blocks of mapped and target anchor rows. Every product runs at one
-    BLAS thread, so the bits do not depend on the thread count."""
-    sources, targets, filtered = _anchors(source, target, dictionary)
+    source: EmbeddingSpace, step0: _Step0, target: _Source, dictionary: MappingDictionary | None
+) -> _Source:
+    """Fit a raw source, normalized by its ``step0``, onto the target's
+    normalized rows. Its normalized anchor rows are made one block at a
+    time for the sums of x'z over blocks of anchor pairs, and again for
+    the residual, mapped by one product per block. Every product runs at
+    one BLAS thread, so the bits do not depend on the thread count."""
+    sources, targets, filtered = _anchors(source, target.space, dictionary)
 
     def target_rows(at):
-        return _rows64(target.matrix, targets[at], copy=False)
+        return _rows64(target.normalized, targets[at], copy=False)
 
     omap = _procrustes(lambda at: step0.rows(sources[at]), target_rows, len(sources), source.dim)
-    mapped = _blocks(step0.rows, len(source), source.dim, omap.matrix)
-    residual = _residual(lambda at: mapped[sources[at]], target_rows, len(sources), source.dim)
+    residual = _residual(
+        lambda at: step0.rows(sources[at]) @ omap.matrix, target_rows, len(sources), source.dim
+    )
     info = AlignmentInfo(
         dictionary_size=len(sources), filtered_pairs=filtered, residual=residual
     )
-    aligned = source._with_matrix(mapped, checked=True)
-    return aligned, omap, info
+    return _Source(source, step0, omap, info)
+
+
+def _fitted(
+    sources: Iterable[EmbeddingSpace],
+    target_index: int = 0,
+    dictionaries: Sequence[MappingDictionary | None] | None = None,
+    *,
+    normalize_target: bool = False,
+) -> Iterator[_Source]:
+    """Each source in order as alignment leaves it (``_Source``), given as
+    soon as it is fitted: the sources before the target when the target
+    arrives, every later one as it arrives. Each is held as it arrived,
+    with the statistics of its normalization (``linalg._Step0``), and
+    no name here keeps it once it is given, apart from the target; with
+    ``normalize_target``, the target is held as its normalized space
+    instead, made when it arrives. Dims and the dictionaries' count are
+    checked as the spaces arrive; each fit is ``align_to_target``'s.
+    """
+    if target_index < 0:
+        raise ValueError(f"target_index {target_index} out of range")
+    waiting: deque = deque()  # (space, statistics) of sources not yet fitted
+    target = None
+    count = 0
+    for space in sources:
+        if count and space.dim != dim:
+            raise ValueError(f"sources must share one dim, got {sorted({dim, space.dim})}")
+        if dictionaries is not None and count == len(dictionaries):
+            raise ValueError("dictionaries must be parallel to sources")
+        dim = space.dim
+        waiting.append((space, _Step0(space.matrix)))
+        count += 1
+        del space
+        if target is None and count > target_index:
+            target = _Source(*waiting.pop(), None, None)
+            if normalize_target:
+                space = target.aligned()
+                target = _Source(space, space.matrix, None, None)
+                del space
+            waiting.append(None)  # the target's place
+        while target is not None and waiting:
+            i = count - len(waiting)
+            entry = waiting.popleft()
+            if i == target_index:
+                yield target
+            else:
+                dictionary = dictionaries[i] if dictionaries is not None else None
+                yield _fit_one(*entry, target, dictionary)
+            del entry
+    if not count:
+        raise ValueError("need at least one source space")
+    if target is None:
+        raise ValueError(f"target_index {target_index} out of range")
+    if dictionaries is not None and len(dictionaries) != count:
+        raise ValueError("dictionaries must be parallel to sources")
 
 
 def align_to_target(
@@ -216,51 +288,20 @@ def align_to_target(
     or removing other sources never changes a source's alignment. The
     target keeps its own normalized coordinates.
 
-    ``sources`` may be any iterable, taken one space at a time. Each is
-    held as it arrived, with the statistics of its normalization
-    (``linalg._Step0``), until it is fitted; then only its aligned rows
-    are kept. The target is normalized when it arrives, and every later
-    source is fitted as it arrives, so a stream of spaces that starts with
-    the target never has more than one raw space alive here. Dims and the
-    dictionaries' count are checked as the spaces arrive.
+    ``sources`` may be any iterable, taken one space at a time
+    (``_fitted``). The target is normalized when it arrives, and each
+    other source's aligned rows are made as soon as it is fitted, its raw
+    matrix let go: so a stream of spaces that starts with the target never
+    has more than one raw space alive here.
     """
-    if target_index < 0:
-        raise ValueError(f"target_index {target_index} out of range")
-    # The normalized target, and (space, statistics) pairs, each replaced
-    # by its aligned space once fitted; ``maps`` and ``infos`` cover the
-    # slots fitted so far.
-    slots: list = []
+    slots: list[EmbeddingSpace] = []
     maps: list[OrthogonalMap] = []
     infos: list[AlignmentInfo | None] = []
-    for space in sources:
-        if slots and space.dim != dim:
-            raise ValueError(f"sources must share one dim, got {sorted({dim, space.dim})}")
-        if dictionaries is not None and len(slots) == len(dictionaries):
-            raise ValueError("dictionaries must be parallel to sources")
-        dim = space.dim
-        if len(slots) == target_index:
-            slots.append(normalize_step0(space))
-        else:
-            slots.append((space, _Step0(space.matrix)))
-        del space
-        if len(slots) <= target_index:
-            continue
-        target = slots[target_index]
-        for i in range(len(maps), len(slots)):
-            if i == target_index:
-                maps.append(OrthogonalMap.identity(target.dim))
-                infos.append(None)
-                continue
-            dictionary = dictionaries[i] if dictionaries is not None else None
-            slots[i], omap, info = _fit_one(*slots[i], target, dictionary)
-            maps.append(omap)
-            infos.append(info)
-    if not slots:
-        raise ValueError("need at least one source space")
-    if len(slots) <= target_index:
-        raise ValueError(f"target_index {target_index} out of range")
-    if dictionaries is not None and len(dictionaries) != len(slots):
-        raise ValueError("dictionaries must be parallel to sources")
+    for source in _fitted(sources, target_index, dictionaries, normalize_target=True):
+        slots.append(source.space if source.omap is None else source.aligned())
+        maps.append(source.omap or OrthogonalMap.identity(source.space.dim))
+        infos.append(source.info)
+        del source
     return AlignedCollection(slots[target_index], slots, maps, infos)
 
 
@@ -307,9 +348,9 @@ def _aligned(
     prefixes: Sequence[str] | None,
     target_index: int,
     dictionaries: Sequence[MappingDictionary | None] | None,
-) -> AlignedCollection:
-    """``align_to_target`` of the sources, each under its language prefix as
-    it arrives, with each dictionary's pairs under its source's and the
+) -> Iterator[_Source]:
+    """``_fitted`` of the sources, each under its language prefix as it
+    arrives, with each dictionary's pairs under its source's and the
     target's prefix: how every command reaches alignment. Dictionaries not
     parallel to the prefixes, or a target index past them, fail before any
     source is read; ``_prefixed`` checks the sources as they arrive."""
@@ -322,4 +363,4 @@ def _aligned(
         dictionaries = [
             None if d is None else d.prefixed(p, target) for p, d in zip(prefixes, dictionaries)
         ]
-    return align_to_target(_prefixed(sources, prefixes), target_index, dictionaries)
+    return _fitted(_prefixed(sources, prefixes), target_index, dictionaries)

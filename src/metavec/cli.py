@@ -89,7 +89,8 @@ class _RecordList(logging.Handler):
 
 def _fork(fn, item) -> tuple[int, BinaryIO]:
     """Run ``fn(item)`` in a forked child; return its pid and the read end
-    of the pipe that carries back its log records and result or exception."""
+    of the pipe that carries back its log records and result or exception.
+    The child keeps the BLAS thread count this process has."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -147,8 +148,12 @@ def _forked_map(fn, items, workers: int):
 
     Forked children share the parent's arrays without copying them; only
     results travel back, pickled through a pipe that this process reads.
-    ``fn`` must make no BLAS call: a forked copy of a threaded BLAS pool can
-    hang. With one worker, or without ``os.fork``, this is plain ``map``.
+    The children are forked while this process runs at one BLAS thread,
+    which it keeps until the map ends: each child then makes its BLAS
+    calls at one thread, for its whole life, without setting a count
+    (OpenBLAS starts a new thread pool in a forked child that sets one,
+    and children that each start one crowd the CPUs). With one worker, or
+    without ``os.fork``, this is plain ``map``.
     On an error, ``close()`` or an interrupt, every child still running is
     killed and reaped.
     """
@@ -158,15 +163,16 @@ def _forked_map(fn, items, workers: int):
     pending = iter(items)
     running: deque = deque()
     try:
-        for item in itertools.islice(pending, workers):
-            running.append(_fork(fn, item))
-        while running:
-            # Popped as it is yielded, so that no name here holds the
-            # result while the caller works on it.
-            done = [_collect(running)]
-            for item in itertools.islice(pending, 1):
+        with _blas_threads(1):
+            for item in itertools.islice(pending, workers):
                 running.append(_fork(fn, item))
-            yield done.pop()
+            while running:
+                # Popped as it is yielded, so that no name here holds the
+                # result while the caller works on it.
+                done = [_collect(running)]
+                for item in itertools.islice(pending, 1):
+                    running.append(_fork(fn, item))
+                yield done.pop()
     finally:
         for pid, pipe in running:
             os.kill(pid, signal.SIGKILL)
@@ -200,8 +206,9 @@ def _staged(
     for, or else in the format of ``first_source``. Text rows are made and
     formatted in worker processes, in as many blocks as a multiple of the
     workers, so that the workers finish together; binary rows in this
-    process. Making a union's rows (``_place``, the mean and its unit
-    scaling) makes no BLAS call."""
+    process. mvm's union rows take one product per block of its union
+    grid and non-target source (``combine._mean``), at one BLAS thread, so
+    the bytes do not depend on the workers."""
     fmt = args.format or detect_format(first_source)
     parts = _io_workers(args) if fmt == "text" else 1
     forked = functools.partial(_forked_map, workers=parts)
@@ -253,10 +260,12 @@ def cmd_map(args, parser) -> int:
     _check_prefix_count(paths, args.prefix, parser)
     dictionaries = _dictionaries(args, parser, len(paths), 1)
     with contextlib.closing(_load_sources(paths, args)) as spaces:
-        collection = _aligned(spaces, args.prefix, 1, dictionaries)
-    # The normalized target is freed before the output is written.
-    mapped, info = collection.mapped[0], collection.infos[0]
-    del collection
+        source, target = _aligned(spaces, args.prefix, 1, dictionaries)
+    # The raw target is freed before the source is mapped, and the raw
+    # source before the output is written.
+    del target
+    mapped, info = source.aligned(), source.info
+    del source
     _commit_outputs([
         _staged(args.output, mapped.tokens, mapped.dim, mapped.matrix, args, args.source)
     ])

@@ -9,9 +9,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from metavec.align import MappingDictionary, _aligned, _prefixed, apply_language_prefixes
+from metavec.align import MappingDictionary, _aligned, _prefixed, _Source, apply_language_prefixes
 from metavec.embeddings import EmbeddingSpace, _block_rows, _Fill, _filled
-from metavec.linalg import _unit_rows, apply_reduction, fit_reduction
+from metavec.linalg import (
+    _PRODUCT_BYTES, _blas_threads, _unit_rows, apply_reduction, fit_reduction,
+)
 from metavec.oov import (
     DEFAULT_K, SynthesisReport, _place, _Plan, _plan_synthesis, _union_positions,
 )
@@ -111,17 +113,18 @@ def _unit_spaces(
 
 
 def _union_rows(
-    spaces: Sequence[EmbeddingSpace], config: CombineConfig
+    spaces: Sequence[EmbeddingSpace], config: CombineConfig, ranked: Sequence[tuple] | None = None
 ) -> tuple[list[str], np.ndarray, Sequence[_Plan | None], SynthesisReport | None]:
     """The union vocabulary, its row table and each space's synthesis plan
     for ``_place``.
 
     Under the "nn" policy every missing word is planned
-    (``_plan_synthesis``) and its table entry points past its space's own
-    rows. Otherwise there are no plans and missing words keep -1.
+    (``_plan_synthesis``, ranking what ``ranked`` gives) and its table
+    entry points past its space's own rows. Otherwise there are no plans
+    and missing words keep -1.
     """
     if config.oov_policy == "nn":
-        return _plan_synthesis(spaces, config.k_neighbors)
+        return _plan_synthesis(spaces, config.k_neighbors, ranked=ranked)
     union, table = _union_positions(spaces)
     return union, table, [None] * len(spaces), None
 
@@ -164,69 +167,98 @@ def _provenance(
 
 
 def _mean_rows(
-    spaces: Sequence[EmbeddingSpace],
+    sources: Sequence[_Source],
     table: np.ndarray,
     plans: Sequence[_Plan | None],
     policy: str,
     matrix: np.ndarray,
 ) -> None:
-    """Set ``matrix`` to the per-word mean across spaces under the given
-    missing-word policy, one row per column of ``table``: a run of columns
-    of the row table (``_union_rows``).
+    """Set ``matrix`` to the per-word mean across sources under the given
+    missing-word policy, one row per column of ``table``: one block of the
+    union grid (``_mean``).
 
-    ``spaces`` already share coordinates. For "available" the denominator
-    is the number of spaces holding the word; for "zero" and "nn" (where
-    every word has a row in every space) it is the source count. A word's
-    rows are added in the order of their byte images, so the result is
-    bitwise independent of the order the sources were given in, and of the
-    other words in the run. Words are taken in blocks whose stacked rows
-    fit in one block (``_block_rows``), and ``_place`` builds the centroids
-    of a block's synthesized rows as it stacks them: the inputs and
-    ``matrix`` are held meanwhile, and the stack, the gathered neighbor
-    rows and the temporaries come on top.
+    A source's rows are placed (``_place``) from its normalized rows,
+    times its map when it has one, in one product for the block: so the
+    block, not the caller's run of rows, decides their bits. For
+    "available" the denominator is the number of sources holding the
+    word; for "zero" and "nn" (where every word has a row in every source)
+    it is the source count. A word's rows are added in the order of their
+    byte images, so the result is bitwise independent of the order the
+    sources were given in. The stack of the block's rows, a source's
+    placed rows and their product come on top of the inputs and
+    ``matrix``.
     """
-    n, dim = len(spaces), spaces[0].dim
+    n, dim = len(sources), matrix.shape[1]
     row_type = np.dtype((np.void, 8 * dim))
-    step = _block_rows(n * dim)
-    # One stack for every block; each block's sum is built in its output rows.
-    buffer = np.empty((min(step, table.shape[1]), n, dim))
-    for start in range(0, table.shape[1], step):
-        at = table[:, start : start + step]
-        held = at >= 0
-        # All-0xff bytes are a NaN, which no space holds, so an absent row
-        # sorts after every present one.
-        stack = buffer[: at.shape[1]]
-        stack.view(np.int64)[...] = -1
-        for i, space in enumerate(spaces):
-            _place(stack[:, i], at[i], space.matrix, plans[i])
-        order = np.argsort(stack.view(row_type)[..., 0], axis=1)
-        counts = held.sum(axis=0)
-        block = np.arange(len(stack))
-        total = matrix[start : start + step]
-        total[...] = stack[block, order[:, 0]]
-        for j in range(1, n):
-            np.add(total, stack[block, order[:, j]], out=total, where=(j < counts)[:, np.newaxis])
-        denominator = counts[:, np.newaxis] if policy == "available" else n
-        np.divide(total, denominator, out=total)
+    held = table >= 0
+    # All-0xff bytes are a NaN, which no source holds, so an absent row
+    # sorts after every present one.
+    stack = np.empty((table.shape[1], n, dim))
+    stack.view(np.int64)[...] = -1
+    placed = product = None
+    for i, source in enumerate(sources):
+        if source.omap is None:
+            _place(stack[:, i], table[i], source.normalized, plans[i])
+            continue
+        if placed is None:
+            placed, product = np.zeros((2, len(stack), dim))
+        _place(placed, table[i], source.normalized, plans[i])
+        np.matmul(placed, source.omap.matrix, out=product)
+        stack[:, i] = product
+        stack.view(np.int64)[~held[i], i] = -1
+    order = np.argsort(stack.view(row_type)[..., 0], axis=1)
+    counts = held.sum(axis=0)
+    block = np.arange(len(stack))
+    matrix[...] = stack[block, order[:, 0]]
+    for j in range(1, n):
+        np.add(matrix, stack[block, order[:, j]], out=matrix, where=(j < counts)[:, np.newaxis])
+    denominator = counts[:, np.newaxis] if policy == "available" else n
+    np.divide(matrix, denominator, out=matrix)
 
 
 def _mean(
-    spaces: Sequence[EmbeddingSpace], config: CombineConfig, **own
+    sources: Sequence[_Source], config: CombineConfig, **own
 ) -> tuple[list[str], _Fill, dict]:
-    """The union of ``spaces``, a fill of its rows (the per-word mean,
+    """The union of ``sources``, a fill of its rows (the per-word mean,
     ``_mean_rows``, scaled to unit length for mvm) and the provenance
-    record, with the method's ``own`` keys."""
-    union, table, plans, report = _union_rows(spaces, config)
+    record, with the method's ``own`` keys.
 
-    def fill(out: np.ndarray, start: int, stop: int) -> None:
-        # Both steps are row-local, so a run of rows gets the bits it has
-        # in the whole matrix.
-        _mean_rows(spaces, table[:, start:stop], plans, config.oov_policy, out)
+    The fill makes the union rows on a fixed grid of union positions:
+    blocks whose rows of every source fit in ``linalg._PRODUCT_BYTES``,
+    counted from position 0, each made whole at one BLAS thread. A run of
+    rows then gets the bits it has in the whole matrix, whatever the
+    tiling, the worker count or the BLAS thread count. The last block made
+    for a run's edge is kept, so that runs taken in order make each block
+    once.
+    """
+    spaces = [source.space for source in sources]
+    # mvm ranks each source before it is mapped, on its normalization.
+    ranked = [s.normalized.centered() for s in sources] if config.method == "mvm" else None
+    union, table, plans, report = _union_rows(spaces, config, ranked)
+    dim = spaces[0].dim
+    grid = _block_rows(len(sources) * dim, _PRODUCT_BYTES)
+    edge = [-1, np.empty((min(grid, len(union)), dim))]  # its start and rows
+
+    def block(out: np.ndarray, lo: int, hi: int) -> None:
+        _mean_rows(sources, table[:, lo:hi], plans, config.oov_policy, out)
         if config.method == "mvm":
             _unit_rows(out, out=out)
 
+    def fill(out: np.ndarray, start: int, stop: int) -> None:
+        with _blas_threads(1):
+            for lo in range(start - start % grid, stop, grid):
+                hi = min(lo + grid, len(union))
+                if start <= lo and hi <= stop:
+                    block(out[lo - start : hi - start], lo, hi)
+                    continue
+                if edge[0] != lo:
+                    edge[0] = lo
+                    block(edge[1][: hi - lo], lo, hi)
+                first, last = max(lo, start), min(hi, stop)
+                out[first - start : last - start] = edge[1][first - lo : last - lo]
+
     # Every step keeps each space's meta, so the spaces name the sources.
-    return union, fill, _provenance(spaces, config, len(union), spaces[0].dim, report, **own)
+    return union, fill, _provenance(spaces, config, len(union), dim, report, **own)
 
 
 def _concat(
@@ -268,14 +300,14 @@ def _plan(
     (``align_to_target``) or scaled to unit rows as it arrives.
     """
     if config.method == "mvm":
-        aligned = _aligned(sources, config.language_prefixes, config.target_index, dictionaries)
-        if len(aligned) < 2:
+        fitted = list(
+            _aligned(sources, config.language_prefixes, config.target_index, dictionaries)
+        )
+        if len(fitted) < 2:
             raise ValueError("mvm needs at least two sources")
-        # The fill reads ``members``; the maps are freed with ``aligned``.
-        members, infos = list(aligned.mapped), aligned.infos
-        del aligned
+        infos = [source.info for source in fitted]
         return _mean(
-            members, config,
+            fitted, config,
             dictionary_sizes=[info.dictionary_size if info else None for info in infos],
             alignment_residuals=[info.residual if info else None for info in infos],
         )
@@ -286,7 +318,8 @@ def _plan(
         dims = {space.dim for space in spaces}
         if len(dims) != 1:
             raise ValueError(f"averaging needs one shared dim, got {sorted(dims)}")
-        return _mean(spaces, config)
+        # A unit space is a source already in common coordinates.
+        return _mean([_Source(space, space.matrix, None, None) for space in spaces], config)
     union, rows, provenance = _concat(sources, config)
     if config.method == "concat-reduce":
         concat = _filled(union, provenance["dim"], rows, config.method)

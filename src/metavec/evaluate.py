@@ -139,7 +139,8 @@ def _fractional_ranks(values: np.ndarray) -> np.ndarray:
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Spearman correlation: Pearson on fractional ranks, ties averaged.
 
-    Returns nan when either list has no rank variance (all values equal).
+    Returns nan when either list holds a NaN (a value with no place in
+    the order), or has no rank variance (all values equal).
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -147,6 +148,8 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise ValueError("expected two equal-length lists")
     if len(xs) < 2:
         raise ValueError("need at least two observations")
+    if np.isnan(xs).any() or np.isnan(ys).any():
+        return math.nan
     rx = _fractional_ranks(xs)
     ry = _fractional_ranks(ys)
     dx = rx - rx.mean()

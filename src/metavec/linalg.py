@@ -3,9 +3,13 @@ PCA-style reduction, cosine similarity."""
 from __future__ import annotations
 
 import contextlib
+import copy
 import ctypes
 import logging
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -16,10 +20,18 @@ logger = logging.getLogger(__name__)
 ORTHOGONALITY_TOL = 1e-8
 
 # Bytes of float64 rows per block of a sum or product whose result reaches
-# an output (``_blocks``, ``_procrustes`` and ``_residual``). The
-# blocks decide those bits, so their size is fixed here, apart from the
-# memory budget ``_BLOCK_BYTES``.
+# an output. The blocks decide those bits, so their size is fixed here,
+# apart from the memory budget ``_BLOCK_BYTES``, on two grids: blocks of
+# rows in source order (``_each_block``: the sums of ``_procrustes`` and
+# ``_residual``, and ``_blocks``'s products for ``map`` and
+# ``align_to_target``), and blocks of union positions whose rows of every
+# source fit here together (``combine._mean``: the products of the union
+# fill, which reads union positions in order).
 _PRODUCT_BYTES = 1 << 20
+# Blocks of ``_PRODUCT_BYTES`` per Python thread in ``_each_block``: each
+# thread costs a malloc arena and a BLAS buffer of a few MB, which pays
+# only when it has several MB of rows to work through.
+_THREAD_BLOCKS = 8
 
 # Where ``_openblas`` looks for the OpenBLAS libraries this process has
 # loaded, and the names of their thread-count calls (numpy's wheels, older
@@ -154,19 +166,51 @@ def _openblas() -> list:
 
 
 @contextlib.contextmanager
-def _blas_threads(count: int | None):
+def _blas_threads(count: int | None) -> Iterator[int]:
     """Run the body with ``count`` BLAS threads, then put the old count
-    back; None changes nothing. A product's bits depend on the thread
-    count, so every product whose result reaches an output runs at one."""
+    back; None changes nothing. The body gets the old count (1 when none
+    was found). A product's bits depend on the thread count, so every
+    product whose result reaches an output runs at one."""
     calls = [] if count is None else _openblas()
     old = [get() for get, _ in calls]
-    for _, put in calls:
+    # Only a count that differs is set: OpenBLAS starts a new pool when a
+    # forked process sets one.
+    changed = [(put, was) for (_, put), was in zip(calls, old) if was != count]
+    for put, _ in changed:
         put(count)
     try:
-        yield
+        yield max(old, default=1)
     finally:
-        for (_, put), was in zip(calls, old):
+        for put, was in changed:
             put(was)
+
+
+def _each_block(fn: Callable, count: int, dim: int) -> Iterator:
+    """``fn(at)`` for each block ``at`` (a slice) of ``count`` rows of
+    ``dim`` values (``_PRODUCT_BYTES``), counted from row 0, in block
+    order.
+
+    The blocks run in as many Python threads as BLAS had threads, but
+    with ``_THREAD_BLOCKS`` blocks or more each, and each product at one
+    BLAS thread: a block's bits then depend on its rows alone, so sums
+    taken in block order have the bits of a serial run. At most two blocks
+    per thread are ahead of the caller.
+    """
+    step = _block_rows(dim, _PRODUCT_BYTES)
+    blocks = [slice(start, start + step) for start in range(0, count, step)]
+    with _blas_threads(1) as pool:
+        threads = min(pool, len(blocks) // _THREAD_BLOCKS)
+        if threads < 2:
+            yield from map(fn, blocks)
+            return
+        with ThreadPoolExecutor(threads) as workers:
+            ahead: deque = deque()
+            for at in blocks:
+                if len(ahead) == 2 * threads:
+                    yield ahead.popleft().result()
+                ahead.append(workers.submit(fn, at))
+            while ahead:
+                yield ahead.popleft().result()
 
 
 def _row_norms(matrix: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
@@ -219,25 +263,25 @@ def _divisors(norms: np.ndarray) -> np.ndarray:
 
 
 def _blocks(rows, count: int, dim: int, w: np.ndarray | None = None) -> np.ndarray:
-    """The ``count`` rows that ``rows(at, out)`` gives, times ``w`` when
-    given, made one block of rows (``_PRODUCT_BYTES``) at a time, counted
-    from row 0. ``rows`` gives the rows ``at`` (a slice) in ``out``, or,
-    for a product, in an array of its own.
+    """The ``count`` rows that ``rows`` gives, times ``w`` when given, made
+    one block of rows at a time (``_each_block``). ``rows(at, out)`` gives
+    the rows ``at`` (a slice) in ``out``, or, for a product, ``rows(at)``
+    in an array of its own.
 
     The bits of a row of a product depend on the rows BLAS is given with
     it and on the thread count, so every product takes the same blocks, at
     one thread: a row's bits then depend on its source alone.
     """
     result = np.empty((count, dim if w is None else w.shape[1]))
-    step = _block_rows(dim, _PRODUCT_BYTES)
-    scratch = None if w is None else np.empty((min(step, count), dim))
-    with _blas_threads(1):
-        for start in range(0, count, step):
-            at = slice(start, start + step)
-            if w is None:
-                rows(at, result[at])
-            else:
-                np.matmul(rows(at, scratch[: len(result[at])]), w, out=result[at])
+
+    def block(at: slice) -> None:
+        if w is None:
+            rows(at, result[at])
+        else:
+            np.matmul(rows(at), w, out=result[at])
+
+    for _ in _each_block(block, count, dim):
+        pass
     return result
 
 
@@ -247,6 +291,9 @@ class _Step0:
     row norms after centering, each taken one block of rows at a time.
     ``rows`` makes any rows from them with the bits they have in the whole
     normalized matrix, so no normalized copy of a space need exist.
+    Indexing gives the same rows, and ``shape`` and ``len`` are the
+    matrix's, so whatever reads a matrix through ``_rows64`` reads a
+    ``_Step0`` as the normalized matrix.
 
     The mean adds the unit rows one after another, as
     ``matrix.mean(axis=0)`` does, so that its bits do not depend on the
@@ -276,17 +323,36 @@ class _Step0:
             total = np.add.reduce(stack[0 if start else 1 : 1 + len(rows)], axis=0)
         if count:
             self.mean = total[:dim] / count
-        second = np.empty(count)
-        zeros = 0
+        # The norms of the centered rows, zero where a row degenerated.
+        self.norms = np.empty(count)
         for start in range(0, count, step):
             at = slice(start, start + step)
-            norms = np.linalg.norm(self.rows(at, stack[: len(second[at]), :dim]), axis=1)
-            zeros += int(np.count_nonzero(norms == 0.0))
-            second[at] = _divisors(norms)
+            centered = self.rows(at, stack[: len(self.norms[at]), :dim])
+            self.norms[at] = np.linalg.norm(centered, axis=1)
         if renormalize:
-            self.second = second
+            self.second = _divisors(self.norms)
+        zeros = int(np.count_nonzero(self.norms == 0.0))
         if zeros:
             logger.warning("%d row(s) degenerated to zero after centering", zeros)
+
+    def centered(self) -> tuple[_Step0, np.ndarray]:
+        """These statistics without the last division, whose rows are the
+        centered rows, and those rows' norms: their unit rows are the
+        normalized rows, bit for bit, so ranking reads them without the
+        norms of a pass of its own (``oov._plan_synthesis``)."""
+        view = copy.copy(self)
+        view.second = None
+        return view, self.norms
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.matrix.shape
+
+    def __len__(self) -> int:
+        return len(self.matrix)
+
+    def __getitem__(self, at) -> np.ndarray:
+        return self.rows(at)
 
     def rows(self, at, out: np.ndarray | None = None) -> np.ndarray:
         """The normalized rows ``at`` (a slice or an index array), in
@@ -300,6 +366,22 @@ class _Step0:
         if self.second is not None:
             np.divide(out, self.second[at, np.newaxis], out=out)
         return out
+
+    def means(self, at: np.ndarray) -> np.ndarray:
+        """For each row of ``at`` (an index array of words × count), the
+        mean of the normalized rows it names, taken from the rows as read:
+        (Σ x·s − mean·Σ t) / count, where t = 1 / second (1 without the
+        last division) and s = t / first. That is one product per value
+        where the normalized rows take two quotients, so a centroid costs
+        about half as much. Each mean has the bits it has on its own,
+        whichever other rows ``at`` holds."""
+        inverse = np.ones(at.shape) if self.second is None else 1.0 / self.second[at]
+        rows = _rows64(self.matrix, at)
+        rows *= (inverse / self.first[at])[..., np.newaxis]
+        means = rows.sum(axis=1)
+        means -= inverse.sum(axis=1)[:, np.newaxis] * self.mean
+        means /= at.shape[1]
+        return means
 
 
 def normalize_step0(space: EmbeddingSpace, *, renormalize: bool = True) -> EmbeddingSpace:
@@ -320,14 +402,12 @@ def normalize_step0(space: EmbeddingSpace, *, renormalize: bool = True) -> Embed
 def _procrustes(x_rows, z_rows, count: int, dim: int) -> OrthogonalMap:
     """The orthogonal map of ``count`` paired rows of ``dim`` values:
     ``x_rows(at)`` and ``z_rows(at)`` give the pairs ``at`` (a slice) in
-    float64. x'z is summed over blocks of pairs (``_PRODUCT_BYTES``), in
-    order, at one thread, and so is its SVD taken."""
+    float64. x'z is summed over blocks of pairs (``_each_block``), in
+    order, and its SVD taken at one thread."""
     cross = np.zeros((dim, dim))
-    step = _block_rows(dim, _PRODUCT_BYTES)
+    for part in _each_block(lambda at: x_rows(at).T @ z_rows(at), count, dim):
+        cross += part
     with _blas_threads(1):
-        for start in range(0, count, step):
-            at = slice(start, start + step)
-            cross += x_rows(at).T @ z_rows(at)
         u, _, vt = np.linalg.svd(cross)
         return OrthogonalMap(u @ vt)
 
@@ -335,17 +415,18 @@ def _procrustes(x_rows, z_rows, count: int, dim: int) -> OrthogonalMap:
 def _residual(x_rows, z_rows, count: int, dim: int) -> float:
     """The Frobenius norm of x − z over ``count`` paired rows of ``dim``
     values, given as ``_procrustes`` takes them (``x_rows`` in an array
-    of its own), summed over the same blocks of pairs, at one thread."""
-    squares = 0.0
-    step = _block_rows(dim, _PRODUCT_BYTES)
-    with _blas_threads(1):
-        for start in range(0, count, step):
-            at = slice(start, start + step)
-            gap = x_rows(at)
-            gap -= z_rows(at)
-            gap = gap.ravel()
-            squares += float(gap @ gap)
-    return math.sqrt(squares)
+    of its own), summed over the same blocks of pairs, in order."""
+
+    def squares(at: slice) -> float:
+        gap = x_rows(at)
+        gap -= z_rows(at)
+        gap = gap.ravel()
+        return float(gap @ gap)
+
+    total = 0.0
+    for part in _each_block(squares, count, dim):
+        total += part
+    return math.sqrt(total)
 
 
 def solve_procrustes(x, z) -> OrthogonalMap:
@@ -369,7 +450,7 @@ def apply_map(space: EmbeddingSpace, omap: OrthogonalMap) -> EmbeddingSpace:
     if omap.dim != space.dim:
         raise ValueError(f"map dim {omap.dim} does not match space dim {space.dim}")
 
-    def rows(at, out):
+    def rows(at):
         return _rows64(space.matrix, at, copy=False)
 
     mapped = _blocks(rows, len(space), space.dim, omap.matrix)

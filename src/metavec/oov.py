@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from metavec.embeddings import EmbeddingSpace, _block_rows, _Fill, _filled, _rows64
-from metavec.linalg import _row_norms
+from metavec.linalg import _row_norms, _Step0
 
 DEFAULT_K = 10
 # Bytes per tile of queries × candidates' float32 scores in ``_rank``, and
@@ -372,9 +372,19 @@ _Plan = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _plan_synthesis(
-    spaces: Sequence[EmbeddingSpace], k: int, *, record_neighbors: bool = False
+    spaces: Sequence[EmbeddingSpace],
+    k: int,
+    *,
+    record_neighbors: bool = False,
+    ranked: Sequence[tuple] | None = None,
 ) -> tuple[list[str], np.ndarray, list[_Plan], SynthesisReport]:
     """Rank every space's missing words for NN synthesis.
+
+    Ranking reads, for each space, the rows and row norms ``ranked`` gives
+    (parallel to ``spaces``), or else its matrix and its row norms
+    (``_row_norms``). A source not mapped yet is ranked on rows whose unit
+    rows are its normalized rows (``linalg._Step0.centered``): an
+    orthogonal map moves no cosine.
 
     Every missing word is synthesized from originally-present words only.
     With several donor spaces holding a word, the donor whose best
@@ -401,23 +411,23 @@ def _plan_synthesis(
     # the deficient space and how many there are.
     plans: list[_Plan] = []
     work = _Workspace()
-    # Each donor's row norms, taken once for every space it serves.
-    norms: dict[int, np.ndarray] = {}
+    # Each donor's rows and row norms, taken once for every space it serves.
+    donors: dict[int, tuple] = dict(enumerate(ranked or ()))
     for i, space in enumerate(spaces):
         missing = np.flatnonzero(table[i] < 0)
         best = np.empty(len(missing))
         neighbors = np.empty((len(missing), min(k, len(space))), dtype=np.intp)
         counts = np.zeros(len(missing), dtype=np.intp)
-        for j, donor in enumerate(spaces):
+        for j in range(len(spaces)):
             # The deficient space itself holds none of its missing words.
             words = np.flatnonzero(table[j, missing] >= 0)
             if not len(words):
                 continue
             shared = by_token[(table[i, by_token] >= 0) & (table[j, by_token] >= 0)]
-            if j not in norms:
-                norms[j] = _row_norms(donor.matrix)
+            if j not in donors:
+                donors[j] = spaces[j].matrix, _row_norms(spaces[j].matrix)
             live, scores, top = _rank(
-                donor.matrix, norms[j], table[j, missing[words]], table[j, shared], k, work
+                *donors[j], table[j, missing[words]], table[j, shared], k, work
             )
             if not top.shape[1]:
                 continue
@@ -481,7 +491,16 @@ def _place(out: np.ndarray, at: np.ndarray, matrix: np.ndarray, plan: _Plan | No
         step = _block_rows(count * matrix.shape[1])
         for start in range(0, len(group), step):
             block = group[start : start + step]
-            out[drawn[block]] = _rows64(matrix, neighbors[words[block], :count]).mean(axis=1)
+            out[drawn[block]] = _means(matrix, neighbors[words[block], :count])
+
+
+def _means(matrix, at: np.ndarray) -> np.ndarray:
+    """The mean of the rows of ``matrix`` that each row of ``at`` (words ×
+    count) names, each with the bits it has on its own: of a matrix's
+    rows, or a ``linalg._Step0``'s normalized rows (``_Step0.means``)."""
+    if isinstance(matrix, _Step0):
+        return matrix.means(at)
+    return _rows64(matrix, at).mean(axis=1)
 
 
 def _placer(space: EmbeddingSpace, at: np.ndarray, plan: _Plan | None) -> _Fill:

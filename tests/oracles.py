@@ -5,6 +5,7 @@ library (dense grids, double argsort, explicit eigendecompositions) so that
 agreement between the two is evidence, not tautology.
 """
 import codecs
+import functools
 import logging
 import math
 from typing import BinaryIO
@@ -20,6 +21,8 @@ from metavec.embeddings import (
     _header_dim_problem,
     _parse_header_fields,
 )
+from metavec.align import align_to_target
+from metavec.linalg import _blas_threads, normalize_step0
 from metavec.oov import SynthesisReport
 
 logger = logging.getLogger(__name__)
@@ -385,9 +388,12 @@ def _rank(donor, words, candidate_tokens, k):
     return ranked
 
 
-def extend_all_to_union(spaces, k, *, record_neighbors=False):
+def extend_all_to_union(spaces, k, *, record_neighbors=False, ranked=None, centroid=None):
     """Union extension that plans each missing word with token lists and
-    builds its centroid on its own, one ``mean(axis=0)`` per word."""
+    builds its centroid on its own, one ``mean(axis=0)`` per word. Words
+    are ranked on ``ranked`` (spaces parallel to ``spaces``, with the same
+    tokens) when given, else on ``spaces`` themselves; ``centroid(i,
+    rows)``, when given, makes the centroid of rows ``rows`` of space i."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     union, places = _union_positions(spaces)
@@ -408,8 +414,8 @@ def extend_all_to_union(spaces, k, *, record_neighbors=False):
             candidate_tokens = sorted(t for t in own if t in donor_index)
             if not candidate_tokens:
                 continue
-            ranked = _rank(donor, words, candidate_tokens, k)
-            for word, hit in zip(words, ranked):
+            hits = _rank(donor if ranked is None else ranked[j], words, candidate_tokens, k)
+            for word, hit in zip(words, hits):
                 if hit is not None and (word not in best or hit[0] > best[word][0]):
                     best[word] = (hit[0], candidate_tokens, hit[1])
         plans.append((missing, best))
@@ -419,7 +425,7 @@ def extend_all_to_union(spaces, k, *, record_neighbors=False):
     shortfalls: list[tuple[str, int]] = []
     skipped: list[str] = []
     extended: list[EmbeddingSpace] = []
-    for space, place, (missing, best) in zip(spaces, places, plans):
+    for i, (space, place, (missing, best)) in enumerate(zip(spaces, places, plans)):
         own = space.index
         rows = np.zeros((len(union), space.dim))
         rows[place] = space.matrix
@@ -431,7 +437,8 @@ def extend_all_to_union(spaces, k, *, record_neighbors=False):
             if len(top) < k:
                 shortfalls.append((word, len(top)))
             neighbor_tokens = tuple(kept[x] for x in top)
-            rows[position[word]] = space.matrix[[own[t] for t in neighbor_tokens]].mean(axis=0)
+            at = [own[t] for t in neighbor_tokens]
+            rows[position[word]] = centroid(i, at) if centroid else space.matrix[at].mean(axis=0)
             if audit is not None:
                 audit[word] = neighbor_tokens
         extended.append(EmbeddingSpace._own(union, rows, meta=space.meta))
@@ -442,3 +449,73 @@ def extend_all_to_union(spaces, k, *, record_neighbors=False):
         skipped=tuple(skipped),
     )
     return extended, report
+
+
+def union_grid_products(matrix, w, grid):
+    """``matrix @ w`` taken one block of ``grid`` rows at a time, counted
+    from row 0, each block one product at one BLAS thread: the grid of
+    union positions on which mvm maps its union rows."""
+    out = np.empty((len(matrix), w.shape[1]))
+    with _blas_threads(1):
+        for start in range(0, len(matrix), grid):
+            out[start : start + grid] = matrix[start : start + grid] @ w
+    return out
+
+
+def step0_statistics(matrix):
+    """``normalize_step0``'s statistics of a whole matrix: its row norms,
+    the column mean of its unit rows, added one row after another, and the
+    row norms after centering, each norm 1 where it is 0."""
+    rows = matrix.astype(np.float64)
+    first = np.linalg.norm(rows, axis=1)
+    first[first == 0.0] = 1.0
+    unit = rows / first[:, np.newaxis]
+    mean = functools.reduce(np.add, unit) / len(unit)
+    second = np.linalg.norm(unit - mean, axis=1)
+    second[second == 0.0] = 1.0
+    return first, mean, second
+
+
+def step0_centroid(matrix, rows):
+    """The mean of the normalized rows ``rows`` of ``matrix``, taken from
+    the raw rows: (Σ x·s − mean·Σ t) / count, with t = 1 / second and
+    s = t / first (``step0_statistics``)."""
+    first, mean, second = step0_statistics(matrix)
+    t = 1.0 / second[rows]
+    x = matrix[rows].astype(np.float64) * (t / first[rows])[:, np.newaxis]
+    return (x.sum(axis=0) - t.sum() * mean) / len(rows)
+
+
+def mvm_union(sources, k, grid, policy="nn"):
+    """The mvm meta-embedding from whole union-sized spaces: each source
+    normalized (``normalize_step0``); under "nn" its missing words ranked
+    on its centered rows, whose unit rows are its normalized rows, and each
+    synthesized row the mean of its neighbors' normalized rows, taken from
+    the raw rows (``step0_centroid``). Then every non-target source's
+    union rows (zeros where it lacks a word) are mapped on the grid of
+    union positions (``union_grid_products``), averaged per word
+    (``union_mean``) and scaled to unit rows. The maps are
+    ``align_to_target``'s; the target is source 0. Returns the union, its
+    rows and the synthesis report (None unless "nn")."""
+    maps = align_to_target(sources).maps
+    normalized = [normalize_step0(space) for space in sources]
+    report = None
+    if policy == "nn":
+        centered = [normalize_step0(space, renormalize=False) for space in sources]
+        normalized, report = extend_all_to_union(
+            normalized, k, ranked=centered,
+            centroid=lambda i, rows: step0_centroid(sources[i].matrix, rows),
+        )
+    union = list(dict.fromkeys(t for space in sources for t in space.tokens))
+    position = {t: i for i, t in enumerate(union)}
+    aligned = []
+    for i, (space, omap) in enumerate(zip(normalized, maps)):
+        at = [position[t] for t in space.tokens]
+        rows = np.zeros((len(union), space.dim))
+        rows[at] = space.matrix
+        if i:
+            rows = union_grid_products(rows, omap.matrix, grid)
+        aligned.append(EmbeddingSpace(space.tokens, rows[at].reshape(-1, space.dim)))
+    tokens, matrix = union_mean(aligned, policy)
+    norms = np.linalg.norm(matrix, axis=1)
+    return tokens, matrix / np.where(norms == 0.0, 1.0, norms)[:, np.newaxis], report

@@ -20,7 +20,7 @@ from metavec.combine import (
 )
 from metavec.embeddings import EmbeddingSpace, load_embeddings, save_embeddings
 from metavec.linalg import normalize_step0
-from conftest import bytes_by_blas_threads
+from conftest import bytes_by_blas_threads, run_cli
 
 
 def write_emb(path, tokens, rows, fmt="text"):
@@ -637,6 +637,18 @@ class TestCommonFlags:
             ["meta.vec", "meta.vec.provenance.json"],
         )
         assert runs[0] == runs[1]
+
+    def test_mvm_text_workers_write_the_bytes_of_one(self, tmp_path):
+        # Text rows are made, products and all, in forked workers. With the
+        # parent's two-thread BLAS pool started by ranking, two workers must
+        # write the bytes one worker writes, within the subprocess timeout.
+        paths = rotated_sources(tmp_path)
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.vec"
+            run_cli(["mvm", *paths, "-o", out, "--threads", workers], blas_threads=2)
+            outputs.append(out.read_bytes() + Path(f"{out}.provenance.json").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_concat_reduce_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # Unpinned, the reduction's SVDs and products change every row

@@ -14,10 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metavec import embeddings, linalg, oov
-from metavec.align import align_to_target
 from metavec.combine import CombineConfig, combine, combine_average
 from metavec.embeddings import EmbeddingSpace
-from oracles import extend_all_to_union, union_concat, union_mean
+from oracles import extend_all_to_union, mvm_union, union_concat, union_mean
 
 
 @st.composite
@@ -87,17 +86,17 @@ def test_permuting_four_sources_is_bitwise_invariant(sources, order, policy):
 
 
 def extended_space_oracle(sources, method, k):
-    """The "nn" result built from whole extended spaces: align (mvm) or
-    unit-normalize the sources, extend each to the union, then average
-    (and unit-normalize, for mvm) or concatenate the extended spaces."""
-    spaces = align_to_target(sources).mapped if method == "mvm" else [unit(s) for s in sources]
-    extended, _ = extend_all_to_union(spaces, k)
+    """The "nn" result built from whole extended spaces: for mvm, the
+    union-grid oracle (``mvm_union``); else unit-normalize the sources,
+    extend each to the union, then average or concatenate the extended
+    spaces."""
+    if method == "mvm":
+        grid = max(1, linalg._PRODUCT_BYTES // (8 * len(sources) * sources[0].dim))
+        return mvm_union(sources, k, grid)[:2]
+    extended, _ = extend_all_to_union([unit(s) for s in sources], k)
     if method == "concat":
         return union_concat(extended)
-    tokens, matrix = union_mean(extended, "nn")
-    if method == "mvm":
-        matrix = unit(EmbeddingSpace(tokens, matrix)).matrix
-    return tokens, matrix
+    return union_mean(extended, "nn")
 
 
 @settings(max_examples=150, deadline=None)

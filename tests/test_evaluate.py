@@ -153,6 +153,11 @@ class TestSpearman:
         assert math.isnan(spearman([5.0, 5.0, 5.0], [1.0, 2.0, 3.0]))
         assert math.isnan(spearman([1.0, 2.0, 3.0], [7.0, 7.0, 7.0]))
 
+    def test_a_nan_in_either_list_is_nan(self):
+        # A NaN has no place in the order, so no correlation is defined.
+        assert math.isnan(spearman([math.nan, 1.0, 2.0], [1.0, 2.0, 3.0]))
+        assert math.isnan(spearman([1.0, 2.0, 3.0], [3.0, 2.0, math.nan]))
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="at least two"):
             spearman([1.0], [2.0])
