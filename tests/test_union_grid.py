@@ -19,7 +19,7 @@ from metavec import cli, embeddings, linalg
 from metavec.align import OrthogonalMap, _fitted
 from metavec.combine import CombineConfig, combine_mvm
 from metavec.embeddings import EmbeddingSpace, parse_binary_embeddings, write_binary_embeddings
-from oracles import mvm_union, union_grid_products
+from oracles import mvm_union
 
 combine = importlib.import_module("metavec.combine")
 
@@ -86,16 +86,6 @@ def test_fill_bytes_do_not_depend_on_tiling_workers_or_blas_threads(
         tokens, oracle, _ = mvm_union(sources, k, grid, policy)
     assert union == tokens
     assert whole.tobytes() == oracle.tobytes()
-
-
-def test_the_union_grid_moves_the_bits_of_a_product():
-    # The oracle is not blind to the grid: a product taken on another grid
-    # of the same rows differs in some bits, so the fill's grid is what
-    # the equality above pins.
-    rng = np.random.default_rng(3)
-    rows = rng.normal(size=(300, 300))
-    w = np.linalg.qr(rng.normal(size=(300, 300)))[0]
-    assert union_grid_products(rows, w, 64).tobytes() != union_grid_products(rows, w, 7).tobytes()
 
 
 def random_orthogonal(dim, seed):
