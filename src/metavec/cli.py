@@ -38,7 +38,7 @@ from metavec.evaluate import (
     load_similarity_dataset,
     report_records,
 )
-from metavec.linalg import _blas_threads
+from metavec.linalg import _blas_pool, _blas_threads
 from metavec.oov import DEFAULT_K, _extension, format_audit_dump
 
 logger = logging.getLogger(__name__)
@@ -401,8 +401,9 @@ def _add_common(parser, *, precision=True, prefix=False, dicts=False, fmt_help=N
         type=_positive_int,
         default=None,
         metavar="N",
-        help="cap the worker processes that parse and format text, and the BLAS "
-        "threads (default: one worker per usable CPU, and the BLAS default)",
+        help="cap the worker processes that parse and format text and the threads "
+        "that fit alignments, and set the BLAS thread count, which every product "
+        "pins to one (default: one worker per usable CPU, and OpenBLAS's own count)",
     )
     if prefix:
         parser.add_argument(
@@ -499,7 +500,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     try:
-        with _blas_threads(args.threads):
+        with _blas_pool(args.threads):
             return args.func(args, args.parser)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

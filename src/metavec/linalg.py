@@ -43,6 +43,9 @@ _OPENBLAS_CALLS = (
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 _OPENBLAS: list | None = None
+# The BLAS thread count of the command in progress (``_blas_pool``): one
+# per process, as OpenBLAS's own count is.
+_POOL: int | None = None
 
 __all__ = [
     "ORTHOGONALITY_TOL",
@@ -168,9 +171,10 @@ def _openblas() -> list:
 @contextlib.contextmanager
 def _blas_threads(count: int | None) -> Iterator[int]:
     """Run the body with ``count`` BLAS threads, then put the old count
-    back; None changes nothing. The body gets the old count (1 when none
-    was found). A product's bits depend on the thread count, so every
-    product whose result reaches an output runs at one."""
+    back; None changes nothing. The body gets the pool: the count the
+    command set (``_blas_pool``), or else the old count (1 when none was
+    found). A product's bits depend on the thread count, so every product
+    whose result reaches an output runs at one."""
     calls = [] if count is None else _openblas()
     old = [get() for get, _ in calls]
     # Only a count that differs is set: OpenBLAS starts a new pool when a
@@ -179,10 +183,26 @@ def _blas_threads(count: int | None) -> Iterator[int]:
     for put, _ in changed:
         put(count)
     try:
-        yield max(old, default=1)
+        yield _POOL or max(old, default=1)
     finally:
         for put, was in changed:
             put(was)
+
+
+@contextlib.contextmanager
+def _blas_pool(count: int | None) -> Iterator[None]:
+    """Run a command with ``count`` BLAS threads (None: the count OpenBLAS
+    has), and make that count the pool that every ``_blas_threads`` body
+    inside gets, also under a pin to one thread: ``_each_block`` runs as
+    many Python threads, whatever pin is in force around it."""
+    global _POOL
+    saved = _POOL
+    _POOL = count or max((get() for get, _ in _openblas()), default=1)
+    try:
+        with _blas_threads(count):
+            yield
+    finally:
+        _POOL = saved
 
 
 def _each_block(fn: Callable, count: int, dim: int) -> Iterator:
@@ -190,11 +210,11 @@ def _each_block(fn: Callable, count: int, dim: int) -> Iterator:
     ``dim`` values (``_PRODUCT_BYTES``), counted from row 0, in block
     order.
 
-    The blocks run in as many Python threads as BLAS had threads, but
-    with ``_THREAD_BLOCKS`` blocks or more each, and each product at one
-    BLAS thread: a block's bits then depend on its rows alone, so sums
-    taken in block order have the bits of a serial run. At most two blocks
-    per thread are ahead of the caller.
+    The blocks run in as many Python threads as the pool has
+    (``_blas_threads``), but with ``_THREAD_BLOCKS`` blocks or more each,
+    and each product at one BLAS thread: a block's bits then depend on its
+    rows alone, so sums taken in block order have the bits of a serial
+    run. At most two blocks per thread are ahead of the caller.
     """
     step = _block_rows(dim, _PRODUCT_BYTES)
     blocks = [slice(start, start + step) for start in range(0, count, step)]

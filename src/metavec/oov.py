@@ -6,20 +6,11 @@ from typing import Sequence
 
 import numpy as np
 
+from metavec import embeddings
 from metavec.embeddings import EmbeddingSpace, _block_rows, _Fill, _filled, _rows64
-from metavec.linalg import _row_norms, _Step0
+from metavec.linalg import _blas_threads, _row_norms, _Step0
 
 DEFAULT_K = 10
-# Bytes per tile of queries × candidates' float32 scores in ``_rank``, and
-# per block of the float32 query rows it scores. Ranking runs before any
-# union rows are made, and a larger tile pays there: fewer, larger
-# products. Every other block of rows is sized by ``embeddings._block_rows``.
-_BLOCK_BYTES = 4 << 20
-# ``_rank`` tiles the candidate axis rather than rank blocks of fewer
-# queries than this: a BLAS product of a few query rows streams the whole
-# candidate matrix for little work, several times the cost per query of a
-# block of a few hundred.
-_MIN_QUERIES = 256
 # Strided chunks of a score row whose maxima bound its k-th best in ``_rank``.
 _CHUNKS = 64
 
@@ -156,35 +147,70 @@ def _cosines(matrix: np.ndarray, norms: np.ndarray, left, right) -> np.ndarray:
     return cosines
 
 
-class _Workspace:
-    """The float32 work arrays that a run of ``_rank`` calls shares: the
-    candidates' unit rows, a block of queries' unit rows and a tile of
-    scores. Each is allocated once, at the largest size asked for so far,
-    not once per call: a call's largest arrays then never have to fit into
-    whatever free memory the calls before it left, which moved peak memory
-    by a whole array from one input to the next."""
+def _unit32(matrix: np.ndarray, norms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The unit rows of ``matrix[rows]`` (``_unit64``) narrowed to float32,
+    made one block (``_block_rows``) at a time: the rows ``_rank`` scores."""
+    out = np.empty((len(rows), matrix.shape[1]), dtype=np.float32)
+    step = _block_rows(matrix.shape[1])
+    for lo in range(0, len(rows), step):
+        out[lo : lo + step] = _unit64(matrix, norms, rows[lo : lo + step])
+    return out
 
-    def __init__(self):
-        self._arrays: dict[str, np.ndarray] = {}
 
-    def array(self, name: str, rows: int, columns: int) -> np.ndarray:
-        """A float32 ``rows`` × ``columns`` array of undefined values: a view
-        of the one kept under ``name``."""
-        size = rows * columns
-        if name not in self._arrays or len(self._arrays[name]) < size:
-            self._arrays.pop(name, None)  # freed before the larger one is made
-            self._arrays[name] = np.empty(size, dtype=np.float32)
-        return self._arrays[name][:size].reshape(rows, columns)
+def _merged(parts: list, kth: np.ndarray, k: int, window: float) -> tuple[np.ndarray, ...]:
+    """The entries of ``parts`` (each a tuple of arrays: query row, float32
+    score, candidate position), sorted by row and then score, best first,
+    without those more than ``window`` below their row's k-th best score,
+    which is set into ``kth`` for every row that holds k or more.
+    ``parts`` is emptied, so that its arrays are freed as soon as they are
+    joined."""
+    rows, scores, cols = (np.concatenate(arrays) for arrays in zip(*parts))
+    parts.clear()
+    order = _best_first(rows, scores)
+    rows = rows[order]
+    scores = scores[order]
+    cols = cols[order]
+    del order
+    per_row = np.bincount(rows, minlength=len(kth))
+    first = np.cumsum(per_row) - per_row
+    full = per_row >= k
+    kth[full] = scores[first[full] + k - 1]
+    kept = scores >= _lowered(kth, window)[rows]
+    return rows[kept], scores[kept], cols[kept]
 
-    def unit_rows(self, name: str, matrix: np.ndarray, norms: np.ndarray, rows) -> np.ndarray:
-        """``name``'s array, holding the unit rows of ``matrix[rows]``
-        (``_unit64``) narrowed to float32, one block (``_block_rows``) at a
-        time."""
-        out = self.array(name, len(rows), matrix.shape[1])
-        step = _block_rows(matrix.shape[1])
-        for lo in range(0, len(rows), step):
-            out[lo : lo + step] = _unit64(matrix, norms, rows[lo : lo + step])
-        return out
+
+def _cosines_by_direction(matrix: np.ndarray, norms: np.ndarray, left, right) -> np.ndarray:
+    """``_cosines(matrix, norms, left, right)``, taken once for each left
+    row and direction: right rows whose float64 unit rows are bitwise
+    equal score equal bits against any row, so one of them stands for all.
+    The pairs are keyed one block at a time, so that a run of many
+    candidates holds little more than its pairs. (``np.unique`` would
+    import ``numpy.ma``; sorts find the distinct rows and pairs.)"""
+    step = _block_rows(1)
+    distinct = np.empty(0, dtype=np.intp)
+    for start in range(0, len(right), step):
+        distinct = np.sort(np.concatenate([distinct, right[start : start + step]]))
+        distinct = distinct[np.diff(distinct, prepend=-1) != 0]
+    directions: dict[bytes, int] = {}
+    direction = np.empty(len(distinct), dtype=np.int64)
+    rows = _block_rows(matrix.shape[1])
+    for lo in range(0, len(distinct), rows):
+        units = _unit64(matrix, norms, distinct[lo : lo + rows])
+        direction[lo : lo + rows] = [
+            directions.setdefault(unit.tobytes(), len(directions)) for unit in units
+        ]
+    cosines = np.empty(len(left))
+    for start in range(0, len(left), step):
+        pairs = slice(start, start + step)
+        keys = direction[np.searchsorted(distinct, right[pairs])]
+        keys += left[pairs] * np.int64(len(directions))
+        order = np.argsort(keys)
+        new = np.diff(keys[order], prepend=-1) != 0
+        pair = np.empty(len(order), dtype=np.intp)
+        pair[order] = np.cumsum(new) - 1
+        firsts = start + order[new]
+        cosines[pairs] = _cosines(matrix, norms, left[firsts], right[firsts])[pair]
+    return cosines
 
 
 def _rank(
@@ -193,7 +219,6 @@ def _rank(
     query_rows: np.ndarray,
     candidate_rows: np.ndarray,
     k: int,
-    work: _Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank candidate rows of ``matrix`` by cosine against each query row;
     ``norms`` holds the norms of ``matrix``'s rows (``_row_norms``).
@@ -207,16 +232,13 @@ def _rank(
     candidate position, so candidates sorted by token break exact ties by
     token.
 
-    The candidates that have a direction are gathered once into a float32
-    array of unit rows (``_Workspace.unit_rows``), and each block of
-    queries when it is scored; scores are taken in float32, one tile of
-    queries × candidates at a time, each within ``_BLOCK_BYTES``. While a
-    block of ``_MIN_QUERIES`` queries (or of all of them, if fewer) can
-    score every candidate at once, there is one tile per query block, as
-    large as the budget allows for its scores and its query rows alike;
-    beyond that, blocks of ``_MIN_QUERIES`` queries meet candidate tiles
-    sized to the budget. All of these arrays are ``work``'s (a new
-    workspace when none is given).
+    Blocks of queries meet tiles of candidates, and no candidate's row is
+    held beyond its tile. Each block's and each tile's unit rows are made
+    in float32 (``_unit32``) when they are scored, as many rows as fit in
+    ``embeddings._BLOCK_BYTES``; the queries are split
+    into blocks of equal size, and a tile has as many candidates as leave
+    its float32 scores within the same budget. Every product runs at one
+    BLAS thread, as every other product does.
 
     A float32 score is within δ (``_error_bound``) of the exact cosine of
     the two float64 unit rows, and so is ``_cosines``. So a candidate whose
@@ -225,79 +247,84 @@ def _rank(
     more than 2δ beats it. Each query keeps a shortlist of the candidates
     within 2δ of its k-th best float32 score so far; a tile adds those that
     reach that floor and the tile's bound on the k-th best (``_kth_bound``).
-    The shortlist, best first, falls into runs wherever a score exceeds the
-    next by more than 2δ. The runs keep their order; within each run that
-    reaches the k-th place, and for the row's best, the cosines are taken
-    again in float64 (``_cosines``) and decide, ties by candidate position.
+    New entries are merged into the shortlist (``_merged``) once they
+    outnumber it, so the merges' work does not grow with the number of
+    tiles. The shortlist, best first, falls into runs wherever a score
+    exceeds the next by more than 2δ. The runs keep their order; within
+    each run that reaches the k-th place, and for the row's best, the
+    cosines are taken again in float64 (``_cosines``, once per direction in
+    a run: ``_cosines_by_direction``) and decide, ties by candidate
+    position.
     """
-    defined = np.flatnonzero(norms[candidate_rows] > 0.0)
-    n = len(defined)
+    n = int(np.count_nonzero(norms[candidate_rows] > 0.0))
     live = np.flatnonzero(norms[query_rows] > 0.0)
     width = min(k, n)
     best = np.full(len(live), -np.inf)
     positions = np.empty((len(live), width), dtype=np.intp)
-    if not width:
+    if not width or not len(live):
         return live, best, positions
-    step = _BLOCK_BYTES // (4 * max(n, matrix.shape[1]))
-    tile = n
-    if step < min(len(live), _MIN_QUERIES):
-        step = min(len(live), _MIN_QUERIES)
-        tile = max(1, _BLOCK_BYTES // (4 * step))
-    step = max(1, step)
-    work = work or _Workspace()
-    chosen = candidate_rows[defined]
-    buffer = work.array("scores", min(len(live), step), min(n, tile)).ravel()
-    unit_candidates = work.unit_rows("candidates", matrix, norms, chosen)
-    window = 2.0 * _error_bound(matrix.shape[1])
-    for start in range(0, len(live), step):
-        queries = query_rows[live[start : start + step]]
-        block = work.unit_rows("queries", matrix, norms, queries)
-        # Each query's shortlist, as flat arrays sorted by row and score,
-        # best first; ``kth`` is each row's k-th best score so far.
-        rows = cols = np.empty(0, dtype=np.intp)
-        scores = np.empty(0, dtype=np.float32)
-        kth = np.full(len(block), -np.inf, dtype=np.float32)
-        for lo in range(0, n, tile):
-            candidates = unit_candidates[lo : lo + tile]
-            tiled = buffer[: len(block) * len(candidates)].reshape(len(block), -1)
-            np.matmul(block, candidates.T, out=tiled)
-            floor = kth
-            if np.isneginf(kth).any():  # until every row holds k scores
-                floor = np.maximum(_kth_bound(tiled, k)[:, 0], kth)
-            floor = _lowered(floor, window)
-            at_rows, at_cols = np.divmod(
-                np.flatnonzero(tiled >= floor[:, np.newaxis]), tiled.shape[1]
-            )
-            rows = np.concatenate([rows, at_rows])
-            scores = np.concatenate([scores, tiled[at_rows, at_cols]])
-            cols = np.concatenate([cols, at_cols + lo])
-            del tiled
-            order = _best_first(rows, scores)
-            rows, scores, cols = rows[order], scores[order], cols[order]
+    dim = matrix.shape[1]
+    # Float32 rows within the budget; the queries in blocks of equal size.
+    most = max(1, embeddings._BLOCK_BYTES // (4 * dim))
+    step = -(-len(live) // -(-len(live) // most))
+    tile = max(1, min(most, embeddings._BLOCK_BYTES // (4 * step)))
+    window = 2.0 * _error_bound(dim)
+    empty = np.empty(0, dtype=np.intp)
+    with _blas_threads(1):
+        for start in range(0, len(live), step):
+            queries = query_rows[live[start : start + step]]
+            block = _unit32(matrix, norms, queries)
+            # Each query's shortlist, as flat arrays sorted by row and
+            # score, best first, then the ``held`` entries found since;
+            # ``kth`` is each row's k-th best score at the last merge.
+            entries = [(empty, np.empty(0, dtype=np.float32), empty)]
+            kth = np.full(len(block), -np.inf, dtype=np.float32)
+            held = 0
+            for lo in range(0, len(candidate_rows), tile):
+                at = lo + np.flatnonzero(norms[candidate_rows[lo : lo + tile]] > 0.0)
+                if not len(at):
+                    continue
+                tiled = np.matmul(block, _unit32(matrix, norms, candidate_rows[at]).T)
+                floor = kth
+                if np.isneginf(kth).any():  # until every row holds k scores
+                    floor = np.maximum(_kth_bound(tiled, k)[:, 0], kth)
+                floor = _lowered(floor, window)
+                hits, cols = np.divmod(np.flatnonzero(tiled >= floor[:, np.newaxis]), len(at))
+                entries.append((hits, tiled[hits, cols], at[cols]))
+                del tiled  # freed before the next tile's rows are made
+                held += len(hits)
+                if held > len(entries[0][0]):
+                    entries, held = [_merged(entries, kth, k, window)], 0
+            if held:
+                entries = [_merged(entries, kth, k, window)]
+            rows, scores, cols = entries.pop(0)
             per_row = np.bincount(rows, minlength=len(block))
             first = np.cumsum(per_row) - per_row
-            full = per_row >= k
-            kth[full] = scores[first[full] + k - 1]
-            kept = scores >= _lowered(kth, window)[rows]
-            rows, scores, cols = rows[kept], scores[kept], cols[kept]
-        per_row = np.bincount(rows, minlength=len(block))
-        first = np.cumsum(per_row) - per_row
-        place = np.arange(len(rows)) - first[rows]
-        starts_run = place == 0
-        starts_run[1:] |= scores[:-1].astype(np.float64) - scores[1:] > window
-        run = np.cumsum(starts_run) - 1
-        run_place = place[starts_run][run]
-        run_size = np.bincount(run)[run]
-        uncertain = np.flatnonzero((place == 0) | ((run_place < k) & (run_size > 1)))
-        exact = _cosines(matrix, norms, queries[rows[uncertain]], chosen[cols[uncertain]])
-        # Whole runs are rescored, so sorting them among themselves moves
-        # each entry within its own run's places.
-        order = np.lexsort((cols[uncertain], -exact, run[uncertain]))
-        cols[uncertain] = cols[uncertain][order]
-        rescored = np.empty(len(rows))
-        rescored[uncertain] = exact[order]
-        best[start : start + step] = rescored[first]
-        positions[start : start + step] = defined[cols[first[:, np.newaxis] + np.arange(width)]]
+            place = np.arange(len(rows)) - first[rows]
+            starts_run = place == 0
+            starts_run[1:] |= scores[:-1].astype(np.float64) - scores[1:] > window
+            run = np.cumsum(starts_run) - 1
+            tied = (place[starts_run][run] < k) & (np.bincount(run)[run] > 1)
+            uncertain = np.flatnonzero((place == 0) | tied)
+            # Many candidates of one direction make long runs: what is not
+            # needed to rescore and sort them is freed first.
+            del scores, place, starts_run
+            tied = tied[uncertain]
+            exact = np.empty(len(uncertain))
+            for among, cosines in ((~tied, _cosines), (tied, _cosines_by_direction)):
+                picked = uncertain[among]
+                exact[among] = cosines(
+                    matrix, norms, queries[rows[picked]], candidate_rows[cols[picked]]
+                )
+            del picked
+            # Whole runs are rescored, so sorting them among themselves
+            # moves each entry within its own run's places.
+            order = np.lexsort((cols[uncertain], -exact, run[uncertain]))
+            cols[uncertain] = cols[uncertain][order]
+            rescored = np.empty(len(rows))
+            rescored[uncertain] = exact[order]
+            best[start : start + step] = rescored[first]
+            positions[start : start + step] = cols[first[:, np.newaxis] + np.arange(width)]
     return live, best, positions
 
 
@@ -410,7 +437,6 @@ def _plan_synthesis(
     # Per missing word a plan keeps the best cosine, its neighbors' rows in
     # the deficient space and how many there are.
     plans: list[_Plan] = []
-    work = _Workspace()
     # Each donor's rows and row norms, taken once for every space it serves.
     donors: dict[int, tuple] = dict(enumerate(ranked or ()))
     for i, space in enumerate(spaces):
@@ -426,9 +452,7 @@ def _plan_synthesis(
             shared = by_token[(table[i, by_token] >= 0) & (table[j, by_token] >= 0)]
             if j not in donors:
                 donors[j] = spaces[j].matrix, _row_norms(spaces[j].matrix)
-            live, scores, top = _rank(
-                *donors[j], table[j, missing[words]], table[j, shared], k, work
-            )
+            live, scores, top = _rank(*donors[j], table[j, missing[words]], table[j, shared], k)
             if not top.shape[1]:
                 continue
             words = words[live]

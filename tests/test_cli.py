@@ -630,6 +630,34 @@ class TestCommonFlags:
         assert seen == [[2] * len(seen[0]), [1] * len(seen[0])]
         assert outputs[0] == outputs[1]
 
+    def test_fits_keep_their_threads_while_text_sources_stream(self, tmp_path, monkeypatch):
+        # Text sources are parsed in forked workers, and the parent stays
+        # at one BLAS thread until the last one arrives; the fits run in
+        # between. Blocks of 16 anchor rows give each fit 16 or more
+        # blocks: with --threads 2 they run in two Python threads, as they
+        # do with binary sources, and write the bytes of one.
+        threads = []
+        pool = linalg.ThreadPoolExecutor
+
+        def counted(workers):
+            threads.append(workers)
+            return pool(workers)
+
+        monkeypatch.setattr(linalg, "ThreadPoolExecutor", counted)
+        monkeypatch.setattr(linalg, "_PRODUCT_BYTES", 8 * 100 * 16)
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        paths = rotated_sources(tmp_path)
+        outputs = []
+        for count in ("2", "1"):
+            out = tmp_path / f"t{count}.vec"
+            assert main(["mvm", *map(str, paths), "-o", str(out), "--threads", count]) == 0
+            outputs.append(out.read_bytes() + Path(f"{out}.provenance.json").read_bytes())
+            if count == "2":
+                assert threads and set(threads) == {2}
+                threads.clear()
+        assert not threads
+        assert outputs[0] == outputs[1]
+
     def test_mvm_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         paths = rotated_sources(tmp_path)
         runs = bytes_by_blas_threads(

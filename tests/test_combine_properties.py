@@ -13,7 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metavec import embeddings, linalg, oov
+from metavec import embeddings, linalg
 from metavec.combine import CombineConfig, combine, combine_average
 from metavec.embeddings import EmbeddingSpace
 from oracles import extend_all_to_union, mvm_union, union_concat, union_mean
@@ -117,9 +117,7 @@ def test_nn_combiners_match_extended_space_oracle(sources, method, k):
     # Tiny budgets split ranking, centroids and the union mean into blocks
     # of one or a few rows; none of them moves a bit.
     for block_bytes in [1, 100, 8 << 20]:
-        with patch.object(oov, "_BLOCK_BYTES", block_bytes), patch.object(
-            embeddings, "_BLOCK_BYTES", block_bytes
-        ):
+        with patch.object(embeddings, "_BLOCK_BYTES", block_bytes):
             meta = combine(sources, config)
         assert meta.space.tokens == tuple(tokens)
         assert meta.space.matrix.tobytes() == expected.tobytes()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from metavec import embeddings, oov
+from metavec import embeddings, linalg, oov
 from metavec.combine import CombineConfig, combine_average, combine_concat
 from metavec.embeddings import EmbeddingSpace
 from metavec.linalg import _row_norms, cosine
@@ -332,6 +332,32 @@ class TestEqualDirectionTies:
                 tokens = report.neighbors[word]
                 assert tokens.index("a_twin") < tokens.index("z_twin"), (n_queries, word)
 
+    def test_a_run_of_one_direction_is_rescored_once_per_query(self, monkeypatch):
+        # 200 copies of one row (scaled by powers of two: the same float64
+        # unit rows) among 500 candidates, and 50 queries near it: every
+        # query's best 200 candidates form one run of equal scores. One
+        # cosine per query and direction decides the run, where a cosine
+        # per member would take 10000.
+        rng = np.random.default_rng(80)
+        dim = 30
+        matrix = rng.normal(size=(550, dim))
+        copies = rng.choice(500, size=200, replace=False)
+        matrix[copies] = matrix[copies[0]] * 2.0 ** rng.integers(-3, 4, size=(200, 1))
+        matrix[500:] = matrix[copies[0]] + 0.01 * rng.normal(size=(50, dim))
+        pairs = []
+        cosines = oov._cosines
+
+        def counted(matrix, norms, left, right):
+            pairs.append(len(left))
+            return cosines(matrix, norms, left, right)
+
+        monkeypatch.setattr(oov, "_cosines", counted)
+        queries = np.arange(500, 550)
+        live, best, top = oov._rank(matrix, _row_norms(matrix), queries, np.arange(500), 10)
+        assert sum(pairs) <= 2 * len(queries)
+        assert (top == np.sort(copies)[:10]).all()
+        assert len(set(best.tolist())) == len(queries)
+
 
 class TestQueryBlocks:
     """Ranking one block of queries at a time must give the same neighbors
@@ -340,6 +366,11 @@ class TestQueryBlocks:
 
     @pytest.mark.parametrize("rows_per_block", [1, 3])
     def test_straddling_ties_match_exhaustive_scan(self, monkeypatch, rows_per_block):
+        # Blocks of one or two queries against tiles of as many candidates.
+        self.straddling_ties_match_exhaustive_scan(monkeypatch, rows_per_block * 4 * 12)
+
+    @staticmethod
+    def straddling_ties_match_exhaustive_scan(monkeypatch, block_bytes):
         rng = np.random.default_rng(72)
         dim, k = 16, 4
         base = rng.normal(size=dim)
@@ -354,7 +385,7 @@ class TestQueryBlocks:
         queries[1::2] += rows[6] * 0.8
         e1 = EmbeddingSpace(shared + words, np.vstack([rows, queries]))
         e2 = EmbeddingSpace(shared[::-1], rng.normal(size=(len(shared), dim)))
-        monkeypatch.setattr(oov, "_BLOCK_BYTES", rows_per_block * 4 * len(shared))
+        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", block_bytes)
         _, out2, report = extend_to_union(e1, e2, k=k, record_neighbors=True)
         straddled = 0
         for word in words:
@@ -377,48 +408,81 @@ class TestQueryBlocks:
         _, peak = traced_peak(extend_to_union, e1, e2, k=10)
         assert peak < 40e6
 
-    @pytest.mark.parametrize("min_queries", [4, 7])
+    @pytest.mark.parametrize("queries_per_block", [4, 7])
     @pytest.mark.parametrize("rows_per_block", [1, 3])
     def test_straddling_ties_match_exhaustive_scan_in_candidate_tiles(
-        self, monkeypatch, rows_per_block, min_queries
+        self, monkeypatch, rows_per_block, queries_per_block
     ):
-        # Blocks of 4 or 7 queries against tiles of 3, 9, 1 and 5 of the 12
-        # candidates: the six twins always span several tiles.
-        monkeypatch.setattr(oov, "_MIN_QUERIES", min_queries)
-        self.test_straddling_ties_match_exhaustive_scan(monkeypatch, rows_per_block)
+        # A budget of 4 + 0, 4 + 2, 7 + 0 or 7 + 2 float32 rows of 16 dims:
+        # blocks of 4 and 3, or of all 7, queries against tiles of 4, 6, 7
+        # or 9 of the 12 candidates, so the six twins span several tiles.
+        rows = queries_per_block + rows_per_block - 1
+        self.straddling_ties_match_exhaustive_scan(monkeypatch, rows * 4 * 16)
 
     def test_kernel_memory_stays_flat_with_candidate_tiles(self):
-        # 1000 queries against 30000 candidates: one block of 256 queries'
-        # scores alone would be 61 MB, so the candidate axis is tiled.
+        # 1000 queries against 30000 candidates: their float32 scores
+        # alone would be 120 MB, so the candidate axis is tiled.
         rng = np.random.default_rng(74)
         shared = [f"s{i:05d}" for i in range(30000)]
         missing = [f"m{i:04d}" for i in range(1000)]
         e1 = EmbeddingSpace(shared + missing, rng.normal(size=(31000, 16)))
         e2 = EmbeddingSpace(shared, rng.normal(size=(30000, 16)))
         _, peak = traced_peak(extend_to_union, e1, e2, k=10)
-        # About 14 MB. Ranking holds the candidates' float32 unit rows (1.9
-        # MB) and one 4 MiB tile of float32 scores, 10.6 MB with the union's
-        # tables; the two union-sized outputs (7.9 MB) then set the peak.
-        # Float64 candidates and 8-byte scores read 18.9 MB.
+        # The two union-sized outputs (7.9 MB) set the peak; ranking holds
+        # one block of queries, one tile of candidates and one 1 MiB tile of
+        # float32 scores. Float64 candidates and 8-byte scores read 18.9 MB.
         assert peak < 16e6
 
     def test_rank_holds_no_float64_candidates(self):
         # 500 queries against 20000 candidates of 64 dims: their float64
-        # unit rows would be 10.2 MB. Ranking holds them in float32 (5.1 MB)
-        # beside one tile of scores, its mask and one block of gathered rows.
+        # unit rows would be 10.2 MB.
         rng = np.random.default_rng(78)
         matrix = rng.normal(size=(20500, 64))
         norms = _row_norms(matrix)
         candidates, queries = np.arange(20000), np.arange(20000, 20500)
         (live, _, _), peak = traced_peak(oov._rank, matrix, norms, queries, candidates, 10)
         assert len(live) == len(queries)
-        assert peak < 8 * len(candidates) * matrix.shape[1] + oov._BLOCK_BYTES
+        assert peak < 8 * len(candidates) * matrix.shape[1] + embeddings._BLOCK_BYTES
+
+    @pytest.mark.parametrize("count", [20000, 80000])
+    def test_rank_holds_no_rows_per_candidate(self, count):
+        # 500 queries of 64 dims: the candidates' float32 unit rows would
+        # be 5.1 MB at 20000 and 20.5 MB at 80000. Ranking holds one block
+        # of queries, one tile of candidates and one tile of their scores,
+        # each within the budget, whatever the number of candidates.
+        rng = np.random.default_rng(79)
+        matrix = rng.normal(size=(count + 500, 64)).astype(np.float32)
+        norms = _row_norms(matrix)
+        candidates, queries = np.arange(count), np.arange(count, count + 500)
+        (live, best, top), peak = traced_peak(oov._rank, matrix, norms, queries, candidates, 10)
+        assert len(live) == len(queries)
+        assert peak < live.nbytes + best.nbytes + top.nbytes + 4 * embeddings._BLOCK_BYTES
+
+    def test_rank_makes_every_product_at_one_blas_thread(self, monkeypatch):
+        # Under a pool of two, ranking's float32 products run at one thread
+        # too, as every other product does: a pool's spinning threads then
+        # never wake, and small products never wait on them.
+        if not linalg._openblas():
+            pytest.skip("numpy does not use OpenBLAS here")
+        counts = []
+        matmul = np.matmul
+
+        def spy(*args, **kwargs):
+            counts.append([get() for get, _ in linalg._openblas()])
+            return matmul(*args, **kwargs)
+
+        rng = np.random.default_rng(81)
+        matrix = rng.normal(size=(3000, 64))
+        monkeypatch.setattr(np, "matmul", spy)
+        with linalg._blas_threads(2):
+            oov._rank(matrix, _row_norms(matrix), np.arange(2000, 3000), np.arange(2000), 10)
+        assert counts
+        assert {count for seen in counts for count in seen} == {1}
 
     def test_query_rows_are_scaled_one_block_at_a_time(self, monkeypatch):
         # 40000 queries of 32 dims against 16 candidates: their unit rows
-        # would be 10.2 MB, a block of 256 of them is 64 KiB. Besides its
+        # would be 10.2 MB, a block of 512 of them is 64 KiB. Besides its
         # results, ranking may hold 1 MB.
-        monkeypatch.setattr(oov, "_BLOCK_BYTES", 64 << 10)
         monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 64 << 10)
         rng = np.random.default_rng(77)
         queries, candidates = np.arange(16, 40016), np.arange(16)
@@ -442,7 +506,7 @@ class TestQueryBlocks:
             sources.append(EmbeddingSpace(tokens, rng.normal(size=(len(tokens), dim))))
         words = set().union(*(s.tokens for s in sources))
         held = sum(len(s) for s in sources)
-        bound = 8 * dim * (held + len(words)) + oov._BLOCK_BYTES
+        bound = 8 * dim * (held + len(words)) + 4 * embeddings._BLOCK_BYTES
         config = CombineConfig(method="average", oov="nn")
         meta, peak = traced_peak(combine_average, sources, config)
         assert meta.provenance["synthesized"] == [len(words) - len(s) for s in sources]
@@ -474,28 +538,31 @@ class TestDonorChoice:
     the float64 rescore, so the choice follows no tiling."""
 
     @staticmethod
-    def spaces():
+    def spaces(queries):
         # Space a lacks w29. Donor b holds an exact twin of it (w14, twice
         # its vector): their cosine is 1 only up to rounding, and for this
         # vector the float64 rescore gives exactly 1.0 where np.dot gives
         # 1 - 2**-53. The 1-dim donor c scores exactly 1.0 (w00), a tie
-        # that the earlier donor, b, wins.
+        # that the earlier donor, b, wins. Words only b holds are ranked in
+        # the same blocks as w29, so that it shares them with 0 to 255
+        # other queries.
         rng = np.random.default_rng(4)
         twin = rng.normal(size=5)
         a = EmbeddingSpace(["w00", "w01", "w02", "w14"], rng.normal(size=(4, 3)))
+        others = np.random.default_rng(5).normal(size=(queries - 1, 5))
         b = EmbeddingSpace(
-            ["w01", "w02", "w14", "w29"], np.vstack([rng.normal(size=(2, 5)), 2.0 * twin, twin])
+            ["w01", "w02", "w14", "w29", *(f"x{i:03d}" for i in range(queries - 1))],
+            np.vstack([rng.normal(size=(2, 5)), 2.0 * twin, twin, others]),
         )
         c = EmbeddingSpace(["w00", "w29"], [[0.5], [3.0]])
         return [a, b, c]
 
-    @pytest.mark.parametrize("min_queries", [1, 256])
+    @pytest.mark.parametrize("queries", [1, 256])
     @pytest.mark.parametrize("block_bytes", [1, 100, 8 << 20])
-    def test_donor_choice_follows_no_tiling(self, monkeypatch, block_bytes, min_queries):
-        spaces = self.spaces()
+    def test_donor_choice_follows_no_tiling(self, monkeypatch, block_bytes, queries):
+        spaces = self.spaces(queries)
         want, expected = extend_all_to_union(spaces, 1, record_neighbors=True)
-        monkeypatch.setattr(oov, "_BLOCK_BYTES", block_bytes)
-        monkeypatch.setattr(oov, "_MIN_QUERIES", min_queries)
+        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", block_bytes)
         union, table, plans, report = oov._plan_synthesis(spaces, 1, record_neighbors=True)
         assert report.neighbors["w29"] == expected.neighbors["w29"] == ("w14",)
         for space, at, plan, reference in zip(spaces, table, plans, want):

@@ -99,9 +99,9 @@ def test_audit_lists_match_exhaustive_scan_over_shared_words(matrix, k, n_only, 
 def test_audit_lists_match_exhaustive_scan_in_small_query_blocks(
     matrix, k, n_only, seed, block_bytes
 ):
-    # 4 bytes per score: tiles of one candidate up to blocks of several
-    # queries against every candidate.
-    with patch.object(oov, "_BLOCK_BYTES", block_bytes):
+    # 4 bytes per float32 value: blocks of one query against tiles of one
+    # candidate up to blocks of several queries against every candidate.
+    with patch.object(embeddings, "_BLOCK_BYTES", block_bytes):
         test_audit_lists_match_exhaustive_scan_over_shared_words.hypothesis.inner_test(
             matrix, k, n_only, seed
         )
@@ -111,34 +111,34 @@ def test_audit_lists_match_exhaustive_scan_in_small_query_blocks(
 def tiled_rankings(draw):
     """A ranking call and a tiling for it: a tied matrix split into
     candidates (shuffled, so position is not row order) and queries, k, the
-    chunk count of the k-th bound, and a budget that gives blocks of
-    ``queries_per_block`` queries against tiles of ``tile`` candidates:
-    one-candidate tiles, several tiles or a single one."""
+    chunk count of the k-th bound, and a budget of ``rows`` float32 rows
+    (and a few bytes), so blocks of up to ``rows`` queries meet tiles of up
+    to ``rows`` candidates: blocks of one query, one-candidate tiles (also
+    against blocks of several queries, where a row has one value), several
+    tiles or a single one."""
     matrix = draw(tied_matrices(max_rows=90))
     n_queries = draw(st.integers(1, min(8, len(matrix) - 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     candidate_rows = rng.permutation(len(matrix) - n_queries)
     query_rows = np.arange(len(matrix) - n_queries, len(matrix))
-    queries_per_block = draw(st.integers(1, n_queries))
-    tile = draw(st.integers(1, len(candidate_rows)))
+    rows = draw(st.integers(1, len(candidate_rows)))
     return (
         matrix,
         query_rows,
         candidate_rows,
         draw(st.integers(1, 20)),
-        dict(
-            _BLOCK_BYTES=4 * queries_per_block * tile,
-            _MIN_QUERIES=queries_per_block,
-            _CHUNKS=draw(st.sampled_from([2, 5, 16, 64])),
-        ),
+        4 * matrix.shape[1] * rows + draw(st.integers(0, 3)),
+        draw(st.sampled_from([2, 5, 16, 64])),
     )
 
 
 @settings(max_examples=300, deadline=None)
 @given(tiled_rankings())
 def test_rank_matches_exhaustive_scan_in_any_tiling(case):
-    matrix, query_rows, candidate_rows, k, tiling = case
-    with patch.multiple(oov, **tiling):
+    matrix, query_rows, candidate_rows, k, block_bytes, chunks = case
+    with patch.object(embeddings, "_BLOCK_BYTES", block_bytes), patch.object(
+        oov, "_CHUNKS", chunks
+    ):
         live, best, top = oov._rank(matrix, _row_norms(matrix), query_rows, candidate_rows, k)
     assert live.tolist() == [i for i, row in enumerate(matrix[query_rows]) if row.any()]
     defined = int(np.count_nonzero(matrix[candidate_rows].any(axis=1)))
@@ -225,9 +225,7 @@ def test_extension_matches_per_word_oracle(spaces, k, block_bytes, record_neighb
     # (or leave one tile), and each neighbor count's centroids into blocks
     # of one or a few words. Each space's union rows are placed in random
     # slices, so a centroid's bits cannot depend on the rows placed with it.
-    with patch.object(oov, "_BLOCK_BYTES", block_bytes), patch.object(
-        embeddings, "_BLOCK_BYTES", block_bytes
-    ):
+    with patch.object(embeddings, "_BLOCK_BYTES", block_bytes):
         union, table, plans, report = oov._plan_synthesis(
             spaces, k, record_neighbors=record_neighbors
         )

@@ -19,7 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metavec import cli, embeddings, oov
+from metavec import cli, embeddings
 from metavec.align import MappingDictionary, align_to_target
 from metavec.combine import CombineConfig, combine, combine_mvm, provenance_json
 from metavec.embeddings import EmbeddingSpace, load_embeddings, save_embeddings
@@ -59,19 +59,18 @@ def overlapping_sources(draw):
     overlapping_sources(),
     st.integers(1, 4),
     st.integers(8, 400),
-    st.integers(1, 2000),
     st.sampled_from(["text", "binary"]),
     st.sampled_from([1, 2]),
     st.sampled_from(["nn", "available", "zero"]),
 )
 def test_streamed_outputs_equal_the_library_spaces(
-    spaces, k, block_bytes, rank_bytes, fmt, workers, policy
+    spaces, k, block_bytes, fmt, workers, policy
 ):
     # Tiny budgets stream blocks of one or a few rows, and split ranking
     # and centroids into tiles and blocks of a few rows.
     with tempfile.TemporaryDirectory() as tmp, patch.object(
         embeddings, "_BLOCK_BYTES", block_bytes
-    ), patch.object(oov, "_BLOCK_BYTES", rank_bytes):
+    ):
         tmp = Path(tmp)
         inputs = []
         for i, space in enumerate(spaces):
@@ -144,10 +143,9 @@ def binary_file(path, tokens, matrix):
 def test_synth_oov_never_holds_a_union_matrix(tmp_path, monkeypatch):
     # Two spaces of 1600 words share 100: a union of 3100 words, 14.9 MB of
     # float64 rows per output at 600 dims. Ranking one space's 1500 missing
-    # words holds the unit rows of one block of 256 of them (1.2 MB) next
-    # to the candidates' and one 128 KiB tile of scores; writing holds one
-    # 64 KiB block.
-    monkeypatch.setattr(oov, "_BLOCK_BYTES", 128 << 10)
+    # words holds the float32 unit rows of one block of 27 of them, one tile
+    # of candidates and one tile of scores, each within 64 KiB; writing
+    # holds one 64 KiB block.
     monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 64 << 10)
     rng = np.random.default_rng(5)
     shared = [f"s{i:03d}" for i in range(100)]
@@ -171,7 +169,6 @@ def test_baseline_never_holds_a_union_matrix(tmp_path, monkeypatch, method):
     # The run holds the unit-row copies of the inputs (11.5 MB), with one
     # float32 input beside them while it is scaled; on top of them come the
     # union plan, ranking's blocks and tiles, and one 64 KiB block of rows.
-    monkeypatch.setattr(oov, "_BLOCK_BYTES", 128 << 10)
     monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 64 << 10)
     rng = np.random.default_rng(7)
     shared = [f"s{i:03d}" for i in range(100)]
@@ -222,9 +219,8 @@ def test_mvm_never_holds_a_union_matrix_after_alignment(tmp_path, monkeypatch):
     # float64 rows at 300 dims. Alignment sets the run's peak; from the
     # union plan on, the aligned spaces are held, and on top of them
     # ranking holds one block of one space's 600 missing words' unit rows
-    # next to the candidates' and one 256 KiB tile of scores, the plans hold
+    # next to one tile of candidates and one of scores, the plans hold
     # k = 2 rows per missing word, and writing holds one 64 KiB block.
-    monkeypatch.setattr(oov, "_BLOCK_BYTES", 256 << 10)
     monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 64 << 10)
     rng = np.random.default_rng(6)
     shared = [f"s{i:03d}" for i in range(200)]
@@ -347,7 +343,6 @@ def test_mvm_holds_one_raw_source_at_a_time(tmp_path, monkeypatch, target):
     # held every raw source besides them, 2.65 times the inputs in all; now
     # only the source being fitted comes on top (raw, then normalized, and
     # its gathered anchors), with the maps: 1.6 times.
-    monkeypatch.setattr(oov, "_BLOCK_BYTES", 256 << 10)
     monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 64 << 10)
     rng = np.random.default_rng(9)
     shared = [f"s{i:04d}" for i in range(1200)]
