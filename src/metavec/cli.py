@@ -402,8 +402,8 @@ def _add_common(parser, *, precision=True, prefix=False, dicts=False, fmt_help=N
         default=None,
         metavar="N",
         help="cap the worker processes that parse and format text and the threads "
-        "that fit alignments, and set the BLAS thread count, which every product "
-        "pins to one (default: one worker per usable CPU, and OpenBLAS's own count)",
+        "that fit alignments (default: one worker per usable CPU, and as many "
+        "threads as OpenBLAS has)",
     )
     if prefix:
         parser.add_argument(

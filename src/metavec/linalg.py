@@ -43,8 +43,8 @@ _OPENBLAS_CALLS = (
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 _OPENBLAS: list | None = None
-# The BLAS thread count of the command in progress (``_blas_pool``): one
-# per process, as OpenBLAS's own count is.
+# The thread count of the command in progress (``_blas_pool``), which
+# runs at one BLAS thread: one per process, as OpenBLAS's own count is.
 _POOL: int | None = None
 
 __all__ = [
@@ -191,15 +191,14 @@ def _blas_threads(count: int | None) -> Iterator[int]:
 
 @contextlib.contextmanager
 def _blas_pool(count: int | None) -> Iterator[None]:
-    """Run a command with ``count`` BLAS threads (None: the count OpenBLAS
-    has), and make that count the pool that every ``_blas_threads`` body
-    inside gets, also under a pin to one thread: ``_each_block`` runs as
-    many Python threads, whatever pin is in force around it."""
+    """Run a command at one BLAS thread, with ``count`` (None: the count
+    OpenBLAS has) as the pool that every ``_blas_threads`` body inside
+    gets: ``_each_block`` runs as many Python threads."""
     global _POOL
     saved = _POOL
     _POOL = count or max((get() for get, _ in _openblas()), default=1)
     try:
-        with _blas_threads(count):
+        with _blas_threads(1):
             yield
     finally:
         _POOL = saved

@@ -13,6 +13,9 @@ from metavec.linalg import _blas_threads, _row_norms, _Step0
 DEFAULT_K = 10
 # Strided chunks of a score row whose maxima bound its k-th best in ``_rank``.
 _CHUNKS = 64
+# Blocks of queries that ``_rank`` holds at once, so that each tile of
+# candidates is made once for all of them.
+_GROUP = 4
 
 __all__ = [
     "DEFAULT_K",
@@ -233,12 +236,15 @@ def _rank(
     token.
 
     Blocks of queries meet tiles of candidates, and no candidate's row is
-    held beyond its tile. Each block's and each tile's unit rows are made
-    in float32 (``_unit32``) when they are scored, as many rows as fit in
-    ``embeddings._BLOCK_BYTES``; the queries are split
-    into blocks of equal size, and a tile has as many candidates as leave
-    its float32 scores within the same budget. Every product runs at one
-    BLAS thread, as every other product does.
+    held beyond its tile. Block and tile unit rows are made in float32
+    (``_unit32``), as many rows as fit in ``embeddings._BLOCK_BYTES``;
+    the queries are split into blocks of equal size, and a tile has as
+    many candidates as leave its float32 rows and its scores against a
+    block together within the same budget. ``_GROUP`` blocks are held at
+    a time, and each tile's rows are made once for all of them: making a
+    tile's rows costs about as much as its products with a few hundred
+    queries. Every product runs at one BLAS thread, as every other
+    product does.
 
     A float32 score is within δ (``_error_bound``) of the exact cosine of
     the two float64 unit rows, and so is ``_cosines``. So a candidate whose
@@ -264,41 +270,49 @@ def _rank(
     if not width or not len(live):
         return live, best, positions
     dim = matrix.shape[1]
-    # Float32 rows within the budget; the queries in blocks of equal size.
+    # Float32 rows within the budget; the queries in blocks of equal size,
+    # ``_GROUP`` of them held at once.
     most = max(1, embeddings._BLOCK_BYTES // (4 * dim))
     step = -(-len(live) // -(-len(live) // most))
-    tile = max(1, min(most, embeddings._BLOCK_BYTES // (4 * step)))
+    tile = max(1, embeddings._BLOCK_BYTES // (4 * (step + dim)))
     window = 2.0 * _error_bound(dim)
     empty = np.empty(0, dtype=np.intp)
     with _blas_threads(1):
-        for start in range(0, len(live), step):
-            queries = query_rows[live[start : start + step]]
-            block = _unit32(matrix, norms, queries)
+        for start in range(0, len(live), _GROUP * step):
+            queries = query_rows[live[start : start + _GROUP * step]]
+            blocks = [
+                (lo, _unit32(matrix, norms, queries[lo : lo + step]))
+                for lo in range(0, len(queries), step)
+            ]
             # Each query's shortlist, as flat arrays sorted by row and
             # score, best first, then the ``held`` entries found since;
             # ``kth`` is each row's k-th best score at the last merge.
             entries = [(empty, np.empty(0, dtype=np.float32), empty)]
-            kth = np.full(len(block), -np.inf, dtype=np.float32)
+            kth = np.full(len(queries), -np.inf, dtype=np.float32)
             held = 0
             for lo in range(0, len(candidate_rows), tile):
                 at = lo + np.flatnonzero(norms[candidate_rows[lo : lo + tile]] > 0.0)
                 if not len(at):
                     continue
-                tiled = np.matmul(block, _unit32(matrix, norms, candidate_rows[at]).T)
-                floor = kth
-                if np.isneginf(kth).any():  # until every row holds k scores
-                    floor = np.maximum(_kth_bound(tiled, k)[:, 0], kth)
-                floor = _lowered(floor, window)
-                hits, cols = np.divmod(np.flatnonzero(tiled >= floor[:, np.newaxis]), len(at))
-                entries.append((hits, tiled[hits, cols], at[cols]))
-                del tiled  # freed before the next tile's rows are made
-                held += len(hits)
+                units = _unit32(matrix, norms, candidate_rows[at]).T
+                for offset, block in blocks:
+                    tiled = np.matmul(block, units)
+                    floor = kth[offset : offset + len(block)]
+                    if np.isneginf(floor).any():  # until every row holds k scores
+                        floor = np.maximum(_kth_bound(tiled, k)[:, 0], floor)
+                    floor = _lowered(floor, window)
+                    hits, cols = np.divmod(np.flatnonzero(tiled >= floor[:, np.newaxis]), len(at))
+                    entries.append((offset + hits, tiled[hits, cols], at[cols]))
+                    del tiled  # freed before the next block's scores are made
+                    held += len(hits)
+                del units  # freed before the next tile's rows are made
                 if held > len(entries[0][0]):
                     entries, held = [_merged(entries, kth, k, window)], 0
+            del blocks
             if held:
                 entries = [_merged(entries, kth, k, window)]
             rows, scores, cols = entries.pop(0)
-            per_row = np.bincount(rows, minlength=len(block))
+            per_row = np.bincount(rows, minlength=len(queries))
             first = np.cumsum(per_row) - per_row
             place = np.arange(len(rows)) - first[rows]
             starts_run = place == 0
@@ -309,6 +323,9 @@ def _rank(
             # Many candidates of one direction make long runs: what is not
             # needed to rescore and sort them is freed first.
             del scores, place, starts_run
+            # A best alone in its run shares its cosine with no other entry,
+            # so it skips the keying by direction, which would hold the
+            # bytes of its candidate's float64 unit row.
             tied = tied[uncertain]
             exact = np.empty(len(uncertain))
             for among, cosines in ((~tied, _cosines), (tied, _cosines_by_direction)):
@@ -323,8 +340,9 @@ def _rank(
             cols[uncertain] = cols[uncertain][order]
             rescored = np.empty(len(rows))
             rescored[uncertain] = exact[order]
-            best[start : start + step] = rescored[first]
-            positions[start : start + step] = cols[first[:, np.newaxis] + np.arange(width)]
+            done = slice(start, start + len(queries))
+            best[done] = rescored[first]
+            positions[done] = cols[first[:, np.newaxis] + np.arange(width)]
     return live, best, positions
 
 

@@ -609,15 +609,18 @@ def rotated_sources(tmp_path, words=400, dim=100):
 
 class TestCommonFlags:
     def test_threads_flag_does_not_change_output(self, tmp_path, monkeypatch):
-        # --threads sets the BLAS pool for the whole command (seen here
-        # from inside the run), and the output bytes stay the same.
+        # --threads sets the Python threads of the whole command, which
+        # runs at one BLAS thread (both seen here from inside the run), and
+        # the output bytes stay the same.
         if not linalg._openblas():
             pytest.skip("numpy does not use OpenBLAS here")
         seen = []
         real_plan = cli._plan
 
         def spy(*args):
-            seen.append([get() for get, _ in linalg._openblas()])
+            counts = [get() for get, _ in linalg._openblas()]
+            with linalg._blas_threads(1) as pool:
+                seen.append((pool, counts))
             return real_plan(*args)
 
         monkeypatch.setattr(cli, "_plan", spy)
@@ -627,7 +630,8 @@ class TestCommonFlags:
             out = tmp_path / f"t{threads}.vec"
             assert main(["mvm", *map(str, paths), "-o", str(out), "--threads", threads]) == 0
             outputs.append(out.read_bytes() + Path(f"{out}.provenance.json").read_bytes())
-        assert seen == [[2] * len(seen[0]), [1] * len(seen[0])]
+        ones = [1] * len(seen[0][1])
+        assert seen == [(2, ones), (1, ones)]
         assert outputs[0] == outputs[1]
 
     def test_fits_keep_their_threads_while_text_sources_stream(self, tmp_path, monkeypatch):

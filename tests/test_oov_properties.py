@@ -112,16 +112,17 @@ def tiled_rankings(draw):
     """A ranking call and a tiling for it: a tied matrix split into
     candidates (shuffled, so position is not row order) and queries, k, the
     chunk count of the k-th bound, and a budget of ``rows`` float32 rows
-    (and a few bytes), so blocks of up to ``rows`` queries meet tiles of up
-    to ``rows`` candidates: blocks of one query, one-candidate tiles (also
-    against blocks of several queries, where a row has one value), several
-    tiles or a single one."""
+    (and a few bytes), so blocks of up to ``rows`` queries meet tiles whose
+    rows and scores against a block fit in it: blocks of one query,
+    one-candidate tiles (also against blocks of several queries, where a
+    row has one value), several tiles or a single one, and more blocks
+    than ``oov._rank`` holds at once."""
     matrix = draw(tied_matrices(max_rows=90))
     n_queries = draw(st.integers(1, min(8, len(matrix) - 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     candidate_rows = rng.permutation(len(matrix) - n_queries)
     query_rows = np.arange(len(matrix) - n_queries, len(matrix))
-    rows = draw(st.integers(1, len(candidate_rows)))
+    rows = draw(st.integers(1, len(candidate_rows) * (1 + n_queries)))
     return (
         matrix,
         query_rows,
