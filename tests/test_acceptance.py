@@ -238,7 +238,8 @@ def test_criterion_09_format_round_trips_and_error_cases():
 def test_criterion_10_end_to_end_mvm_pipeline(tmp_path):
     # At 100 dims OpenBLAS changes the bits of the alignment's products
     # with its thread count, so the thread counts compared below (--threads
-    # sets the BLAS pool) would show in the output if they reached it.
+    # sets the workers and the fit's Python threads) would show in the
+    # output if they reached it.
     rng = np.random.default_rng(1000)
     universe = [f"w{i:03d}" for i in range(450)]
     matrix = rng.normal(size=(450, 100))

@@ -671,9 +671,9 @@ class TestCommonFlags:
         assert runs[0] == runs[1]
 
     def test_mvm_text_workers_write_the_bytes_of_one(self, tmp_path):
-        # Text rows are made, products and all, in forked workers. With the
-        # parent's two-thread BLAS pool started by ranking, two workers must
-        # write the bytes one worker writes, within the subprocess timeout.
+        # Text rows are made, products and all, in forked workers. With
+        # OpenBLAS started at two threads, two workers must write the bytes
+        # one worker writes, within the subprocess timeout.
         paths = rotated_sources(tmp_path)
         outputs = []
         for workers in ("1", "2"):
