@@ -38,7 +38,7 @@ from metavec.evaluate import (
     load_similarity_dataset,
     report_records,
 )
-from metavec.linalg import _blas_pool, _blas_threads
+from metavec.linalg import _blas_pool
 from metavec.oov import DEFAULT_K, _extension, format_audit_dump
 
 logger = logging.getLogger(__name__)
@@ -148,9 +148,8 @@ def _forked_map(fn, items, workers: int):
 
     Forked children share the parent's arrays without copying them; only
     results travel back, pickled through a pipe that this process reads.
-    The children are forked while this process runs at one BLAS thread,
-    which it keeps until the map ends: each child then makes its BLAS
-    calls at one thread, for its whole life, without setting a count
+    The children inherit the command's one BLAS thread (``_blas_pool``),
+    so they make their BLAS calls at one thread without setting a count
     (OpenBLAS starts a new thread pool in a forked child that sets one,
     and children that each start one crowd the CPUs). With one worker, or
     without ``os.fork``, this is plain ``map``.
@@ -163,16 +162,15 @@ def _forked_map(fn, items, workers: int):
     pending = iter(items)
     running: deque = deque()
     try:
-        with _blas_threads(1):
-            for item in itertools.islice(pending, workers):
+        for item in itertools.islice(pending, workers):
+            running.append(_fork(fn, item))
+        while running:
+            # Popped as it is yielded, so that no name here holds the
+            # result while the caller works on it.
+            done = [_collect(running)]
+            for item in itertools.islice(pending, 1):
                 running.append(_fork(fn, item))
-            while running:
-                # Popped as it is yielded, so that no name here holds the
-                # result while the caller works on it.
-                done = [_collect(running)]
-                for item in itertools.islice(pending, 1):
-                    running.append(_fork(fn, item))
-                yield done.pop()
+            yield done.pop()
     finally:
         for pid, pipe in running:
             os.kill(pid, signal.SIGKILL)

@@ -222,18 +222,17 @@ def _rank(
     query_rows: np.ndarray,
     candidate_rows: np.ndarray,
     k: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Rank candidate rows of ``matrix`` by cosine against each query row;
     ``norms`` holds the norms of ``matrix``'s rows (``_row_norms``).
 
     Returns ``live``, the positions in ``query_rows`` of the queries that
-    have a direction, and for those queries the best cosine (``_cosines``;
-    -inf without candidates) and a (len(live) × min(k, n)) array of the
-    best candidates' positions in ``candidate_rows``, best first, where n
-    counts the candidates that have a direction. The order is exact: by
-    ``_cosines``, whatever the tiling or the BLAS threads, and then by
-    candidate position, so candidates sorted by token break exact ties by
-    token.
+    have a direction, and for those queries a (len(live) × min(k, n))
+    array of the best candidates' positions in ``candidate_rows``, best
+    first, where n counts the candidates that have a direction. The order
+    is exact: by ``_cosines``, whatever the tiling or the BLAS threads, and
+    then by candidate position, so candidates sorted by token break exact
+    ties by token.
 
     Blocks of queries meet tiles of candidates, and no candidate's row is
     held beyond its tile. Block and tile unit rows are made in float32
@@ -257,18 +256,16 @@ def _rank(
     outnumber it, so the merges' work does not grow with the number of
     tiles. The shortlist, best first, falls into runs wherever a score
     exceeds the next by more than 2δ. The runs keep their order; within
-    each run that reaches the k-th place, and for the row's best, the
-    cosines are taken again in float64 (``_cosines``, once per direction in
-    a run: ``_cosines_by_direction``) and decide, ties by candidate
-    position.
+    each run of several entries that reaches the k-th place, the cosines
+    are taken again in float64 (``_cosines``, once per direction in a run:
+    ``_cosines_by_direction``) and decide, ties by candidate position.
     """
     n = int(np.count_nonzero(norms[candidate_rows] > 0.0))
     live = np.flatnonzero(norms[query_rows] > 0.0)
     width = min(k, n)
-    best = np.full(len(live), -np.inf)
     positions = np.empty((len(live), width), dtype=np.intp)
     if not width or not len(live):
-        return live, best, positions
+        return live, positions
     dim = matrix.shape[1]
     # Float32 rows within the budget; the queries in blocks of equal size,
     # ``_GROUP`` of them held at once.
@@ -319,31 +316,20 @@ def _rank(
             starts_run[1:] |= scores[:-1].astype(np.float64) - scores[1:] > window
             run = np.cumsum(starts_run) - 1
             tied = (place[starts_run][run] < k) & (np.bincount(run)[run] > 1)
-            uncertain = np.flatnonzero((place == 0) | tied)
+            uncertain = np.flatnonzero(tied)
             # Many candidates of one direction make long runs: what is not
             # needed to rescore and sort them is freed first.
-            del scores, place, starts_run
-            # A best alone in its run shares its cosine with no other entry,
-            # so it skips the keying by direction, which would hold the
-            # bytes of its candidate's float64 unit row.
-            tied = tied[uncertain]
-            exact = np.empty(len(uncertain))
-            for among, cosines in ((~tied, _cosines), (tied, _cosines_by_direction)):
-                picked = uncertain[among]
-                exact[among] = cosines(
-                    matrix, norms, queries[rows[picked]], candidate_rows[cols[picked]]
-                )
-            del picked
+            del scores, place, starts_run, tied
+            exact = _cosines_by_direction(
+                matrix, norms, queries[rows[uncertain]], candidate_rows[cols[uncertain]]
+            )
             # Whole runs are rescored, so sorting them among themselves
             # moves each entry within its own run's places.
             order = np.lexsort((cols[uncertain], -exact, run[uncertain]))
             cols[uncertain] = cols[uncertain][order]
-            rescored = np.empty(len(rows))
-            rescored[uncertain] = exact[order]
             done = slice(start, start + len(queries))
-            best[done] = rescored[first]
             positions[done] = cols[first[:, np.newaxis] + np.arange(width)]
-    return live, best, positions
+    return live, positions
 
 
 def nearest_neighbors(
@@ -372,7 +358,7 @@ def nearest_neighbors(
     rows = np.array([index[t] for t in [query, *tokens]])
     norms = np.zeros(len(space))
     norms[rows] = _row_norms(space.matrix, rows)
-    live, _, top = _rank(space.matrix, norms, rows[:1], rows[1:], k)
+    live, top = _rank(space.matrix, norms, rows[:1], rows[1:], k)
     if not top.shape[1]:
         raise ValueError("no candidates with a defined similarity")
     if not len(live):
@@ -434,14 +420,14 @@ def _plan_synthesis(
     Every missing word is synthesized from originally-present words only.
     With several donor spaces holding a word, the donor whose best
     candidate cosine is highest wins (ties: the earliest donor in source
-    order). Best cosines are ``_cosines``'s float64 bits, which no tiling
-    or thread count moves. Neighbor candidates are the words the donor
-    shares with the deficient space. Centroids always come from the
-    deficient space's own original vectors, so spaces of different
-    dimensionality can still donate neighbors to each other. A word no
-    donor can rank (zero vector, or no candidate with a direction) gets no
-    neighbors and is listed as skipped. Union order: first-seen across
-    ``spaces``.
+    order); a word with one donor takes no cosine. Best cosines are
+    ``_cosines``'s float64 bits, which no tiling or thread count moves.
+    Neighbor candidates are the words the donor shares with the deficient
+    space. Centroids always come from the deficient space's own original
+    vectors, so spaces of different dimensionality can still donate
+    neighbors to each other. A word no donor can rank (zero vector, or no
+    candidate with a direction) gets no neighbors and is listed as skipped.
+    Union order: first-seen across ``spaces``.
 
     Returns the union, its row table (``_union_positions``) with the entry
     of the j-th missing word of a space set to ``len(space) + j``, one plan
@@ -452,8 +438,9 @@ def _plan_synthesis(
         raise ValueError(f"k must be at least 1, got {k}")
     union, table = _union_positions(spaces)
     by_token = np.array(sorted(range(len(union)), key=union.__getitem__), dtype=np.intp)
-    # Per missing word a plan keeps the best cosine, its neighbors' rows in
-    # the deficient space and how many there are.
+    # A missing word that one space holds has one donor, which wins
+    # whatever its score: only the others take a best cosine.
+    contested = np.count_nonzero(table >= 0, axis=0) > 1
     plans: list[_Plan] = []
     # Each donor's rows and row norms, taken once for every space it serves.
     donors: dict[int, tuple] = dict(enumerate(ranked or ()))
@@ -470,10 +457,15 @@ def _plan_synthesis(
             shared = by_token[(table[i, by_token] >= 0) & (table[j, by_token] >= 0)]
             if j not in donors:
                 donors[j] = spaces[j].matrix, _row_norms(spaces[j].matrix)
-            live, scores, top = _rank(*donors[j], table[j, missing[words]], table[j, shared], k)
+            live, top = _rank(*donors[j], table[j, missing[words]], table[j, shared], k)
             if not top.shape[1]:
                 continue
             words = words[live]
+            scores = np.full(len(words), -np.inf)
+            rival = contested[missing[words]]
+            scores[rival] = _cosines(
+                *donors[j], table[j, missing[words[rival]]], table[j, shared[top[rival, 0]]]
+            )
             won = (counts[words] == 0) | (scores > best[words])
             words = words[won]
             best[words] = scores[won]

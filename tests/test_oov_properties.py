@@ -140,17 +140,15 @@ def test_rank_matches_exhaustive_scan_in_any_tiling(case):
     with patch.object(embeddings, "_BLOCK_BYTES", block_bytes), patch.object(
         oov, "_CHUNKS", chunks
     ):
-        live, best, top = oov._rank(matrix, _row_norms(matrix), query_rows, candidate_rows, k)
+        live, top = oov._rank(matrix, _row_norms(matrix), query_rows, candidate_rows, k)
     assert live.tolist() == [i for i, row in enumerate(matrix[query_rows]) if row.any()]
     defined = int(np.count_nonzero(matrix[candidate_rows].any(axis=1)))
-    assert best.shape == (len(live),)
     assert top.shape == (len(live), min(k, defined))
     tokens = [f"c{p:03d}" for p in range(len(candidate_rows))]
-    for i, row_best, row_top in zip(live, best, top):
+    for i, row_top in zip(live, top):
         pool = EmbeddingSpace(["q", *tokens], matrix[[query_rows[i], *candidate_rows]])
         expected = exhaustive_scores(pool, "q")[:k]
         assert [tokens[p] for p in row_top] == [t for _, t in expected]
-        assert row_best == (-expected[0][0] if expected else -np.inf)
 
 
 @settings(max_examples=100, deadline=None)
