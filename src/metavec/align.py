@@ -10,8 +10,8 @@ from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from metavec.embeddings import EmbeddingSpace, ParseError, _numbered_lines, _rows64
-from metavec.linalg import OrthogonalMap, _blocks, _procrustes, _residual, _Step0
+from metavec.embeddings import EmbeddingSpace, ParseError, _Fill, _numbered_lines, _rows64
+from metavec.linalg import OrthogonalMap, _grid_fill, _procrustes, _residual, _Step0
 
 logger = logging.getLogger(__name__)
 
@@ -182,20 +182,27 @@ class _Source(NamedTuple):
     statistics of its normalization, ``linalg._Step0``, or a normalized
     matrix), its map onto the target's normalized rows and the fit's report
     (both None for the target). Its aligned rows are its normalized rows
-    times ``omap.matrix``, or the target's normalized rows; ``aligned``
-    makes them all."""
+    times ``omap.matrix``, or the target's normalized rows; for a source
+    held with its ``_Step0``, ``fill`` makes them and ``aligned`` all."""
 
     space: EmbeddingSpace
     normalized: _Step0 | np.ndarray
     omap: OrthogonalMap | None
     info: AlignmentInfo | None
 
+    def fill(self) -> _Fill:
+        """A fill of the aligned rows, one product per block of rows in
+        source order (``linalg._grid_fill``)."""
+        step0, count, dim = self.normalized, *self.space.matrix.shape
+        if self.omap is None:
+            return _grid_fill(step0.rows, count, dim)
+        w = self.omap.matrix
+        return _grid_fill(lambda at, out: np.matmul(step0.rows(at), w, out=out), count, dim)
+
     def aligned(self) -> EmbeddingSpace:
-        """The space of all the aligned rows of a source held with its
-        ``_Step0``, made one block of rows at a time in source order
-        (``linalg._blocks``)."""
-        w = None if self.omap is None else self.omap.matrix
-        matrix = _blocks(self.normalized.rows, *self.space.matrix.shape, w)
+        """The space of all the aligned rows."""
+        matrix = np.empty(self.space.matrix.shape)
+        self.fill()(matrix, 0, len(matrix))
         return self.space._with_matrix(matrix, checked=True)
 
 

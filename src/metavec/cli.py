@@ -204,9 +204,8 @@ def _staged(
     for, or else in the format of ``first_source``. Text rows are made and
     formatted in worker processes, in as many blocks as a multiple of the
     workers, so that the workers finish together; binary rows in this
-    process. mvm's union rows take one product per block of its union
-    grid and non-target source (``combine._mean``), at one BLAS thread, so
-    the bytes do not depend on the workers."""
+    process. A fill of products makes them on a fixed grid at one BLAS
+    thread (``linalg._grid_fill``), so the bytes do not depend on the workers."""
     fmt = args.format or detect_format(first_source)
     parts = _io_workers(args) if fmt == "text" else 1
     forked = functools.partial(_forked_map, workers=parts)
@@ -259,16 +258,12 @@ def cmd_map(args, parser) -> int:
     dictionaries = _dictionaries(args, parser, len(paths), 1)
     with contextlib.closing(_load_sources(paths, args)) as spaces:
         source, target = _aligned(spaces, args.prefix, 1, dictionaries)
-    # The raw target is freed before the source is mapped, and the raw
-    # source before the output is written.
+    # The raw target is freed before the source's aligned rows stream out.
     del target
-    mapped, info = source.aligned(), source.info
-    del source
-    _commit_outputs([
-        _staged(args.output, mapped.tokens, mapped.dim, mapped.matrix, args, args.source)
-    ])
-    print(f"dictionary size: {info.dictionary_size}")
-    print(f"residual: {info.residual}")
+    tokens, dim = source.space.tokens, source.space.dim
+    _commit_outputs([_staged(args.output, tokens, dim, source.fill(), args, args.source)])
+    print(f"dictionary size: {source.info.dictionary_size}")
+    print(f"residual: {source.info.residual}")
     return 0
 
 

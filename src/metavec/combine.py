@@ -10,10 +10,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from metavec.align import MappingDictionary, _aligned, _prefixed, _Source, apply_language_prefixes
-from metavec.embeddings import EmbeddingSpace, _block_rows, _Fill, _filled
-from metavec.linalg import (
-    _PRODUCT_BYTES, _blas_threads, _unit_rows, apply_reduction, fit_reduction,
-)
+from metavec.embeddings import EmbeddingSpace, _Fill, _filled
+from metavec.linalg import _grid_fill, _unit_rows, apply_reduction, fit_reduction
 from metavec.oov import (
     DEFAULT_K, SynthesisReport, _place, _Plan, _plan_synthesis, _union_positions,
 )
@@ -223,40 +221,22 @@ def _mean(
     ``_mean_rows``, scaled to unit length for mvm) and the provenance
     record, with the method's ``own`` keys.
 
-    The fill makes the union rows on a fixed grid of union positions:
-    blocks whose rows of every source fit in ``linalg._PRODUCT_BYTES``,
-    counted from position 0, each made whole at one BLAS thread. A run of
-    rows then gets the bits it has in the whole matrix, whatever the
-    tiling, the worker count or the BLAS thread count. The last block made
-    for a run's edge is kept, so that runs taken in order make each block
-    once.
+    The fill makes the union rows on a grid of union positions whose rows
+    of every source fit in ``linalg._PRODUCT_BYTES`` (``linalg._grid_fill``),
+    so any run of rows has the bits it has in the whole matrix.
     """
     spaces = [source.space for source in sources]
     # mvm ranks each source before it is mapped, on its normalization.
     ranked = [s.normalized.centered() for s in sources] if config.method == "mvm" else None
     union, table, plans, report = _union_rows(spaces, config, ranked)
     dim = spaces[0].dim
-    grid = _block_rows(len(sources) * dim, _PRODUCT_BYTES)
-    edge = [-1, np.empty((min(grid, len(union)), dim))]  # its start and rows
 
-    def block(out: np.ndarray, lo: int, hi: int) -> None:
-        _mean_rows(sources, table[:, lo:hi], plans, config.oov_policy, out)
+    def rows(at: slice, out: np.ndarray) -> None:
+        _mean_rows(sources, table[:, at], plans, config.oov_policy, out)
         if config.method == "mvm":
             _unit_rows(out, out=out)
 
-    def fill(out: np.ndarray, start: int, stop: int) -> None:
-        with _blas_threads(1):
-            for lo in range(start - start % grid, stop, grid):
-                hi = min(lo + grid, len(union))
-                if start <= lo and hi <= stop:
-                    block(out[lo - start : hi - start], lo, hi)
-                    continue
-                if edge[0] != lo:
-                    edge[0] = lo
-                    block(edge[1][: hi - lo], lo, hi)
-                first, last = max(lo, start), min(hi, stop)
-                out[first - start : last - start] = edge[1][first - lo : last - lo]
-
+    fill = _grid_fill(rows, len(union), len(sources) * dim)
     # Every step keeps each space's meta, so the spaces name the sources.
     return union, fill, _provenance(spaces, config, len(union), dim, report, **own)
 

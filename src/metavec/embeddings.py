@@ -180,11 +180,13 @@ def _filled(
     tokens: Sequence[str], dim: int, rows: np.ndarray | _Fill, meta: str | None
 ) -> EmbeddingSpace:
     """The space of ``tokens`` and their ``rows``, as ``_chunks`` takes
-    them: a matrix, or a fill whose rows ``_chunks`` encodes block by block,
-    here written whole by ``fill(matrix, 0, len(tokens))``."""
+    them: a matrix, or a fill, here filled into one matrix in the blocks of
+    rows ``_chunks`` encodes, so that it needs the working space it streams in."""
     if not isinstance(rows, np.ndarray):
         fill, rows = rows, np.empty((len(tokens), dim))
-        fill(rows, 0, len(tokens))
+        step = _block_rows(dim)
+        for start in range(0, len(tokens), step):
+            fill(rows[start : start + step], start, min(start + step, len(tokens)))
     return EmbeddingSpace._own(tokens, rows, meta=meta)
 
 

@@ -13,7 +13,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from metavec.embeddings import EmbeddingSpace, _block_rows, _rows64
+from metavec.embeddings import EmbeddingSpace, _block_rows, _Fill, _rows64
 
 logger = logging.getLogger(__name__)
 
@@ -21,12 +21,10 @@ ORTHOGONALITY_TOL = 1e-8
 
 # Bytes of float64 rows per block of a sum or product whose result reaches
 # an output. The blocks decide those bits, so their size is fixed here,
-# apart from the memory budget ``_BLOCK_BYTES``, on two grids: blocks of
-# rows in source order (``_each_block``: the sums of ``_procrustes`` and
-# ``_residual``, and ``_blocks``'s products for ``map`` and
-# ``align_to_target``), and blocks of union positions whose rows of every
-# source fit here together (``combine._mean``: the products of the union
-# fill, which reads union positions in order).
+# apart from the memory budget ``_BLOCK_BYTES``. The fit sums blocks of
+# rows in source order (``_each_block``); one fill (``_grid_fill``) makes
+# every written product on those blocks, or on blocks of union positions
+# whose rows of every source fit here together (``combine._mean``).
 _PRODUCT_BYTES = 1 << 20
 # Blocks of ``_PRODUCT_BYTES`` per Python thread in ``_each_block``: each
 # thread costs a malloc arena and a BLAS buffer of a few MB, which pays
@@ -204,10 +202,10 @@ def _blas_pool(count: int | None) -> Iterator[None]:
         _POOL = saved
 
 
-def _each_block(fn: Callable, count: int, dim: int) -> Iterator:
-    """``fn(at)`` for each block ``at`` (a slice) of ``count`` rows of
-    ``dim`` values (``_PRODUCT_BYTES``), counted from row 0, in block
-    order.
+def _each_block(fn: Callable, start: int, stop: int, dim: int) -> Iterator:
+    """``fn(at)`` for each block ``at`` (a slice) of rows ``start:stop``
+    of ``dim`` values (``_PRODUCT_BYTES``), counted from row 0 (``start``
+    is on that grid), in block order.
 
     The blocks run in as many Python threads as the pool has
     (``_blas_threads``), but with ``_THREAD_BLOCKS`` blocks or more each,
@@ -216,7 +214,7 @@ def _each_block(fn: Callable, count: int, dim: int) -> Iterator:
     run. At most two blocks per thread are ahead of the caller.
     """
     step = _block_rows(dim, _PRODUCT_BYTES)
-    blocks = [slice(start, start + step) for start in range(0, count, step)]
+    blocks = [slice(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
     with _blas_threads(1) as pool:
         threads = min(pool, len(blocks) // _THREAD_BLOCKS)
         if threads < 2:
@@ -281,27 +279,42 @@ def _divisors(norms: np.ndarray) -> np.ndarray:
     return np.where(norms == 0.0, 1.0, norms)
 
 
-def _blocks(rows, count: int, dim: int, w: np.ndarray | None = None) -> np.ndarray:
-    """The ``count`` rows that ``rows`` gives, times ``w`` when given, made
-    one block of rows at a time (``_each_block``). ``rows(at, out)`` gives
-    the rows ``at`` (a slice) in ``out``, or, for a product, ``rows(at)``
-    in an array of its own.
+def _grid_fill(rows: Callable, count: int, values_per_row: int) -> _Fill:
+    """A fill of the ``count`` rows that ``rows(at, out)`` makes into
+    ``out`` for a slice ``at``, on a fixed grid: blocks of rows of
+    ``values_per_row`` values (``_PRODUCT_BYTES``), counted from row 0.
 
-    The bits of a row of a product depend on the rows BLAS is given with
-    it and on the thread count, so every product takes the same blocks, at
-    one thread: a row's bits then depend on its source alone.
+    Each block is made whole at one BLAS thread, so a run of rows gets the
+    bits it has in the whole matrix, whatever the tiling, the worker count
+    or the BLAS thread count. Blocks inside a run are made in place
+    (``_each_block``); a block cut by the run's edge is made aside and the
+    last one kept, so runs taken in order make each block once.
     """
-    result = np.empty((count, dim if w is None else w.shape[1]))
+    step = _block_rows(values_per_row, _PRODUCT_BYTES)
+    kept = [None, None]  # the last block made aside, and its rows
 
-    def block(at: slice) -> None:
-        if w is None:
-            rows(at, result[at])
-        else:
-            np.matmul(rows(at), w, out=result[at])
+    def fill(out: np.ndarray, start: int, stop: int) -> None:
+        first = min(-(-start // step) * step, stop)
+        last = stop if stop == count else max(first, stop - stop % step)
 
-    for _ in _each_block(block, count, dim):
-        pass
-    return result
+        def in_place(at: slice) -> None:
+            rows(at, out[at.start - start : at.stop - start])
+
+        for _ in _each_block(in_place, first, last, values_per_row):
+            pass
+        for lo, hi in (start, first), (last, stop):  # the runs in a cut block
+            if lo == hi:
+                continue
+            at = slice(lo - lo % step, min(lo - lo % step + step, count))
+            if kept[0] != at:
+                if kept[1] is None:
+                    kept[1] = np.empty((min(step, count), out.shape[1]))
+                kept[0] = at
+                with _blas_threads(1):
+                    rows(at, kept[1][: at.stop - at.start])
+            out[lo - start : hi - start] = kept[1][lo - at.start : hi - at.start]
+
+    return fill
 
 
 class _Step0:
@@ -414,7 +427,8 @@ def normalize_step0(space: EmbeddingSpace, *, renormalize: bool = True) -> Embed
     """
     if len(space) == 0:
         return space
-    matrix = _blocks(_Step0(space.matrix, renormalize).rows, *space.matrix.shape)
+    matrix = np.empty(space.matrix.shape)
+    _grid_fill(_Step0(space.matrix, renormalize).rows, *matrix.shape)(matrix, 0, len(matrix))
     return space._with_matrix(matrix, checked=True)
 
 
@@ -424,7 +438,7 @@ def _procrustes(x_rows, z_rows, count: int, dim: int) -> OrthogonalMap:
     float64. x'z is summed over blocks of pairs (``_each_block``), in
     order, and its SVD taken at one thread."""
     cross = np.zeros((dim, dim))
-    for part in _each_block(lambda at: x_rows(at).T @ z_rows(at), count, dim):
+    for part in _each_block(lambda at: x_rows(at).T @ z_rows(at), 0, count, dim):
         cross += part
     with _blas_threads(1):
         u, _, vt = np.linalg.svd(cross)
@@ -443,7 +457,7 @@ def _residual(x_rows, z_rows, count: int, dim: int) -> float:
         return float(gap @ gap)
 
     total = 0.0
-    for part in _each_block(squares, count, dim):
+    for part in _each_block(squares, 0, count, dim):
         total += part
     return math.sqrt(total)
 
@@ -469,10 +483,11 @@ def apply_map(space: EmbeddingSpace, omap: OrthogonalMap) -> EmbeddingSpace:
     if omap.dim != space.dim:
         raise ValueError(f"map dim {omap.dim} does not match space dim {space.dim}")
 
-    def rows(at):
-        return _rows64(space.matrix, at, copy=False)
+    def rows(at: slice, out: np.ndarray) -> None:
+        np.matmul(_rows64(space.matrix, at, copy=False), omap.matrix, out=out)
 
-    mapped = _blocks(rows, len(space), space.dim, omap.matrix)
+    mapped = np.empty(space.matrix.shape)
+    _grid_fill(rows, *mapped.shape)(mapped, 0, len(mapped))
     return space._with_matrix(mapped)
 
 

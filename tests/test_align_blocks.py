@@ -1,6 +1,7 @@
 """Alignment from normalization statistics: blocked normalized rows against
 a whole-matrix oracle, one code path for the public wrappers, and the
-memory a stream of binary sources holds while it is aligned."""
+memory a stream of binary sources holds while it is aligned, or while
+``map`` streams its aligned rows."""
 import functools
 import tracemalloc
 
@@ -11,9 +12,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metavec import embeddings, linalg
+from metavec import cli, embeddings, linalg
 from metavec.align import align_to_target
-from metavec.embeddings import EmbeddingSpace, parse_binary_embeddings, write_binary_embeddings
+from metavec.embeddings import (
+    EmbeddingSpace, load_embeddings, parse_binary_embeddings, write_binary_embeddings,
+)
 from metavec.linalg import apply_map, normalize_step0
 
 
@@ -130,3 +133,41 @@ def test_aligning_a_stream_holds_its_outputs_one_raw_source_and_a_few_blocks(mon
     # being fitted: its norms, anchor indexes and the set that checks its
     # tokens.
     assert peak <= held + rows * dim * 4 + 16 * (64 << 10) + 100 * rows
+
+
+def test_map_holds_its_inputs_and_their_statistics_while_rows_stream(tmp_path, monkeypatch):
+    # Two binary sources of 8000 words at 200 dims, parsed to float32:
+    # 6.4 MB each. map holds both while it fits, then the source and its
+    # statistics while its aligned rows stream into the output, a few
+    # blocks at a time. An aligned float64 copy of the source (12.8 MB)
+    # beside it would pass the two inputs.
+    monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 64 << 10)
+    monkeypatch.setattr(linalg, "_PRODUCT_BYTES", 64 << 10)
+    rng = np.random.default_rng(29)
+    rows, dim = 8000, 200
+    paths = [tmp_path / "source.bin", tmp_path / "target.bin"]
+    for n, path in enumerate(paths):
+        tokens = [f"s{i:05d}" for i in range(n * 500, n * 500 + rows)]
+        path.write_bytes(write_binary_embeddings(EmbeddingSpace(tokens, rng.normal(size=(rows, dim)))))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        spaces = [load_embeddings(path) for path in paths]
+        assert all(space.matrix.dtype == np.float32 for space in spaces)
+        inputs = tracemalloc.get_traced_memory()[0] - start
+        del spaces
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        # One thread: each thread of the fit would hold sums of x'z ahead.
+        out = str(tmp_path / "out.bin")
+        assert cli.main(["map", *map(str, paths), "-o", out, "--threads", "1"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # The two inputs as parsed (their float32 rows and tokens), their
+    # statistics (three float64 values per row each), the fit's d×d
+    # matrices (x'z, its SVD, the map and its check), a few blocks, and
+    # per row of the source: its anchor indexes and the target's token
+    # index.
+    bound = inputs + 2 * 3 * 8 * rows + 8 * 8 * dim * dim + 16 * (64 << 10) + 100 * rows
+    assert peak < bound

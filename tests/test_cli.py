@@ -670,16 +670,20 @@ class TestCommonFlags:
         )
         assert runs[0] == runs[1]
 
-    def test_mvm_text_workers_write_the_bytes_of_one(self, tmp_path):
-        # Text rows are made, products and all, in forked workers. With
-        # OpenBLAS started at two threads, two workers must write the bytes
-        # one worker writes, within the subprocess timeout.
+    @pytest.mark.parametrize("command", ["mvm", "map"])
+    def test_text_workers_write_the_bytes_of_one(self, tmp_path, command):
+        # Text rows are made, products and all, in forked workers: mvm's
+        # union rows, and map's aligned rows. With OpenBLAS started at two
+        # threads, two workers must write the bytes one worker writes,
+        # within the subprocess timeout.
         paths = rotated_sources(tmp_path)
+        argv = [command, *paths] if command == "mvm" else [command, *paths[:2], "--format", "text"]
         outputs = []
         for workers in ("1", "2"):
             out = tmp_path / f"w{workers}.vec"
-            run_cli(["mvm", *paths, "-o", out, "--threads", workers], blas_threads=2)
-            outputs.append(out.read_bytes() + Path(f"{out}.provenance.json").read_bytes())
+            run_cli([*argv, "-o", out, "--threads", workers], blas_threads=2)
+            # The output and, for mvm, its provenance sidecar.
+            outputs.append(b"".join(p.read_bytes() for p in sorted(tmp_path.glob(f"{out.name}*"))))
         assert outputs[0] == outputs[1]
 
     def test_concat_reduce_bytes_do_not_depend_on_blas_threads(self, tmp_path):

@@ -65,7 +65,6 @@ def test_fill_bytes_do_not_depend_on_tiling_workers_or_blas_threads(
     config = CombineConfig(method="mvm", k_neighbors=k, oov=policy)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "_PRODUCT_BYTES", product_bytes)
-        patch.setattr(combine, "_PRODUCT_BYTES", product_bytes)
         union, fill, provenance = combine._plan(sources, config)
         dim = provenance["dim"]
         whole = np.empty((len(union), dim))
@@ -167,7 +166,9 @@ def test_threaded_blocks_sum_to_the_serial_bits(monkeypatch, count):
     def fit():
         omap = linalg._procrustes(x_rows, z.__getitem__, count, 24)
         residual = linalg._residual(lambda at: x_rows(at) @ w, z.__getitem__, count, 24)
-        mapped = linalg._blocks(lambda at: x_rows(at), count, 24, w)
+        mapped = np.empty((count, 24))
+        fill = linalg._grid_fill(lambda at, out: np.matmul(x_rows(at), w, out=out), count, 24)
+        fill(mapped, 0, count)
         return omap.matrix.tobytes(), residual, mapped.tobytes()
 
     for pool in (1, 2):
