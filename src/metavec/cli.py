@@ -43,6 +43,12 @@ from metavec.oov import DEFAULT_K, _extension, format_audit_dump
 
 logger = logging.getLogger(__name__)
 
+# Scored (query, candidate) pairs that each share of the missing-word
+# rankings must reach before ``_ranked_in_shares`` forks for it: a fork
+# costs about 20–35 ms on a 2-core x86 VM, the time of 1.5–2M pairs at
+# 17 ns each.
+_SHARE_PAIRS = 1 << 21
+
 __all__ = ["build_parser", "main", "run"]
 
 
@@ -68,8 +74,8 @@ def _cpu_count() -> int:
 
 
 def _io_workers(args) -> int:
-    """Worker processes for parsing and formatting text: the usable CPUs,
-    capped by --threads."""
+    """Worker processes for parsing and formatting text and for ranking
+    missing words: the usable CPUs, capped by --threads."""
     return min(_cpu_count(), args.threads or sys.maxsize)
 
 
@@ -142,6 +148,14 @@ def _collect(running: deque):
     return value
 
 
+def _stop(running: deque) -> None:
+    """Kill and reap every child in ``running``."""
+    for pid, pipe in running:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pipe.close()
+
+
 def _forked_map(fn, items, workers: int):
     """Yield ``fn(item)`` for each item, in item order, each computed in a
     child made with ``os.fork``, at most ``workers`` children at a time.
@@ -172,10 +186,73 @@ def _forked_map(fn, items, workers: int):
                 running.append(_fork(fn, item))
             yield done.pop()
     finally:
-        for pid, pipe in running:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
+        _stop(running)
+
+
+def _shares(jobs, count: int) -> list[list[tuple[int, int, int]]]:
+    """``jobs`` (``oov._Ranking``) cut into ``count`` contiguous shares of
+    about equal scored pairs, each a list of (job, first query, end query).
+    A query goes to the share its first pair falls in (the last share for
+    a query without candidates after every pair), so a job that a cut
+    crosses is ranked in two ranges of its queries. A share may be empty."""
+    total = sum(job.pairs for job in jobs)
+    shares: list[list] = [[] for _ in range(count)]
+    done = 0  # the pairs of the jobs before this one
+    for i, job in enumerate(jobs):
+        width, lo = len(job.candidates), 0
+        while lo < len(job.queries):
+            share = min(count - 1, (done + lo * width) * count // total)
+            hi = len(job.queries)
+            if width:  # the first query whose first pair falls past this share
+                hi = min(hi, -(-((share + 1) * total - done * count) // (width * count)))
+            shares[share].append((i, lo, hi))
+            lo = hi
+        done += job.pairs
+    return shares
+
+
+def _ranked_in_shares(fn, jobs, workers: int):
+    """``map(fn, jobs)`` for the rankings of ``oov._plan_synthesis``
+    (``oov._Ranking``), split between this process and forked children.
+
+    The jobs are cut into contiguous shares of about equal scored pairs
+    (``_shares``): one per worker, but no more than leave each share
+    ``_SHARE_PAIRS``. With fewer than two shares, or without ``os.fork``,
+    this is the builtin ``map``. This process ranks the first share while
+    one child per other share ranks its own, and each job's query ranges
+    are joined in order (``oov._Ranking.joined``). ``_rank``'s order does
+    not depend on the queries ranked together, and the children inherit
+    the command's one BLAS thread (``_forked_map``), so the results have
+    the bits of the builtin ``map``.
+
+    ``_forked_map`` stays for parsing and text output: it streams one
+    item per child, and the caller works on each result while later items
+    are made. Here every result is needed before the first is used, so
+    this process takes a share of its own, and one fork serves a share of
+    many jobs. On an error, in a child or here, every child still running
+    is killed and reaped.
+    """
+    count = min(workers, sum(job.pairs for job in jobs) // max(1, _SHARE_PAIRS))
+    if count < 2 or not hasattr(os, "fork"):
+        return map(fn, jobs)
+    shares = [share for share in _shares(jobs, count) if share]
+
+    def rank(share):
+        return [fn(jobs[i].part(lo, hi)) for i, lo, hi in share]
+
+    running: deque = deque()
+    try:
+        for share in shares[1:]:
+            running.append(_fork(rank, share))
+        parts = rank(shares[0])
+        for _ in shares[1:]:
+            parts += _collect(running)
+    finally:
+        _stop(running)
+    joined: list[list] = [[] for _ in jobs]
+    for (i, _, _), part in zip(itertools.chain(*shares), parts):
+        joined[i].append(part)
+    return [job.joined(part) for job, part in zip(jobs, joined)]
 
 
 def _load(path: str, fmt: str | None = None) -> EmbeddingSpace:
@@ -222,8 +299,9 @@ def _write_combined(args, config: CombineConfig, dictionaries=None) -> int:
     for, and for mvm its provenance sidecar. Each source is planned as it
     is loaded (``combine._plan``), so only one raw input is held, and the
     union rows stream into the output."""
+    ranking = functools.partial(_ranked_in_shares, workers=_io_workers(args))
     with contextlib.closing(_load_sources(args.sources, args)) as spaces:
-        union, rows, provenance = _plan(spaces, config, dictionaries)
+        union, rows, provenance = _plan(spaces, config, dictionaries, ranking)
     dim = provenance["dim"]
     out = Path(args.output)
     staged = [_staged(args.output, union, dim, rows, args, args.sources[0])]
@@ -309,7 +387,8 @@ def cmd_baseline(args, parser) -> int:
 
 def cmd_synth_oov(args, parser) -> int:
     e1, e2 = _load_sources([args.embedding1, args.embedding2], args)
-    union, fills, report = _extension(e1, e2, args.k, args.audit is not None)
+    ranking = functools.partial(_ranked_in_shares, workers=_io_workers(args))
+    union, fills, report = _extension(e1, e2, args.k, args.audit is not None, ranking)
     staged = [
         _staged(path, union, e1.dim, fill, args, args.embedding1)
         for path, fill in zip((args.out1, args.out2), fills)
@@ -394,9 +473,9 @@ def _add_common(parser, *, precision=True, prefix=False, dicts=False, fmt_help=N
         type=_positive_int,
         default=None,
         metavar="N",
-        help="cap the worker processes that parse and format text and the threads "
-        "that fit alignments (default: one worker per usable CPU, and as many "
-        "threads as OpenBLAS has)",
+        help="cap the worker processes that parse and format text and rank missing "
+        "words, and the threads that fit alignments (default: one worker per usable "
+        "CPU, and as many threads as OpenBLAS has; 1 runs everything in one process)",
     )
     if prefix:
         parser.add_argument(

@@ -111,18 +111,21 @@ def _unit_spaces(
 
 
 def _union_rows(
-    spaces: Sequence[EmbeddingSpace], config: CombineConfig, ranked: Sequence[tuple] | None = None
+    spaces: Sequence[EmbeddingSpace],
+    config: CombineConfig,
+    ranked: Sequence[tuple] | None = None,
+    map=map,
 ) -> tuple[list[str], np.ndarray, Sequence[_Plan | None], SynthesisReport | None]:
     """The union vocabulary, its row table and each space's synthesis plan
     for ``_place``.
 
     Under the "nn" policy every missing word is planned
-    (``_plan_synthesis``, ranking what ``ranked`` gives) and its table
-    entry points past its space's own rows. Otherwise there are no plans
-    and missing words keep -1.
+    (``_plan_synthesis``, ranking what ``ranked`` gives through ``map``)
+    and its table entry points past its space's own rows. Otherwise there
+    are no plans and missing words keep -1.
     """
     if config.oov_policy == "nn":
-        return _plan_synthesis(spaces, config.k_neighbors, ranked=ranked)
+        return _plan_synthesis(spaces, config.k_neighbors, ranked=ranked, map=map)
     union, table = _union_positions(spaces)
     return union, table, [None] * len(spaces), None
 
@@ -215,11 +218,12 @@ def _mean_rows(
 
 
 def _mean(
-    sources: Sequence[_Source], config: CombineConfig, **own
+    sources: Sequence[_Source], config: CombineConfig, map=map, **own
 ) -> tuple[list[str], _Fill, dict]:
     """The union of ``sources``, a fill of its rows (the per-word mean,
     ``_mean_rows``, scaled to unit length for mvm) and the provenance
-    record, with the method's ``own`` keys.
+    record, with the method's ``own`` keys; missing words are ranked
+    through ``map`` (``_union_rows``).
 
     The fill makes the union rows on a grid of union positions whose rows
     of every source fit in ``linalg._PRODUCT_BYTES`` (``linalg._grid_fill``),
@@ -228,7 +232,7 @@ def _mean(
     spaces = [source.space for source in sources]
     # mvm ranks each source before it is mapped, on its normalization.
     ranked = [s.normalized.centered() for s in sources] if config.method == "mvm" else None
-    union, table, plans, report = _union_rows(spaces, config, ranked)
+    union, table, plans, report = _union_rows(spaces, config, ranked, map)
     dim = spaces[0].dim
 
     def rows(at: slice, out: np.ndarray) -> None:
@@ -242,14 +246,15 @@ def _mean(
 
 
 def _concat(
-    sources: Iterable[EmbeddingSpace], config: CombineConfig
+    sources: Iterable[EmbeddingSpace], config: CombineConfig, map=map
 ) -> tuple[list[str], _Fill, dict]:
     """Plan the concatenation of each word's unit rows; a block whose
-    source lacks the word is zero, or NN-synthesized under "nn"."""
+    source lacks the word is zero, or NN-synthesized under "nn" (ranked
+    through ``map``)."""
     if config.oov_policy == "available":
         raise ValueError("concatenation has no 'available' policy; use zero or nn")
     spaces = _unit_spaces(sources, config)
-    union, table, plans, report = _union_rows(spaces, config)
+    union, table, plans, report = _union_rows(spaces, config, map=map)
     dims = [space.dim for space in spaces]
 
     def fill(out: np.ndarray, start: int, stop: int) -> None:
@@ -267,10 +272,13 @@ def _plan(
     sources: Iterable[EmbeddingSpace],
     config: CombineConfig,
     dictionaries: Sequence[MappingDictionary | None] | None = None,
+    map=map,
 ) -> tuple[list[str], np.ndarray | _Fill, dict]:
     """The meta-embedding ``config.method`` makes of ``sources``: the union
     vocabulary, its rows as ``embeddings._chunks`` takes them, and the
-    provenance record.
+    provenance record. Missing words are ranked through ``map``
+    (``oov._plan_synthesis``): the builtin, or the CLI's, which splits
+    the rankings between processes.
 
     The rows are a ``fill(out, start, stop)`` that writes union rows
     ``start:stop``, except for concat-reduce, whose reduction is fitted on
@@ -287,7 +295,7 @@ def _plan(
             raise ValueError("mvm needs at least two sources")
         infos = [source.info for source in fitted]
         return _mean(
-            fitted, config,
+            fitted, config, map,
             dictionary_sizes=[info.dictionary_size if info else None for info in infos],
             alignment_residuals=[info.residual if info else None for info in infos],
         )
@@ -299,8 +307,8 @@ def _plan(
         if len(dims) != 1:
             raise ValueError(f"averaging needs one shared dim, got {sorted(dims)}")
         # A unit space is a source already in common coordinates.
-        return _mean([_Source(space, space.matrix, None, None) for space in spaces], config)
-    union, rows, provenance = _concat(sources, config)
+        return _mean([_Source(space, space.matrix, None, None) for space in spaces], config, map)
+    union, rows, provenance = _concat(sources, config, map)
     if config.method == "concat-reduce":
         concat = _filled(union, provenance["dim"], rows, config.method)
         del rows  # and with the fill, the unit spaces it reads

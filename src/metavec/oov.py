@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -402,12 +402,65 @@ def _union_positions(spaces: Sequence[EmbeddingSpace]) -> tuple[list[str], np.nd
 _Plan = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
+class _Ranking(NamedTuple):
+    """One ranking of ``_plan_synthesis``: a space's missing words that a
+    donor holds (``queries``) against the words the two share
+    (``candidates``, in token order), both union positions, whose rows of
+    the donor's ``matrix`` its row of the union table (``rows``) gives;
+    ``norms`` holds the norms of ``matrix``'s rows, and ``rival`` marks the
+    queries whose best cosine decides between donors. ``_ranked`` ranks it.
+
+    A ranking splits into ranges of its queries (``part``), whose results
+    ``joined`` puts back together bit for bit: ``_rank``'s order for a
+    query does not depend on the queries ranked with it.
+    """
+
+    matrix: np.ndarray
+    norms: np.ndarray
+    rows: np.ndarray
+    queries: np.ndarray
+    candidates: np.ndarray
+    rival: np.ndarray
+
+    @property
+    def pairs(self) -> int:
+        """The (query, candidate) pairs the ranking scores."""
+        return len(self.queries) * len(self.candidates)
+
+    def part(self, lo: int, hi: int) -> _Ranking:
+        """The ranking of queries ``lo:hi`` alone."""
+        return self._replace(queries=self.queries[lo:hi], rival=self.rival[lo:hi])
+
+    @staticmethod
+    def joined(results: Sequence[tuple]) -> tuple[np.ndarray, ...]:
+        """The result of a ranking from those of its parts, in query order."""
+        return tuple(np.concatenate(arrays) for arrays in zip(*results))
+
+
+def _ranked(job: _Ranking, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``job``'s queries that have a direction (a mask), their best
+    candidates' positions in ``job.candidates`` (``_rank``), and the
+    ``_cosines`` of the best candidate for each of them that ``job.rival``
+    marks. Every array runs along the queries, so the results of a
+    ranking's parts, concatenated, are its own."""
+    queries, candidates = job.rows[job.queries], job.rows[job.candidates]
+    at, top = _rank(job.matrix, job.norms, queries, candidates, k)
+    live = np.zeros(len(queries), dtype=bool)
+    live[at] = True
+    rival = job.rival[at]
+    if not top.shape[1]:
+        return live, top, np.empty(0)
+    best = _cosines(job.matrix, job.norms, queries[at[rival]], candidates[top[rival, 0]])
+    return live, top, best
+
+
 def _plan_synthesis(
     spaces: Sequence[EmbeddingSpace],
     k: int,
     *,
     record_neighbors: bool = False,
     ranked: Sequence[tuple] | None = None,
+    map=map,
 ) -> tuple[list[str], np.ndarray, list[_Plan], SynthesisReport]:
     """Rank every space's missing words for NN synthesis.
 
@@ -416,6 +469,13 @@ def _plan_synthesis(
     (``_row_norms``). A source not mapped yet is ranked on rows whose unit
     rows are its normalized rows (``linalg._Step0.centered``): an
     orthogonal map moves no cosine.
+
+    The rankings are listed first, one per (space i, donor j) pair: i's
+    missing words that j holds against the words the two share
+    (``_Ranking``). ``map(fn, rankings)`` yields ``fn``'s result for each,
+    in order (``_ranked``): the builtin, which ranks them one after
+    another, or the CLI's, which splits them between processes. The donor
+    choice reads the results in that order, so any map gives the same plans.
 
     Every missing word is synthesized from originally-present words only.
     With several donor spaces holding a word, the donor whose best
@@ -441,37 +501,42 @@ def _plan_synthesis(
     # A missing word that one space holds has one donor, which wins
     # whatever its score: only the others take a best cosine.
     contested = np.count_nonzero(table >= 0, axis=0) > 1
-    plans: list[_Plan] = []
+    missing = [np.flatnonzero(at < 0) for at in table]
     # Each donor's rows and row norms, taken once for every space it serves.
     donors: dict[int, tuple] = dict(enumerate(ranked or ()))
-    for i, space in enumerate(spaces):
-        missing = np.flatnonzero(table[i] < 0)
-        best = np.empty(len(missing))
-        neighbors = np.empty((len(missing), min(k, len(space))), dtype=np.intp)
-        counts = np.zeros(len(missing), dtype=np.intp)
+    jobs: list[_Ranking] = []
+    owners: list[tuple] = []  # per ranking: the space and its missing words' places
+    for i, gaps in enumerate(missing):
         for j in range(len(spaces)):
             # The deficient space itself holds none of its missing words.
-            words = np.flatnonzero(table[j, missing] >= 0)
+            words = np.flatnonzero(table[j, gaps] >= 0)
             if not len(words):
                 continue
             shared = by_token[(table[i, by_token] >= 0) & (table[j, by_token] >= 0)]
             if j not in donors:
                 donors[j] = spaces[j].matrix, _row_norms(spaces[j].matrix)
-            live, top = _rank(*donors[j], table[j, missing[words]], table[j, shared], k)
-            if not top.shape[1]:
-                continue
-            words = words[live]
-            scores = np.full(len(words), -np.inf)
-            rival = contested[missing[words]]
-            scores[rival] = _cosines(
-                *donors[j], table[j, missing[words[rival]]], table[j, shared[top[rival, 0]]]
-            )
-            won = (counts[words] == 0) | (scores > best[words])
-            words = words[won]
-            best[words] = scores[won]
-            neighbors[words, : top.shape[1]] = table[i, shared[top[won]]]
-            counts[words] = top.shape[1]
-        plans.append((missing, neighbors, counts))
+            places = gaps[words]
+            jobs.append(_Ranking(*donors[j], table[j], places, shared, contested[places]))
+            owners.append((i, words))
+    plans: list[_Plan] = [
+        (gaps, np.empty((len(gaps), min(k, len(space))), dtype=np.intp), np.zeros_like(gaps))
+        for space, gaps in zip(spaces, missing)
+    ]
+    best = [np.empty(len(gaps)) for gaps in missing]
+    for job, (i, words), (live, top, cosines) in zip(
+        jobs, owners, map(lambda job: _ranked(job, k), jobs)
+    ):
+        if not top.shape[1]:
+            continue
+        gaps, neighbors, counts = plans[i]
+        words = words[live]
+        scores = np.full(len(words), -np.inf)
+        scores[contested[gaps[words]]] = cosines
+        won = (counts[words] == 0) | (scores > best[i][words])
+        words = words[won]
+        best[i][words] = scores[won]
+        neighbors[words, : top.shape[1]] = table[i, job.candidates[top[won]]]
+        counts[words] = top.shape[1]
 
     audit: dict[str, tuple[str, ...]] | None = {} if record_neighbors else None
     shortfalls: list[tuple[str, int]] = []
@@ -544,18 +609,19 @@ def _placer(space: EmbeddingSpace, at: np.ndarray, plan: _Plan | None) -> _Fill:
 
 
 def _extension(
-    e1: EmbeddingSpace, e2: EmbeddingSpace, k: int, record_neighbors: bool
+    e1: EmbeddingSpace, e2: EmbeddingSpace, k: int, record_neighbors: bool, map=map
 ) -> tuple[list[str], list[_Fill], SynthesisReport]:
     """The union of two spaces, a ``fill`` for each space's union rows
     (``_placer``), and the report: what ``extend_to_union`` fills whole and
-    the CLI streams into its outputs."""
+    the CLI streams into its outputs. The rankings run through ``map``
+    (``_plan_synthesis``)."""
     if e1.dim != e2.dim:
         raise ValueError(f"spaces differ in dim: {e1.dim} vs {e2.dim}")
     e2_index = e2.index
     if not any(t in e2_index for t in e1.tokens):
         raise ValueError("the spaces share no vocabulary")
     union, table, plans, report = _plan_synthesis(
-        [e1, e2], k, record_neighbors=record_neighbors
+        [e1, e2], k, record_neighbors=record_neighbors, map=map
     )
     fills = [_placer(space, at, plan) for space, at, plan in zip((e1, e2), table, plans)]
     return union, fills, report

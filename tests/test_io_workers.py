@@ -1,6 +1,6 @@
-"""The CLI's I/O worker processes: text inputs parsed and text outputs
-formatted in forked children must give the bytes, messages and warnings of
-the in-process path, and leave nothing behind on failure.
+"""The CLI's worker processes: text inputs parsed, text outputs formatted
+and missing words ranked in forked children must give the bytes, messages
+and warnings of the in-process path, and leave nothing behind on failure.
 
 The CPU count is patched to 3, so the worker path runs on a one-CPU host
 too; ``--threads 1`` selects the in-process path."""
@@ -15,7 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
-from metavec import cli, embeddings
+from metavec import cli, embeddings, oov
 from metavec.cli import _forked_map, main
 from metavec.embeddings import EmbeddingSpace, ParseError, save_embeddings
 
@@ -277,3 +277,108 @@ class TestForkedMap:
         assert next(results) == 0
         results.close()
         assert time.monotonic() - started < 30
+
+
+def binary_sources(tmp_path):
+    """Three binary spaces of 24 of 32 words, each lacking its own 8."""
+    rng = np.random.default_rng(12)
+    paths = {}
+    for n in range(3):
+        tokens = [f"w{i:02d}" for i in range(32) if i // 8 != n]
+        path = tmp_path / f"s{n}.bin"
+        path.write_bytes(binary_bytes(tokens, rng.normal(size=(len(tokens), DIM))))
+        paths[path.name] = str(path)
+    return paths
+
+
+RANKED = {
+    "mvm": (["mvm", "s0.bin", "s1.bin", "s2.bin", "-o", "{0}"], ["m.bin", "m.bin.provenance.json"]),
+    "synth-oov": (["synth-oov", "s0.bin", "s1.bin", "{0}", "{1}", "--audit", "{2}"],
+                  ["x1.bin", "x2.bin", "audit.tsv"]),
+    "baseline-nn-oov": (["baseline", "s0.bin", "s1.bin", "s2.bin", "-o", "{0}",
+                         "--method", "average", "--nn-oov"], ["a.bin"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANKED))
+def test_ranking_split_between_processes_writes_the_bytes_of_one(case, tmp_path, forks,
+                                                                  monkeypatch):
+    # With no floor on a share's pairs, the rankings split three ways:
+    # this process ranks one share and two children the others. Binary
+    # inputs and outputs fork nothing else.
+    monkeypatch.setattr(cli, "_SHARE_PAIRS", 0)
+    argv, outputs = RANKED[case]
+    sources = binary_sources(tmp_path)
+    serial, forked = run_both(tmp_path, forks, [sources.get(a, a) for a in argv], outputs)
+    assert forked == serial
+    assert len(forks) == 2
+
+
+class TestSplitRanking:
+    """synth-oov on binary sources, its rankings split three ways, with a
+    fault in ``oov._rank`` in this process or in the two children."""
+
+    @pytest.fixture
+    def argv(self, tmp_path, forks, monkeypatch):
+        monkeypatch.setattr(cli, "_SHARE_PAIRS", 0)
+        sources = binary_sources(tmp_path)
+        return ["synth-oov", sources["s0.bin"], sources["s1.bin"],
+                str(tmp_path / "x1.bin"), str(tmp_path / "x2.bin")]
+
+    @staticmethod
+    def fault(monkeypatch, here, child):
+        """Call ``here()`` before each ranking in this process and
+        ``child()`` before each in a child, in place of any fault before."""
+        parent = os.getpid()
+        rank = getattr(oov._rank, "__wrapped__", oov._rank)
+
+        def faulty(*args):
+            (here if os.getpid() == parent else child)()
+            return rank(*args)
+
+        faulty.__wrapped__ = rank
+        monkeypatch.setattr(oov, "_rank", faulty)
+
+    @staticmethod
+    def assert_nothing_left(tmp_path):
+        """No output or temporary file, and every child reaped."""
+        assert not list(tmp_path.glob("x*"))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def fail():
+        raise ValueError("cannot rank")
+
+    @staticmethod
+    def carry_on():
+        pass
+
+    def test_child_exception_ends_the_command_as_in_process(self, argv, tmp_path, forks,
+                                                            monkeypatch, capsys):
+        messages = []
+        in_process = (["--threads", "1"], self.fail, None)
+        for extra, here, child in (in_process, ([], self.carry_on, self.fail)):
+            self.fault(monkeypatch, here, child)
+            assert main(argv + extra) == 1
+            messages.append(capsys.readouterr().err)
+        assert len(forks) == 2
+        assert messages[0] == messages[1]
+        assert "error: cannot rank" in messages[1]
+        self.assert_nothing_left(tmp_path)
+
+    def test_killed_child_is_an_error(self, argv, tmp_path, forks, monkeypatch, capsys):
+        self.fault(monkeypatch, self.carry_on, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        assert main(argv) == 1
+        assert "exited with status -9" in capsys.readouterr().err
+        assert len(forks) == 2
+        self.assert_nothing_left(tmp_path)
+
+    def test_exception_here_kills_the_children(self, argv, tmp_path, forks, monkeypatch, capsys):
+        self.fault(monkeypatch, self.fail, lambda: time.sleep(60))
+        started = time.monotonic()
+        assert main(argv) == 1
+        assert time.monotonic() - started < 30
+        assert "error: cannot rank" in capsys.readouterr().err
+        assert len(forks) == 2
+        self.assert_nothing_left(tmp_path)

@@ -1,8 +1,10 @@
 """mvm's aligned rows are made only in the union fill: ranked before the
 map, averaged before the map, and mapped on a fixed grid of union
 positions. The fill's bytes against whole fills and a per-grid-block
-oracle; ranking that reads no map; the memory held while ranking; and
-the threaded blocks of the fit against serial ones."""
+oracle; the source-order fills of ``map``, ``normalize_step0`` and
+``apply_map`` cut anywhere against whole fills; ranking that reads no
+map; the memory held while ranking; and the threaded blocks of the fit
+against serial ones."""
 import functools
 import importlib
 import threading
@@ -89,6 +91,48 @@ def test_fill_bytes_do_not_depend_on_tiling_workers_or_blas_threads(
 
 def random_orthogonal(dim, seed):
     return OrthogonalMap(np.linalg.qr(np.random.default_rng(seed).normal(size=(dim, dim)))[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 40),
+    st.sampled_from([5, 16]),
+    st.integers(2, 6),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(0, 40), max_size=5),
+)
+def test_source_order_fills_cut_anywhere_give_the_whole_fills(count, dim, block, seed, cuts):
+    # Grid blocks of ``block`` rows, in runs of one row and in runs cut at
+    # random: a product over only a run's rows of a block can round its
+    # rows otherwise (one row is a matrix-vector product to BLAS).
+    rng = np.random.default_rng(seed)
+    tokens = [f"w{i:02d}" for i in range(count)]
+    space = EmbeddingSpace(tokens, rng.normal(size=(count, dim)))
+    target = EmbeddingSpace(tokens, rng.normal(size=(count, dim)))
+    omap = random_orthogonal(dim, seed)
+
+    def mapped(at, out):
+        np.matmul(space.matrix[at], omap.matrix, out=out)
+
+    bounds = [0, *sorted(min(cut, count) for cut in cuts), count]
+    single_rows = list(zip(range(count), range(1, count + 1)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_PRODUCT_BYTES", block * 8 * dim)
+        target_source, source = _fitted([target, space])
+        fills = [
+            (source.fill, source.aligned().matrix),  # map's output
+            (target_source.fill, target_source.aligned().matrix),
+            (lambda: linalg._grid_fill(linalg._Step0(space.matrix).rows, count, dim),
+             linalg.normalize_step0(space).matrix),
+            (lambda: linalg._grid_fill(mapped, count, dim), linalg.apply_map(space, omap).matrix),
+        ]
+        for make, whole in fills:
+            for runs in (single_rows, list(zip(bounds, bounds[1:]))):
+                fill, pieces = make(), []
+                for start, stop in runs:
+                    pieces.append(np.empty((stop - start, dim)))
+                    fill(pieces[-1], start, stop)
+                assert np.concatenate(pieces).tobytes() == whole.tobytes()
 
 
 @settings(max_examples=40)
