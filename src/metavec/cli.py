@@ -370,8 +370,9 @@ def cmd_baseline(args, parser) -> int:
         parser.error("baseline needs at least two source embeddings")
     if args.method == "concat-reduce" and args.dim is None:
         parser.error("--dim is required with --method concat-reduce")
-    if args.method != "concat-reduce" and args.dim is not None:
-        parser.error("--dim only applies to --method concat-reduce")
+    for flag, value in ("--dim", args.dim), ("--post-remove", args.post_remove):
+        if args.method != "concat-reduce" and value:
+            parser.error(f"{flag} only applies to --method concat-reduce")
     prefixes = args.prefix or []
     _check_prefix_count(args.sources, prefixes, parser)
     config = CombineConfig(
@@ -529,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_positive_int, default=None, metavar="N",
                    help="output dimensionality (concat-reduce only)")
     p.add_argument("--post-remove", type=_nonnegative_int, default=0, metavar="N",
-                   help="principal directions to remove after reduction (default: 0)")
+                   help="principal directions to remove after reduction (concat-reduce only)")
     p.add_argument("--nn-oov", action="store_true",
                    help="synthesize missing words from nearest neighbors")
     p.add_argument("--k", type=_positive_int, default=DEFAULT_K, metavar="N",

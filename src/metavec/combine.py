@@ -11,7 +11,7 @@ import numpy as np
 
 from metavec.align import MappingDictionary, _aligned, _prefixed, _Source, apply_language_prefixes
 from metavec.embeddings import EmbeddingSpace, _Fill, _filled
-from metavec.linalg import _grid_fill, _unit_rows, apply_reduction, fit_reduction
+from metavec.linalg import _grid_fill, _Step0, _unit_rows, apply_reduction, fit_reduction
 from metavec.oov import (
     DEFAULT_K, SynthesisReport, _place, _Plan, _plan_synthesis, _union_positions,
 )
@@ -49,7 +49,8 @@ class CombineConfig:
     synthesizes them from nearest neighbors, ``"available"`` averages only
     the spaces that have the word, ``"zero"`` stands in a zero block or a
     zero summand. Leaving it None picks the method's own default (nn for
-    mvm, available for average, zero for concat).
+    mvm, available for average, zero for concat). ``reduce_dim`` and
+    ``post_remove`` apply to concat-reduce only.
     """
 
     method: str = "mvm"
@@ -68,8 +69,9 @@ class CombineConfig:
         if self.method == "concat-reduce":
             if self.reduce_dim is None:
                 raise ValueError("concat-reduce requires reduce_dim")
-        elif self.reduce_dim is not None:
-            raise ValueError(f"reduce_dim only applies to concat-reduce, not {self.method}")
+        elif self.reduce_dim is not None or self.post_remove:
+            name = "reduce_dim" if self.reduce_dim is not None else "post_remove"
+            raise ValueError(f"{name} only applies to concat-reduce, not {self.method}")
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be at least 1")
         if self.target_index < 0:
@@ -98,40 +100,25 @@ def _check_method(config: CombineConfig | None, method: str) -> CombineConfig:
     return config
 
 
-def _unit_spaces(
-    sources: Iterable[EmbeddingSpace], config: CombineConfig
-) -> list[EmbeddingSpace]:
-    """The sources under their language prefixes, each scaled to unit rows
-    as it arrives: ``map`` holds no raw source once it is scaled."""
-    prefixed = _prefixed(sources, config.language_prefixes)
-    spaces = list(map(lambda s: s._with_matrix(_unit_rows(s.matrix)[0]), prefixed))
-    if not spaces:
-        raise ValueError("need at least one source")
-    return spaces
-
-
 def _union_rows(
-    spaces: Sequence[EmbeddingSpace],
-    config: CombineConfig,
-    ranked: Sequence[tuple] | None = None,
-    map=map,
+    sources: Sequence[_Source], config: CombineConfig, map=map
 ) -> tuple[list[str], np.ndarray, Sequence[_Plan | None], SynthesisReport | None]:
-    """The union vocabulary, its row table and each space's synthesis plan
-    for ``_place``.
-
-    Under the "nn" policy every missing word is planned
-    (``_plan_synthesis``, ranking what ``ranked`` gives through ``map``)
-    and its table entry points past its space's own rows. Otherwise there
-    are no plans and missing words keep -1.
-    """
+    """The union vocabulary, its row table and each source's synthesis
+    plan for ``_place``. Under the "nn" policy every missing word is
+    planned (``_plan_synthesis``, ranking through ``map`` on each source's
+    normalized rows before any map: ``linalg._Step0.centered``), and its
+    table entry points past its space's own rows. Otherwise there are no
+    plans and missing words keep -1."""
+    spaces = [source.space for source in sources]
     if config.oov_policy == "nn":
+        ranked = [source.normalized.centered() for source in sources]
         return _plan_synthesis(spaces, config.k_neighbors, ranked=ranked, map=map)
     union, table = _union_positions(spaces)
     return union, table, [None] * len(spaces), None
 
 
 def _provenance(
-    sources: Sequence[EmbeddingSpace],
+    sources: Sequence[_Source],
     config: CombineConfig,
     vocabulary: int,
     dim: int,
@@ -149,7 +136,8 @@ def _provenance(
     provenance = {
         "method": config.method,
         "sources": [
-            s.meta if s.meta is not None else f"source-{i}" for i, s in enumerate(sources)
+            s.space.meta if s.space.meta is not None else f"source-{i}"
+            for i, s in enumerate(sources)
         ],
         "vocabulary": vocabulary,
         "dim": dim,
@@ -229,11 +217,8 @@ def _mean(
     of every source fit in ``linalg._PRODUCT_BYTES`` (``linalg._grid_fill``),
     so any run of rows has the bits it has in the whole matrix.
     """
-    spaces = [source.space for source in sources]
-    # mvm ranks each source before it is mapped, on its normalization.
-    ranked = [s.normalized.centered() for s in sources] if config.method == "mvm" else None
-    union, table, plans, report = _union_rows(spaces, config, ranked, map)
-    dim = spaces[0].dim
+    union, table, plans, report = _union_rows(sources, config, map)
+    dim = sources[0].space.dim
 
     def rows(at: slice, out: np.ndarray) -> None:
         _mean_rows(sources, table[:, at], plans, config.oov_policy, out)
@@ -242,29 +227,28 @@ def _mean(
 
     fill = _grid_fill(rows, len(union), len(sources) * dim)
     # Every step keeps each space's meta, so the spaces name the sources.
-    return union, fill, _provenance(spaces, config, len(union), dim, report, **own)
+    return union, fill, _provenance(sources, config, len(union), dim, report, **own)
 
 
 def _concat(
-    sources: Iterable[EmbeddingSpace], config: CombineConfig, map=map
+    sources: Sequence[_Source], config: CombineConfig, map=map
 ) -> tuple[list[str], _Fill, dict]:
     """Plan the concatenation of each word's unit rows; a block whose
     source lacks the word is zero, or NN-synthesized under "nn" (ranked
     through ``map``)."""
     if config.oov_policy == "available":
         raise ValueError("concatenation has no 'available' policy; use zero or nn")
-    spaces = _unit_spaces(sources, config)
-    union, table, plans, report = _union_rows(spaces, config, map=map)
-    dims = [space.dim for space in spaces]
+    union, table, plans, report = _union_rows(sources, config, map)
+    dims = [source.space.dim for source in sources]
 
     def fill(out: np.ndarray, start: int, stop: int) -> None:
         out[...] = 0.0
         offset = 0
-        for space, at, plan in zip(spaces, table, plans):
-            _place(out[:, offset : offset + space.dim], at[start:stop], space.matrix, plan)
-            offset += space.dim
+        for source, dim, at, plan in zip(sources, dims, table, plans):
+            _place(out[:, offset : offset + dim], at[start:stop], source.normalized, plan)
+            offset += dim
 
-    provenance = _provenance(spaces, config, len(union), sum(dims), report, block_dims=dims)
+    provenance = _provenance(sources, config, len(union), sum(dims), report, block_dims=dims)
     return union, fill, provenance
 
 
@@ -285,7 +269,8 @@ def _plan(
     the whole concatenation: its rows are the reduced matrix. ``combine``
     fills a matrix whole; the CLI streams the rows into its output.
     ``sources`` may be any iterable: each space is aligned
-    (``align_to_target``) or scaled to unit rows as it arrives.
+    (``align_to_target``) or given its row norms (``linalg._Step0.unit``)
+    as it arrives, and held as read.
     """
     if config.method == "mvm":
         fitted = list(
@@ -301,17 +286,20 @@ def _plan(
         )
     if dictionaries is not None:
         raise ValueError("dictionaries only apply to the mvm method")
+    # Each source as read, with its row norms: unit rows share coordinates.
+    prefixed = _prefixed(sources, config.language_prefixes)
+    units = [_Source(s, _Step0.unit(s.matrix), None, None) for s in prefixed]
+    if not units:
+        raise ValueError("need at least one source")
     if config.method == "average":
-        spaces = _unit_spaces(sources, config)
-        dims = {space.dim for space in spaces}
+        dims = {source.space.dim for source in units}
         if len(dims) != 1:
             raise ValueError(f"averaging needs one shared dim, got {sorted(dims)}")
-        # A unit space is a source already in common coordinates.
-        return _mean([_Source(space, space.matrix, None, None) for space in spaces], config, map)
-    union, rows, provenance = _concat(sources, config, map)
+        return _mean(units, config, map)
+    union, rows, provenance = _concat(units, config, map)
     if config.method == "concat-reduce":
         concat = _filled(union, provenance["dim"], rows, config.method)
-        del rows  # and with the fill, the unit spaces it reads
+        del rows, units  # the fill, and the sources it reads
         rmap = fit_reduction(concat, config.reduce_dim, post_remove=config.post_remove)
         rows = apply_reduction(concat, rmap).matrix
         provenance.update(

@@ -367,6 +367,15 @@ class _Step0:
         if zeros:
             logger.warning("%d row(s) degenerated to zero after centering", zeros)
 
+    @classmethod
+    def unit(cls, matrix: np.ndarray) -> _Step0:
+        """Unit scaling as statistics: the row norms, a zero mean, no last division."""
+        step = cls.__new__(cls)
+        step.matrix, step.mean, step.second = matrix, np.zeros(matrix.shape[1]), None
+        step.first = _divisors(_row_norms(matrix))
+        step.norms = _row_norms(step)
+        return step
+
     def centered(self) -> tuple[_Step0, np.ndarray]:
         """These statistics without the last division, whose rows are the
         centered rows, and those rows' norms: their unit rows are the

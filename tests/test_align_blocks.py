@@ -1,7 +1,8 @@
 """Alignment from normalization statistics: blocked normalized rows against
 a whole-matrix oracle, one code path for the public wrappers, and the
 memory a stream of binary sources holds while it is aligned, or while
-``map`` streams its aligned rows."""
+``map`` streams its aligned rows, and the memory the baselines hold on
+top of their sources."""
 import functools
 import tracemalloc
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from metavec import cli, embeddings, linalg
 from metavec.align import align_to_target
+from metavec.combine import combine_average, combine_concat
 from metavec.embeddings import (
     EmbeddingSpace, load_embeddings, parse_binary_embeddings, write_binary_embeddings,
 )
@@ -171,3 +173,35 @@ def test_map_holds_its_inputs_and_their_statistics_while_rows_stream(tmp_path, m
     # index.
     bound = inputs + 2 * 3 * 8 * rows + 8 * 8 * dim * dim + 16 * (64 << 10) + 100 * rows
     assert peak < bound
+
+
+@pytest.mark.parametrize("combiner", [combine_average, combine_concat])
+def test_baselines_hold_their_inputs_as_read_and_their_row_norms(monkeypatch, combiner):
+    # Two binary sources of 8000 words at 200 dims, parsed to float32:
+    # 6.4 MB each. average and concat read them as parsed, with two
+    # float64 norms per row, and fill their output a few blocks at a time.
+    # A float64 unit copy of one source (12.8 MB) would break the bound.
+    monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 64 << 10)
+    monkeypatch.setattr(linalg, "_PRODUCT_BYTES", 64 << 10)
+    rng = np.random.default_rng(37)
+    rows, dim = 8000, 200
+    spaces = []
+    for n in range(2):
+        tokens = [f"s{i:05d}" for i in range(n * 500, n * 500 + rows)]
+        payload = write_binary_embeddings(EmbeddingSpace(tokens, rng.normal(size=(rows, dim))))
+        spaces.append(parse_binary_embeddings(payload))
+    assert all(space.matrix.dtype == np.float32 for space in spaces)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        meta = combiner(spaces)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    union = len(meta.space)
+    assert union == rows + 500
+    # The output, the statistics (two float64 norms per row of each
+    # source), the union row table, a few blocks, and per row: the union's
+    # token index.
+    bound = meta.space.matrix.nbytes + 2 * 2 * 8 * rows + 2 * 8 * union + 16 * (64 << 10)
+    assert peak < bound + 100 * rows

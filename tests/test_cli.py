@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface (in-process, except an
 import check and the BLAS thread-count checks, which need fresh
 interpreters)."""
+import hashlib
 import json
 import math
 import os
@@ -18,7 +19,9 @@ from metavec.cli import main
 from metavec.combine import (
     CombineConfig, apply_language_prefixes, combine_mvm, provenance_json,
 )
-from metavec.embeddings import EmbeddingSpace, load_embeddings, save_embeddings
+from metavec.embeddings import (
+    EmbeddingSpace, load_embeddings, save_embeddings, write_binary_embeddings,
+)
 from metavec.linalg import normalize_step0
 from conftest import bytes_by_blas_threads, run_cli
 
@@ -336,6 +339,17 @@ class TestBaseline:
                   "--method", "average", "--dim", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("method", ["average", "concat"])
+    def test_post_remove_rejected_outside_concat_reduce(self, pair, tmp_path, capsys, method):
+        p1, p2 = pair
+        out = tmp_path / "x.vec"
+        with pytest.raises(SystemExit) as exc:
+            main(["baseline", str(p1), str(p2), "-o", str(out),
+                  "--method", method, "--post-remove", "3"])
+        assert exc.value.code == 2
+        assert "--post-remove only applies" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_concat_reduce_hits_requested_dim(self, pair, tmp_path):
         p1, p2 = pair
         out = tmp_path / "red.vec"
@@ -380,6 +394,51 @@ class TestBaseline:
                   "--prefix", "en/"])
         assert exc.value.code == 2
         assert not out.exists()
+
+
+def pinned_sources(tmp_path):
+    """Three binary sources over 90 words of 12 dims, noisy copies of one
+    latent space: source n lacks the words i < 45 with i % 3 == n, 15 of
+    them, and holds the other 75. Source 1 holds one zero row and one row
+    of -0.0, so each is a word no donor can rank."""
+    rng = np.random.default_rng(41)
+    latent = rng.normal(size=(90, 12))
+    paths = []
+    for n in range(3):
+        kept = [i for i in range(90) if i >= 45 or i % 3 != n]
+        matrix = latent[kept] + 0.3 * rng.normal(size=(len(kept), 12))
+        if n == 1:
+            matrix[-1] = 0.0
+            matrix[-2] = -0.0
+        paths.append(tmp_path / f"p{n}.bin")
+        tokens = [f"w{i:02d}" for i in kept]
+        paths[-1].write_bytes(write_binary_embeddings(EmbeddingSpace(tokens, matrix)))
+    return paths
+
+
+# SHA-256 of the 17-digit text output of ``baseline`` on ``pinned_sources``.
+# Ranking order is certified by float64 cosines taken without BLAS, so no
+# product's thread count decides these bytes. Under --nn-oov a centroid is
+# taken from the rows as read, each times 1 / its norm (``_Step0.means``).
+PINNED_BASELINES = {
+    ("average", False): "d848cd25e1eca86b59caef5a66073fcf08ae593368d4610439f7b174b81f7aad",
+    ("average", True): "b91877c5b379bc6ce66abf92236cf04ab1f2efd465010b4fe8b1e32a7f566362",
+    ("concat", False): "115dd21f6bf98467e7c3fd8b9f37794625c154cefe28678b6d88da46890f8bce",
+    ("concat", True): "bc1b9b73a942a36d3a51c0451bf8052eaf5cde14c415a6504ef3985d00dd1dd9",
+}
+
+
+class TestPinnedBaselines:
+    @pytest.mark.parametrize("method, nn", sorted(PINNED_BASELINES))
+    def test_text_output_bytes_are_pinned(self, tmp_path, method, nn):
+        paths = pinned_sources(tmp_path)
+        argv = ["baseline", *map(str, paths), "--method", method, "--format", "text"]
+        argv += ["--nn-oov"] if nn else []
+        for threads in (["--threads", "1"], []):
+            out = tmp_path / "out.vec"
+            assert main([*argv, "-o", str(out), *threads]) == 0
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            assert digest == PINNED_BASELINES[method, nn], threads
 
 
 class TestSynthOov:

@@ -47,6 +47,11 @@ class TestCombineConfig:
         with pytest.raises(ValueError, match="only applies"):
             CombineConfig(method="average", reduce_dim=10)
 
+    @pytest.mark.parametrize("method", ["mvm", "average", "concat"])
+    def test_post_remove_rejected_elsewhere(self, method):
+        with pytest.raises(ValueError, match="post_remove only applies"):
+            CombineConfig(method=method, post_remove=3)
+
     def test_oov_defaults_follow_method(self):
         assert CombineConfig(method="mvm").oov_policy == "nn"
         assert CombineConfig(method="average").oov_policy == "available"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metavec import embeddings, linalg
@@ -50,6 +50,44 @@ def unit(space):
     return EmbeddingSpace(space.tokens, space.matrix / np.where(norms == 0.0, 1.0, norms)[:, None])
 
 
+def unit_extended(sources, k):
+    """The sources scaled to unit rows and extended to the union: ranked on
+    the unit rows, each synthesized row the mean of its neighbors' unit
+    rows taken from the raw rows, each raw row times 1 / its norm (1 where
+    the norm is 0), as ``linalg._Step0.means`` takes it."""
+
+    def centroid(i, rows):
+        matrix = sources[i].matrix
+        norms = np.linalg.norm(matrix, axis=1)
+        scale = 1.0 / np.where(norms == 0.0, 1.0, norms)[rows]
+        return (matrix[rows] * scale[:, np.newaxis]).sum(axis=0) / len(rows)
+
+    return extend_all_to_union([unit(s) for s in sources], k, centroid=centroid)[0]
+
+
+def space(tokens, rows):
+    return EmbeddingSpace(tokens, np.array(rows, dtype=np.float64))
+
+
+# Sources for explicit "nn" examples. ZERO_DONOR: "d" is a zero row in
+# its only donor, so it is skipped. NEGATIVE_ZERO: "a" is all -0.0 in the
+# source that lacks "d", and with k=3 a neighbor of "d" there. ONE_DIM:
+# rows of one value, each a sign; "e" is -0.0, so it is skipped. Rows
+# (0.5, 0.7) and 49 scale to other bits times 1 / norm than over norm.
+ZERO_DONOR = [
+    space(["a", "b", "c"], [[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]]),
+    space(["b", "c", "d"], [[1.0, 0.0], [0.5, 0.7], [0.0, 0.0]]),
+]
+NEGATIVE_ZERO = [
+    space(["a", "b", "c"], [[-0.0, -0.0], [3.0, -1.0], [0.5, 2.0]]),
+    space(["a", "b", "c", "d"], [[1.0, 1.0], [2.0, -1.0], [0.5, 3.0], [1.0, 0.9]]),
+]
+ONE_DIM = [
+    space(["a", "b", "c"], [[2.0], [-3.0], [49.0]]),
+    space(["b", "c", "d", "e"], [[-1.0], [4.0], [2.0], [-0.0]]),
+]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     overlapping_sources(),
@@ -57,10 +95,11 @@ def unit(space):
     st.integers(1, 3),
     st.sampled_from([1, 100, 8 << 20]),
 )
+@example(ZERO_DONOR, "nn", 1, 1)
+@example(NEGATIVE_ZERO, "nn", 3, 100)
+@example(ONE_DIM, "nn", 2, 1)
 def test_average_matches_per_word_oracle(sources, policy, k, block_bytes):
-    spaces = [unit(s) for s in sources]
-    if policy == "nn":
-        spaces, _ = extend_all_to_union(spaces, k)
+    spaces = unit_extended(sources, k) if policy == "nn" else [unit(s) for s in sources]
     tokens, expected = union_mean(spaces, policy)
     config = CombineConfig(method="average", oov=policy, k_neighbors=k)
     # Tiny budgets split the union into blocks of one or a few words.
@@ -87,13 +126,13 @@ def test_permuting_four_sources_is_bitwise_invariant(sources, order, policy):
 
 def extended_space_oracle(sources, method, k):
     """The "nn" result built from whole extended spaces: for mvm, the
-    union-grid oracle (``mvm_union``); else unit-normalize the sources,
-    extend each to the union, then average or concatenate the extended
+    union-grid oracle (``mvm_union``); else extend the unit sources to the
+    union (``unit_extended``), then average or concatenate the extended
     spaces."""
     if method == "mvm":
         grid = max(1, linalg._PRODUCT_BYTES // (8 * len(sources) * sources[0].dim))
         return mvm_union(sources, k, grid)[:2]
-    extended, _ = extend_all_to_union([unit(s) for s in sources], k)
+    extended = unit_extended(sources, k)
     if method == "concat":
         return union_concat(extended)
     return union_mean(extended, "nn")
@@ -105,6 +144,12 @@ def extended_space_oracle(sources, method, k):
     st.sampled_from(["mvm", "average", "concat"]),
     st.integers(1, 3),
 )
+@example(ZERO_DONOR, "average", 1)
+@example(ZERO_DONOR, "concat", 2)
+@example(NEGATIVE_ZERO, "average", 3)
+@example(NEGATIVE_ZERO, "concat", 3)
+@example(ONE_DIM, "average", 2)
+@example(ONE_DIM, "concat", 1)
 def test_nn_combiners_match_extended_space_oracle(sources, method, k):
     config = CombineConfig(method=method, oov="nn", k_neighbors=k)
     try:

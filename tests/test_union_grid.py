@@ -144,14 +144,12 @@ def test_ranking_reads_no_map(sources, k, seed):
     # the donor chosen for each word.
     config = CombineConfig(method="mvm", k_neighbors=k)
     fitted = list(_fitted(sources))
-    planned = combine._union_rows([s.space for s in fitted], config, [s.normalized.centered() for s in fitted])
+    planned = combine._union_rows(fitted, config)
     remapped = [
         s if s.omap is None else s._replace(omap=random_orthogonal(s.space.dim, seed))
         for s in fitted
     ]
-    replanned = combine._union_rows(
-        [s.space for s in remapped], config, [s.normalized.centered() for s in remapped]
-    )
+    replanned = combine._union_rows(remapped, config)
     (union, table, plans, report), (union2, table2, plans2, report2) = planned, replanned
     assert union == union2 and report == report2
     assert table.tobytes() == table2.tobytes()
