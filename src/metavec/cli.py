@@ -44,9 +44,9 @@ from metavec.oov import DEFAULT_K, _extension, format_audit_dump
 logger = logging.getLogger(__name__)
 
 # Scored (query, candidate) pairs that each share of the missing-word
-# rankings must reach before ``_ranked_in_shares`` forks for it: a fork
-# costs about 20–35 ms on a 2-core x86 VM, the time of 1.5–2M pairs at
-# 17 ns each.
+# rankings must reach before ``_ranked_in_shares`` splits them, one forked
+# child per share: a fork costs about 20–35 ms on a 2-core x86 VM, the
+# time of 1.5–2M pairs at 17 ns each.
 _SHARE_PAIRS = 1 << 21
 
 __all__ = ["build_parser", "main", "run"]
@@ -213,42 +213,26 @@ def _shares(jobs, count: int) -> list[list[tuple[int, int, int]]]:
 
 def _ranked_in_shares(fn, jobs, workers: int):
     """``map(fn, jobs)`` for the rankings of ``oov._plan_synthesis``
-    (``oov._Ranking``), split between this process and forked children.
+    (``oov._Ranking``), split between forked children.
 
     The jobs are cut into contiguous shares of about equal scored pairs
     (``_shares``): one per worker, but no more than leave each share
-    ``_SHARE_PAIRS``. With fewer than two shares, or without ``os.fork``,
-    this is the builtin ``map``. This process ranks the first share while
-    one child per other share ranks its own, and each job's query ranges
-    are joined in order (``oov._Ranking.joined``). ``_rank``'s order does
-    not depend on the queries ranked together, and the children inherit
-    the command's one BLAS thread (``_forked_map``), so the results have
-    the bits of the builtin ``map``.
-
-    ``_forked_map`` stays for parsing and text output: it streams one
-    item per child, and the caller works on each result while later items
-    are made. Here every result is needed before the first is used, so
-    this process takes a share of its own, and one fork serves a share of
-    many jobs. On an error, in a child or here, every child still running
-    is killed and reaped.
+    ``_SHARE_PAIRS``. With fewer than two shares this is the builtin
+    ``map``. Otherwise ``_forked_map`` ranks each share in a child while
+    this process waits, and each job's query ranges are joined in order
+    (``oov._Ranking.joined``). ``_rank``'s order does not depend on the
+    queries ranked together, and the children inherit the command's one
+    BLAS thread, so the results have the bits of the builtin ``map``.
     """
     count = min(workers, sum(job.pairs for job in jobs) // max(1, _SHARE_PAIRS))
-    if count < 2 or not hasattr(os, "fork"):
+    if count < 2:
         return map(fn, jobs)
     shares = [share for share in _shares(jobs, count) if share]
 
     def rank(share):
         return [fn(jobs[i].part(lo, hi)) for i, lo, hi in share]
 
-    running: deque = deque()
-    try:
-        for share in shares[1:]:
-            running.append(_fork(rank, share))
-        parts = rank(shares[0])
-        for _ in shares[1:]:
-            parts += _collect(running)
-    finally:
-        _stop(running)
+    parts = list(itertools.chain.from_iterable(_forked_map(rank, shares, len(shares))))
     joined: list[list] = [[] for _ in jobs]
     for (i, _, _), part in zip(itertools.chain(*shares), parts):
         joined[i].append(part)
@@ -387,6 +371,9 @@ def cmd_baseline(args, parser) -> int:
 
 
 def cmd_synth_oov(args, parser) -> int:
+    outputs = [Path(path).resolve() for path in (args.out1, args.out2, args.audit) if path]
+    if len(set(outputs)) < len(outputs):
+        parser.error("out1, out2 and --audit must name different files")
     e1, e2 = _load_sources([args.embedding1, args.embedding2], args)
     ranking = functools.partial(_ranked_in_shares, workers=_io_workers(args))
     union, fills, report = _extension(e1, e2, args.k, args.audit is not None, ranking)

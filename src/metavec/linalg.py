@@ -369,21 +369,22 @@ class _Step0:
 
     @classmethod
     def unit(cls, matrix: np.ndarray) -> _Step0:
-        """Unit scaling as statistics: the row norms, a zero mean, no last division."""
+        """Unit scaling as statistics: the row norms, a zero mean, no last
+        division; the unit rows' norms are taken when ranking asks for them."""
         step = cls.__new__(cls)
         step.matrix, step.mean, step.second = matrix, np.zeros(matrix.shape[1]), None
-        step.first = _divisors(_row_norms(matrix))
-        step.norms = _row_norms(step)
+        step.first, step.norms = _divisors(_row_norms(matrix)), None
         return step
 
     def centered(self) -> tuple[_Step0, np.ndarray]:
         """These statistics without the last division, whose rows are the
-        centered rows, and those rows' norms: their unit rows are the
-        normalized rows, bit for bit, so ranking reads them without the
-        norms of a pass of its own (``oov._plan_synthesis``)."""
+        centered rows, and those rows' norms (taken here for a unit step,
+        which holds none): their unit rows are the normalized rows, bit for
+        bit, so ranking reads them without norms of its own
+        (``oov._plan_synthesis``)."""
         view = copy.copy(self)
         view.second = None
-        return view, self.norms
+        return view, _row_norms(view) if self.norms is None else self.norms
 
     @property
     def shape(self) -> tuple[int, int]:

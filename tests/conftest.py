@@ -11,7 +11,7 @@ import pytest
 from metavec.embeddings import EmbeddingSpace
 
 try:
-    from hypothesis import settings
+    from hypothesis import Phase, settings
 except ImportError:  # the property tests skip themselves
     pass
 else:
@@ -19,6 +19,9 @@ else:
     # outcome never depends on a random seed; no example has a time limit.
     settings.register_profile("metavec", derandomize=True, deadline=None)
     settings.load_profile("metavec")
+    # A mutant's run (test_mutants.py) needs a failure, not its smallest example.
+    settings.register_profile("mutants", settings.get_profile("metavec"),
+                              phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 
 TESTS = Path(__file__).parent

@@ -506,6 +506,25 @@ class TestSynthOov:
             " filled with zeros",
         ]
 
+    @pytest.mark.parametrize("outputs", [
+        ["x.vec", "x.vec"],
+        ["./x.vec", "x.vec"],
+        ["y.vec", "x.vec", "--audit", "y.vec"],
+        ["x.vec", "y.vec", "--audit", "./y.vec"],
+    ], ids=["out1-out2", "dot-slash", "audit-out1", "audit-out2"])
+    def test_outputs_naming_one_file_are_a_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                       outputs):
+        # The inputs do not exist: the outputs are checked before any is read.
+        monkeypatch.chdir(tmp_path)
+        before = {"x.vec": b"kept\n", "y.vec": b"kept too\n"}
+        for name, data in before.items():
+            (tmp_path / name).write_bytes(data)
+        with pytest.raises(SystemExit) as exc:
+            main(["synth-oov", "a.vec", "b.vec", *outputs])
+        assert exc.value.code == 2
+        assert "must name different files" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     def test_dim_mismatch_fails(self, tmp_path, capsys):
         rng = np.random.default_rng(16)
         p1 = tmp_path / "x.vec"

@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+from metavec import linalg
 from metavec.align import MappingDictionary
 from metavec.combine import (
     CombineConfig,
@@ -222,6 +223,27 @@ class TestCombineAverage:
         for empty in ([], iter([])):
             with pytest.raises(ValueError, match="need at least one source"):
                 combine_average(empty)
+
+
+@pytest.mark.parametrize("nn", [False, True])
+@pytest.mark.parametrize("method", ["average", "concat"])
+def test_baselines_take_row_norms_once_and_again_only_to_rank(method, nn, monkeypatch):
+    # One pass over each source for its unit scale; the unit rows' own
+    # norms only when the "nn" policy ranks on them.
+    rng = np.random.default_rng(85)
+    spaces = [EmbeddingSpace([f"w{i}" for i in range(12) if i % 3 != n], rng.normal(size=(8, 4)))
+              for n in range(3)]
+    passes = []
+    row_norms = linalg._row_norms
+
+    def spy(matrix, rows=None):
+        passes.append(len(matrix))
+        return row_norms(matrix, rows)
+
+    monkeypatch.setattr(linalg, "_row_norms", spy)
+    config = CombineConfig(method=method, oov="nn" if nn else None, k_neighbors=2)
+    {"average": combine_average, "concat": combine_concat}[method](spaces, config)
+    assert passes == [8] * len(spaces) * (2 if nn else 1)
 
 
 class TestCombineConcat:

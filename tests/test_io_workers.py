@@ -260,7 +260,11 @@ class TestForkedMap:
         assert str(info.value) == "line 7: malformed number"
 
     def test_dead_worker_is_an_error(self):
+        test = os.getpid()
+
         def die(x):
+            if os.getpid() == test:  # never kill the test runner
+                pytest.fail("an item ran in the calling process")
             os.kill(os.getpid(), signal.SIGKILL)
 
         with pytest.raises(ChildProcessError, match="status -9"):
@@ -303,20 +307,20 @@ RANKED = {
 @pytest.mark.parametrize("case", sorted(RANKED))
 def test_ranking_split_between_processes_writes_the_bytes_of_one(case, tmp_path, forks,
                                                                   monkeypatch):
-    # With no floor on a share's pairs, the rankings split three ways:
-    # this process ranks one share and two children the others. Binary
-    # inputs and outputs fork nothing else.
+    # With no floor on a share's pairs, the rankings split three ways, one
+    # child per share. Binary inputs and outputs fork nothing else.
     monkeypatch.setattr(cli, "_SHARE_PAIRS", 0)
     argv, outputs = RANKED[case]
     sources = binary_sources(tmp_path)
     serial, forked = run_both(tmp_path, forks, [sources.get(a, a) for a in argv], outputs)
     assert forked == serial
-    assert len(forks) == 2
+    assert len(forks) == 3
 
 
 class TestSplitRanking:
-    """synth-oov on binary sources, its rankings split three ways, with a
-    fault in ``oov._rank`` in this process or in the two children."""
+    """synth-oov on binary sources, its rankings split three ways, one
+    child per share, with a fault in ``oov._rank`` in this process or in
+    the children."""
 
     @pytest.fixture
     def argv(self, tmp_path, forks, monkeypatch):
@@ -362,7 +366,7 @@ class TestSplitRanking:
             self.fault(monkeypatch, here, child)
             assert main(argv + extra) == 1
             messages.append(capsys.readouterr().err)
-        assert len(forks) == 2
+        assert len(forks) == 3
         assert messages[0] == messages[1]
         assert "error: cannot rank" in messages[1]
         self.assert_nothing_left(tmp_path)
@@ -371,14 +375,22 @@ class TestSplitRanking:
         self.fault(monkeypatch, self.carry_on, lambda: os.kill(os.getpid(), signal.SIGKILL))
         assert main(argv) == 1
         assert "exited with status -9" in capsys.readouterr().err
-        assert len(forks) == 2
+        assert len(forks) == 3
         self.assert_nothing_left(tmp_path)
 
-    def test_exception_here_kills_the_children(self, argv, tmp_path, forks, monkeypatch, capsys):
-        self.fault(monkeypatch, self.fail, lambda: time.sleep(60))
+    def test_exception_in_first_child_kills_the_others(self, argv, tmp_path, forks,
+                                                       monkeypatch, capsys):
+        # A child's copy of ``forks`` holds the children forked before it.
+        self.fault(monkeypatch, self.carry_on,
+                   lambda: self.fail() if not forks else time.sleep(60))
         started = time.monotonic()
         assert main(argv) == 1
         assert time.monotonic() - started < 30
         assert "error: cannot rank" in capsys.readouterr().err
-        assert len(forks) == 2
+        assert len(forks) == 3
         self.assert_nothing_left(tmp_path)
+
+    def test_this_process_ranks_nothing(self, argv, tmp_path, forks, monkeypatch):
+        self.fault(monkeypatch, self.fail, self.carry_on)
+        assert main(argv) == 0
+        assert len(forks) == 3
