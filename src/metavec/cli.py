@@ -15,7 +15,6 @@ import os
 import pickle
 import signal
 import sys
-from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 from typing import BinaryIO
@@ -45,8 +44,10 @@ logger = logging.getLogger(__name__)
 
 # Scored (query, candidate) pairs that each share of the missing-word
 # rankings must reach before ``_ranked_in_shares`` splits them, one forked
-# child per share: a fork costs about 20–35 ms on a 2-core x86 VM, the
-# time of 1.5–2M pairs at 17 ns each.
+# child per share: about 36 ms of ranking at 17 ns per pair. Forking a
+# child and collecting its result costs 2–2.5 ms on a 2-core x86 VM,
+# whether the parent holds 30 or 300 MB of arrays, so a split share pays
+# under a tenth of its time for its fork.
 _SHARE_PAIRS = 1 << 21
 
 __all__ = ["build_parser", "main", "run"]
@@ -74,8 +75,9 @@ def _cpu_count() -> int:
 
 
 def _io_workers(args) -> int:
-    """Worker processes for parsing and formatting text and for ranking
-    missing words: the usable CPUs, capped by --threads."""
+    """Worker processes for parsing text inputs, making and encoding the
+    outputs' rows and ranking missing words: the usable CPUs, capped by
+    --threads."""
     return min(_cpu_count(), args.threads or sys.maxsize)
 
 
@@ -93,10 +95,27 @@ class _RecordList(logging.Handler):
         self.records.append(record)
 
 
-def _fork(fn, item) -> tuple[int, BinaryIO]:
-    """Run ``fn(item)`` in a forked child; return its pid and the read end
-    of the pipe that carries back its log records and result or exception.
-    The child keeps the BLAS thread count this process has."""
+def _start_on(worker: int) -> None:
+    """Move this process to the ``worker``-th of its CPUs (modulo their
+    count), then give it back every CPU it may run on. Where the scheduler
+    does not balance loads (a cpuset with ``sched_load_balance`` off), a
+    forked child otherwise stays on its parent's CPU for its whole life,
+    and two children share one CPU while the other idles. Does nothing
+    where the affinity cannot be set."""
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    with contextlib.suppress(OSError):
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {sorted(cpus)[worker % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
+
+
+def _fork(fn, items: Sequence, worker: int) -> tuple[int, BinaryIO]:
+    """Run ``fn`` on each of ``items`` in turn in a forked child, started
+    on its own CPU (``_start_on``); return its pid and the read end of the
+    pipe that carries back, one pickle per item as it is done, that item's
+    log records and its result or exception. The child stops after an
+    exception. It keeps the BLAS thread count this process has."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -112,30 +131,40 @@ def _fork(fn, item) -> tuple[int, BinaryIO]:
     code = 1
     try:
         os.close(read_fd)
+        _start_on(worker)
         handler = _RecordList()
         logging.root.handlers = [handler]
-        try:
-            reply = (True, fn(item))
-        except BaseException as exc:  # re-raised by the parent
-            reply = (False, exc)
         with open(write_fd, "wb") as pipe:
-            pickle.dump((handler.records, *reply), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            for item in items:
+                try:
+                    reply = (True, fn(item))
+                except BaseException as exc:  # re-raised by the parent
+                    reply = (False, exc)
+                pickle.dump((handler.records, *reply), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                pipe.flush()
+                if not reply[0]:
+                    break
+                # Nothing here holds a result while the next item is made.
+                reply, handler.records = None, []
         code = 0
     finally:
         os._exit(code)
 
 
-def _collect(running: deque):
-    """Read, reap and retire the oldest child in ``running``; re-emit its
-    log records and return its result or raise its exception."""
-    pid, pipe = running[0]
+def _collect(running: dict, worker: int, last: bool):
+    """Read the next reply of child ``worker`` in ``running``; reap and
+    retire the child after its ``last`` reply, or when it died before
+    replying. Re-emit the reply's log records and return its result or
+    raise its exception."""
+    pid, pipe = running[worker]
     try:
         reply = pickle.load(pipe)
     except (EOFError, pickle.UnpicklingError):
         reply = None
-    pipe.close()
-    _, status = os.waitpid(pid, 0)
-    running.popleft()
+    if reply is None or last:
+        pipe.close()
+        _, status = os.waitpid(pid, 0)
+        del running[worker]
     if reply is None:
         raise ChildProcessError(
             f"worker process {pid} exited with status {os.waitstatus_to_exitcode(status)}"
@@ -148,17 +177,20 @@ def _collect(running: deque):
     return value
 
 
-def _stop(running: deque) -> None:
+def _stop(running: dict) -> None:
     """Kill and reap every child in ``running``."""
-    for pid, pipe in running:
+    for pid, pipe in running.values():
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
         pipe.close()
 
 
 def _forked_map(fn, items, workers: int):
-    """Yield ``fn(item)`` for each item, in item order, each computed in a
-    child made with ``os.fork``, at most ``workers`` children at a time.
+    """Yield ``fn(item)`` for each item, in item order, computed in
+    children made with ``os.fork``: ``min(workers, len(items))`` of them,
+    forked once each. Child w computes items w, w + W, … in order and
+    sends each result as it is done; this process takes item j from child
+    j mod W, so a child runs ahead of it only as far as its pipe has room.
 
     Forked children share the parent's arrays without copying them; only
     results travel back, pickled through a pipe that this process reads.
@@ -173,17 +205,16 @@ def _forked_map(fn, items, workers: int):
     if workers < 2 or not hasattr(os, "fork"):
         yield from map(fn, items)
         return
-    pending = iter(items)
-    running: deque = deque()
+    items = list(items)
+    count = min(workers, len(items))
+    running: dict = {}
     try:
-        for item in itertools.islice(pending, workers):
-            running.append(_fork(fn, item))
-        while running:
+        for worker in range(count):
+            running[worker] = _fork(fn, items[worker::count], worker)
+        for j in range(len(items)):
             # Popped as it is yielded, so that no name here holds the
             # result while the caller works on it.
-            done = [_collect(running)]
-            for item in itertools.islice(pending, 1):
-                running.append(_fork(fn, item))
+            done = [_collect(running, j % count, j + count >= len(items))]
             yield done.pop()
     finally:
         _stop(running)
@@ -262,13 +293,14 @@ def _staged(
 ) -> tuple[Path, Iterable[bytes]]:
     """An output for ``_commit_outputs``: ``tokens`` and their ``rows`` (a
     matrix or a fill, as ``_chunks`` takes them) in the --format asked
-    for, or else in the format of ``first_source``. Text rows are made and
-    formatted in worker processes, in as many blocks as a multiple of the
-    workers, so that the workers finish together; binary rows in this
-    process. A fill of products makes them on a fixed grid at one BLAS
-    thread (``linalg._grid_fill``), so the bytes do not depend on the workers."""
+    for, or else in the format of ``first_source``. The rows are made and
+    encoded, text or binary, in worker processes (``_forked_map``), in as
+    many blocks as a multiple of the workers, so that the workers finish
+    together; this process only writes their bytes. A fill of products
+    makes them on a fixed grid at one BLAS thread (``linalg._grid_fill``),
+    so the bytes do not depend on the workers."""
     fmt = args.format or detect_format(first_source)
-    parts = _io_workers(args) if fmt == "text" else 1
+    parts = _io_workers(args)
     forked = functools.partial(_forked_map, workers=parts)
     return Path(path), _chunks(tokens, dim, rows, fmt, args.precision, parts, forked)
 

@@ -151,6 +151,8 @@ class EmbeddingSpace:
 
 
 # ``fill(out, start, stop)`` writes rows ``start:stop`` of an output into ``out``.
+# A fill made on a fixed grid (``linalg._grid_fill``) has the grid's rows
+# per block as its ``step``.
 _Fill = Callable[[np.ndarray, int, int], None]
 
 
@@ -728,18 +730,22 @@ def _chunks(
     ``rows`` is a space's matrix, whose blocks are read in float64
     (``_rows64``; views of a float64 matrix), or a
     ``fill(out, start, stop)`` that writes each block into a new buffer,
-    checked for finiteness as a space's matrix is. The blocks are equal,
-    of at most ``_block_rows(dim)`` rows, and as many as a multiple of
-    ``parts``, so that ``parts`` workers finish together. ``map(encode,
-    range(blocks))`` yields the blocks' chunks in order: the builtin, or
-    worker processes that make and encode the blocks themselves.
+    checked for finiteness as a space's matrix is. The blocks are as many
+    as a multiple of ``parts``, so that ``parts`` workers finish together,
+    and of about ``_block_rows(dim)`` rows each: equal, except that a fill
+    with a ``step`` is cut only between blocks of its grid, so that no
+    grid block is made by two workers. ``map(encode, range(blocks))``
+    yields the blocks' chunks in order: the builtin, or worker processes
+    that make and encode the blocks themselves.
     """
     if format == "text" and precision < 1:
         raise ValueError("precision must be at least 1")
     yield f"{len(tokens)} {dim}\n".encode("ascii")
     count = -(-len(tokens) // _block_rows(dim))
     count = min(len(tokens), -(-count // parts) * parts)
-    bounds = [len(tokens) * i // max(1, count) for i in range(count + 1)]
+    step = getattr(rows, "step", 1)
+    grid = -(-len(tokens) // step)
+    bounds = [min(len(tokens), grid * i // max(1, count) * step) for i in range(count + 1)]
 
     def encode(i: int) -> bytes:
         start, stop = bounds[i], bounds[i + 1]

@@ -288,7 +288,9 @@ def _grid_fill(rows: Callable, count: int, values_per_row: int) -> _Fill:
     bits it has in the whole matrix, whatever the tiling, the worker count
     or the BLAS thread count. Blocks inside a run are made in place
     (``_each_block``); a block cut by the run's edge is made aside and the
-    last one kept, so runs taken in order make each block once.
+    last one kept, so runs taken in order make each block once. The
+    fill's ``step`` is the grid's rows per block: runs cut between grid
+    blocks make each block once, in any order and in any process.
     """
     step = _block_rows(values_per_row, _PRODUCT_BYTES)
     kept = [None, None]  # the last block made aside, and its rows
@@ -314,6 +316,7 @@ def _grid_fill(rows: Callable, count: int, values_per_row: int) -> _Fill:
                     rows(at, kept[1][: at.stop - at.start])
             out[lo - start : hi - start] = kept[1][lo - at.start : hi - at.start]
 
+    fill.step = step
     return fill
 
 

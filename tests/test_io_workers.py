@@ -1,10 +1,12 @@
-"""The CLI's worker processes: text inputs parsed, text outputs formatted
-and missing words ranked in forked children must give the bytes, messages
-and warnings of the in-process path, and leave nothing behind on failure.
+"""The CLI's worker processes: text inputs parsed, outputs made and
+encoded and missing words ranked in forked children must give the bytes,
+messages and warnings of the in-process path, and leave nothing behind on
+failure.
 
 The CPU count is patched to 3, so the worker path runs on a one-CPU host
 too; ``--threads 1`` selects the in-process path."""
 import contextlib
+import importlib
 import logging
 import os
 import signal
@@ -15,9 +17,11 @@ import weakref
 import numpy as np
 import pytest
 
-from metavec import cli, embeddings, oov
+from metavec import cli, embeddings, linalg, oov
 from metavec.cli import _forked_map, main
 from metavec.embeddings import EmbeddingSpace, ParseError, save_embeddings
+
+combine = importlib.import_module("metavec.combine")
 
 DIM = 4
 
@@ -39,6 +43,27 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     return pids
+
+
+def spy(monkeypatch, module, name, path, record):
+    """Wrap ``module.name`` so that each call, in this process or in a
+    forked child (which inherits the wrapper), appends the caller's pid and
+    ``record(*args)`` to ``path``. Return a function that reads back the
+    calls so far as (pid, record) pairs and forgets them."""
+    real = getattr(module, name)
+
+    def spied(*args):
+        with open(path, "a") as log:
+            log.write(f"{os.getpid()} {record(*args)}\n")
+        return real(*args)
+
+    def calls():
+        lines = path.read_text().splitlines() if path.exists() else []
+        path.unlink(missing_ok=True)
+        return [tuple(int(field) for field in line.split()) for line in lines]
+
+    monkeypatch.setattr(module, name, spied)
+    return calls
 
 
 def binary_bytes(tokens, matrix):
@@ -110,12 +135,23 @@ def test_worker_outputs_equal_in_process_outputs(case, sources, tmp_path, forks)
         assert all(b".000000" in t for t in text)
 
 
-def test_block_count_is_a_multiple_of_the_workers(sources, tmp_path, forks):
+def test_block_count_is_a_multiple_of_the_workers(sources, tmp_path, forks, monkeypatch):
+    # The aligned rows' grid has the blocks' two rows, as their budgets
+    # are equal outside tests.
+    monkeypatch.setattr(linalg, "_PRODUCT_BYTES", 8 * DIM * 2)
+    blocks = spy(monkeypatch, embeddings, "_text_rows", tmp_path / "blocks",
+                 lambda tokens, block, precision: len(tokens))
     out = tmp_path / "m.vec"
     assert main(["map", sources["b.vec"], sources["a.vec"], "-o", str(out)]) == 0
     # Two text inputs, then 9 rows of at most two per block: ceil(9 / 2) = 5
-    # blocks, rounded up to 6, of one or two rows.
-    assert len(forks) == 2 + 6
+    # blocks, rounded up to 6, cut between the grid's blocks of two rows,
+    # made by three children, one per worker.
+    made = blocks()
+    assert len(made) == 6
+    assert sum(rows for _, rows in made) == 9
+    assert max(rows for _, rows in made) == 2
+    assert len(forks) == 2 + 3
+    assert {pid for pid, _ in made} == set(forks[2:])
 
 
 def test_bad_line_in_second_text_source_keeps_its_line_number(sources, tmp_path, forks,
@@ -185,8 +221,9 @@ def test_whitespace_token_in_last_block_leaves_nothing(tmp_path, forks, capsys):
     argv = ["synth-oov", str(e1), str(e2), str(out1), str(out2), "--format", "text"]
     assert main(argv) == 1
     assert "contains whitespace" in capsys.readouterr().err
-    # Binary inputs parse in process; the 13-word output's blocks do not.
-    assert len(forks) == 9
+    # Binary inputs parse in process; the 13-word output's nine blocks are
+    # made by three children.
+    assert len(forks) == 3
     assert out1.read_bytes() == b"kept\n"
     assert not out2.exists()
     assert not list(tmp_path.glob("*.tmp.*"))
@@ -243,6 +280,31 @@ class TestForkedMap:
         assert [value for value, _ in got] == [x * x for x in range(7)]
         assert os.getpid() not in {pid for _, pid in got}
 
+    @pytest.mark.parametrize("items, workers", [(7, 3), (2, 3), (4, 2), (0, 3)])
+    def test_one_child_per_worker_takes_every_workers_th_item(self, forks, items, workers):
+        pids = list(_forked_map(lambda x: os.getpid(), range(items), workers))
+        assert forks == pids[:workers]
+        assert pids == [forks[j % workers] for j in range(items)]
+
+    def test_each_child_starts_on_its_own_cpu(self, tmp_path, monkeypatch):
+        # Set to one CPU, then given back the whole set, in each child.
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no CPU affinity here")
+        cpus = sorted(os.sched_getaffinity(0))
+        calls = spy(monkeypatch, os, "sched_setaffinity", tmp_path / "calls",
+                    lambda pid, chosen: " ".join(map(str, [pid, *sorted(chosen)])))
+        pids = list(_forked_map(lambda x: os.getpid(), range(5), 3))
+        seen = {}
+        for pid, *chosen in calls():
+            seen.setdefault(pid, []).append(chosen)
+        assert seen == {
+            pid: [[0, cpus[w % len(cpus)]], [0, *cpus]] for w, pid in enumerate(pids[:3])
+        }
+
+    def test_children_run_without_cpu_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        assert list(_forked_map(lambda x: x + 1, range(4), 2)) == [1, 2, 3, 4]
+
     def test_one_worker_runs_in_process(self):
         assert list(_forked_map(lambda x: os.getpid(), range(3), 1)) == [os.getpid()] * 3
 
@@ -259,6 +321,29 @@ class TestForkedMap:
         assert info.value.line == 7
         assert str(info.value) == "line 7: malformed number"
 
+    @pytest.mark.parametrize("failing", [0, 3, 4])
+    def test_exception_arrives_after_the_items_before_it(self, failing):
+        def fail_at(x):
+            if x == failing:
+                raise ValueError(f"item {x}")
+            return x
+
+        got = []
+        with pytest.raises(ValueError, match=f"item {failing}"):
+            for value in _forked_map(fail_at, range(6), 2):
+                got.append(value)
+        assert got == list(range(failing))
+
+    def test_log_records_arrive_with_their_items_in_item_order(self, caplog):
+        def noisy(x):
+            time.sleep(0.02 * (x % 3 == 0))  # the first child falls behind
+            logging.getLogger("metavec.cli").warning("item %d", x)
+            return x
+
+        caplog.set_level(logging.WARNING)
+        for x in _forked_map(noisy, range(7), 3):
+            assert [r.getMessage() for r in caplog.records] == [f"item {i}" for i in range(x + 1)]
+
     def test_dead_worker_is_an_error(self):
         test = os.getpid()
 
@@ -269,6 +354,19 @@ class TestForkedMap:
 
         with pytest.raises(ChildProcessError, match="status -9"):
             list(_forked_map(die, range(3), 2))
+
+    def test_worker_dying_mid_stream_is_an_error(self):
+        test = os.getpid()
+
+        def die_at_three(x):
+            if x == 3 and os.getpid() != test:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return x
+
+        results = _forked_map(die_at_three, range(6), 2)
+        assert [next(results) for _ in range(3)] == [0, 1, 2]
+        with pytest.raises(ChildProcessError, match="status -9"):
+            next(results)
 
     def test_close_kills_running_children(self):
         def slow(x):
@@ -281,6 +379,8 @@ class TestForkedMap:
         assert next(results) == 0
         results.close()
         assert time.monotonic() - started < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def binary_sources(tmp_path):
@@ -302,19 +402,43 @@ RANKED = {
     "baseline-nn-oov": (["baseline", "s0.bin", "s1.bin", "s2.bin", "-o", "{0}",
                          "--method", "average", "--nn-oov"], ["a.bin"]),
 }
+# The binary outputs of each case.
+OUTPUTS = {"mvm": 1, "synth-oov": 2, "baseline-nn-oov": 1}
 
 
 @pytest.mark.parametrize("case", sorted(RANKED))
 def test_ranking_split_between_processes_writes_the_bytes_of_one(case, tmp_path, forks,
                                                                   monkeypatch):
     # With no floor on a share's pairs, the rankings split three ways, one
-    # child per share. Binary inputs and outputs fork nothing else.
+    # child per share; each binary output's blocks are made by three
+    # children. Binary inputs fork nothing.
     monkeypatch.setattr(cli, "_SHARE_PAIRS", 0)
     argv, outputs = RANKED[case]
     sources = binary_sources(tmp_path)
     serial, forked = run_both(tmp_path, forks, [sources.get(a, a) for a in argv], outputs)
     assert forked == serial
-    assert len(forks) == 3
+    assert len(forks) == 3 + 3 * OUTPUTS[case]
+
+
+@pytest.mark.parametrize("fmt", ["vec", "bin"])
+def test_each_union_row_is_made_once(fmt, tmp_path, forks, monkeypatch):
+    # Blocks of five rows, on a union grid of three words: the output's
+    # blocks are cut between grid blocks, so no two workers make one.
+    monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 8 * DIM * 5)
+    monkeypatch.setattr(linalg, "_PRODUCT_BYTES", 8 * 3 * DIM * 3)
+    sources = binary_sources(tmp_path)
+    made = spy(monkeypatch, combine, "_mean_rows", tmp_path / "made",
+               lambda sources, table, *rest: table.shape[1])
+    outputs = []
+    for workers in 3, 2, 1:
+        monkeypatch.setattr(cli, "_cpu_count", lambda: workers)
+        out = tmp_path / f"m{workers}.{fmt}"
+        assert main(["mvm", *sorted(sources.values()), "-o", str(out)]) == 0
+        rows = made()
+        assert sum(count for _, count in rows) == 32
+        assert (os.getpid() in {pid for pid, _ in rows}) == (workers == 1)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestSplitRanking:
@@ -393,4 +517,17 @@ class TestSplitRanking:
     def test_this_process_ranks_nothing(self, argv, tmp_path, forks, monkeypatch):
         self.fault(monkeypatch, self.fail, self.carry_on)
         assert main(argv) == 0
-        assert len(forks) == 3
+        # Three ranking children, and three for each output's blocks.
+        assert len(forks) == 3 + 3 + 3
+
+    def test_this_process_makes_no_output_block(self, argv, tmp_path, forks, monkeypatch):
+        parent, binary_rows = os.getpid(), embeddings._binary_rows
+
+        def faulty(*args):
+            if os.getpid() == parent:
+                self.fail()
+            return binary_rows(*args)
+
+        monkeypatch.setattr(embeddings, "_binary_rows", faulty)
+        assert main(argv) == 0
+        assert len(forks) == 3 + 3 + 3

@@ -61,6 +61,21 @@ MUTANTS = {
         "share = (done + lo * width) * count // total",
         ("tests/test_ranking_shares.py::test_shares_cover_every_query_once_with_about_equal_pairs",),
     ),
+    # Item j taken from the child after the one that made it.
+    "item-from-wrong-child": Mutant(
+        "cli.py",
+        "_collect(running, j % count, j + count >= len(items))",
+        "_collect(running, (j + 1) % count, j + count >= len(items))",
+        ("tests/test_io_workers.py::TestForkedMap::test_results_in_item_order",),
+    ),
+    # A failed commit that leaves its temporary files behind.
+    "commit-keeps-temporaries": Mutant(
+        "embeddings.py",
+        "tmp.unlink(missing_ok=True)",
+        "pass",
+        ("tests/test_io_workers.py::test_failed_later_output_keeps_existing_files",
+         "tests/test_cli.py::TestMvm::test_failed_sidecar_write_removes_embedding_output"),
+    ),
     # Children left running on an error, and waited for.
     "stop-kills-nothing": Mutant(
         "cli.py",
