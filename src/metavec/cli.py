@@ -493,9 +493,10 @@ def _add_common(parser, *, precision=True, prefix=False, dicts=False, fmt_help=N
         type=_positive_int,
         default=None,
         metavar="N",
-        help="cap the worker processes that parse and format text and rank missing "
-        "words, and the threads that fit alignments (default: one worker per usable "
-        "CPU, and as many threads as OpenBLAS has; 1 runs everything in one process)",
+        help="cap the worker processes that parse text, make and encode outputs and "
+        "rank missing words, and the threads that fit alignments (default: one worker "
+        "per usable CPU, and as many threads as OpenBLAS has; 1 runs everything in one "
+        "process)",
     )
     if prefix:
         parser.add_argument(

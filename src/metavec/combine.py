@@ -215,7 +215,7 @@ def _mean(
 
     The fill makes the union rows on a grid of union positions whose rows
     of every source fit in ``linalg._PRODUCT_BYTES`` (``linalg._grid_fill``),
-    so any run of rows has the bits it has in the whole matrix.
+    so a run of whole grid blocks has the bits it has in the whole matrix.
     """
     union, table, plans, report = _union_rows(sources, config, map)
     dim = sources[0].space.dim

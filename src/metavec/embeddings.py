@@ -152,7 +152,8 @@ class EmbeddingSpace:
 
 # ``fill(out, start, stop)`` writes rows ``start:stop`` of an output into ``out``.
 # A fill made on a fixed grid (``linalg._grid_fill``) has the grid's rows
-# per block as its ``step``.
+# per block as its ``step``, and takes only runs that start and stop
+# between its blocks or at its last row.
 _Fill = Callable[[np.ndarray, int, int], None]
 
 
@@ -182,13 +183,10 @@ def _filled(
     tokens: Sequence[str], dim: int, rows: np.ndarray | _Fill, meta: str | None
 ) -> EmbeddingSpace:
     """The space of ``tokens`` and their ``rows``, as ``_chunks`` takes
-    them: a matrix, or a fill, here filled into one matrix in the blocks of
-    rows ``_chunks`` encodes, so that it needs the working space it streams in."""
+    them: a matrix, or a fill, here filled whole into one matrix."""
     if not isinstance(rows, np.ndarray):
         fill, rows = rows, np.empty((len(tokens), dim))
-        step = _block_rows(dim)
-        for start in range(0, len(tokens), step):
-            fill(rows[start : start + step], start, min(start + step, len(tokens)))
+        fill(rows, 0, len(tokens))
     return EmbeddingSpace._own(tokens, rows, meta=meta)
 
 
@@ -733,8 +731,10 @@ def _chunks(
     checked for finiteness as a space's matrix is. The blocks are as many
     as a multiple of ``parts``, so that ``parts`` workers finish together,
     and of about ``_block_rows(dim)`` rows each: equal, except that a fill
-    with a ``step`` is cut only between blocks of its grid, so that no
-    grid block is made by two workers. ``map(encode, range(blocks))``
+    with a ``step`` is cut only between blocks of its grid, the only runs
+    it takes (``linalg._grid_fill``), so that no grid block is made by two
+    workers. This is the one place that cuts a fill into runs; every
+    other caller fills whole. ``map(encode, range(blocks))``
     yields the blocks' chunks in order: the builtin, or worker processes
     that make and encode the blocks themselves.
     """

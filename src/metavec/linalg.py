@@ -205,7 +205,8 @@ def _blas_pool(count: int | None) -> Iterator[None]:
 def _each_block(fn: Callable, start: int, stop: int, dim: int) -> Iterator:
     """``fn(at)`` for each block ``at`` (a slice) of rows ``start:stop``
     of ``dim`` values (``_PRODUCT_BYTES``), counted from row 0 (``start``
-    is on that grid), in block order.
+    is on that grid, and ``stop`` on it or at the rows' end: a fit's
+    range of rows, or a run of a ``_grid_fill``), in block order.
 
     The blocks run in as many Python threads as the pool has
     (``_blas_threads``), but with ``_THREAD_BLOCKS`` blocks or more each,
@@ -284,37 +285,25 @@ def _grid_fill(rows: Callable, count: int, values_per_row: int) -> _Fill:
     ``out`` for a slice ``at``, on a fixed grid: blocks of rows of
     ``values_per_row`` values (``_PRODUCT_BYTES``), counted from row 0.
 
-    Each block is made whole at one BLAS thread, so a run of rows gets the
-    bits it has in the whole matrix, whatever the tiling, the worker count
-    or the BLAS thread count. Blocks inside a run are made in place
-    (``_each_block``); a block cut by the run's edge is made aside and the
-    last one kept, so runs taken in order make each block once. The
-    fill's ``step`` is the grid's rows per block: runs cut between grid
-    blocks make each block once, in any order and in any process.
+    A run's blocks are made in place (``_each_block``), each whole at one
+    BLAS thread, so a run of rows gets the bits it has in the whole
+    matrix, whatever the tiling, the worker count or the BLAS thread
+    count. The fill's ``step`` is the grid's rows per block: a run starts
+    and stops between grid blocks or at ``count``, so runs in any order
+    and in any process make each block once, and a run that cuts a block
+    raises ``ValueError`` before it writes.
     """
     step = _block_rows(values_per_row, _PRODUCT_BYTES)
-    kept = [None, None]  # the last block made aside, and its rows
 
     def fill(out: np.ndarray, start: int, stop: int) -> None:
-        first = min(-(-start // step) * step, stop)
-        last = stop if stop == count else max(first, stop - stop % step)
+        if any(at % step and at != count for at in (start, stop)):
+            raise ValueError(f"rows {start}:{stop} cut a grid block of {step} rows")
 
         def in_place(at: slice) -> None:
             rows(at, out[at.start - start : at.stop - start])
 
-        for _ in _each_block(in_place, first, last, values_per_row):
+        for _ in _each_block(in_place, start, stop, values_per_row):
             pass
-        for lo, hi in (start, first), (last, stop):  # the runs in a cut block
-            if lo == hi:
-                continue
-            at = slice(lo - lo % step, min(lo - lo % step + step, count))
-            if kept[0] != at:
-                if kept[1] is None:
-                    kept[1] = np.empty((min(step, count), out.shape[1]))
-                kept[0] = at
-                with _blas_threads(1):
-                    rows(at, kept[1][: at.stop - at.start])
-            out[lo - start : hi - start] = kept[1][lo - at.start : hi - at.start]
 
     fill.step = step
     return fill
@@ -336,7 +325,7 @@ class _Step0:
     and counted in a warning.
     """
 
-    def __init__(self, matrix: np.ndarray, renormalize: bool = True):
+    def __init__(self, matrix: np.ndarray):
         count, dim = matrix.shape
         step = _block_rows(dim)
         self.matrix = matrix
@@ -364,8 +353,7 @@ class _Step0:
             at = slice(start, start + step)
             centered = self.rows(at, stack[: len(self.norms[at]), :dim])
             self.norms[at] = np.linalg.norm(centered, axis=1)
-        if renormalize:
-            self.second = _divisors(self.norms)
+        self.second = _divisors(self.norms)
         zeros = int(np.count_nonzero(self.norms == 0.0))
         if zeros:
             logger.warning("%d row(s) degenerated to zero after centering", zeros)
@@ -440,8 +428,10 @@ def normalize_step0(space: EmbeddingSpace, *, renormalize: bool = True) -> Embed
     """
     if len(space) == 0:
         return space
+    step0 = _Step0(space.matrix)
+    rows = (step0 if renormalize else step0.centered()[0]).rows
     matrix = np.empty(space.matrix.shape)
-    _grid_fill(_Step0(space.matrix, renormalize).rows, *matrix.shape)(matrix, 0, len(matrix))
+    _grid_fill(rows, *matrix.shape)(matrix, 0, len(matrix))
     return space._with_matrix(matrix, checked=True)
 
 

@@ -38,13 +38,45 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = {
-    # A block cut by a run's edge made over the run's rows alone, not the
-    # whole grid block: other BLAS shapes, so other bits.
-    "grid-fill-cut-block": Mutant(
-        "linalg.py",
-        "at = slice(lo - lo % step, min(lo - lo % step + step, count))",
-        "at = slice(lo, hi)",
-        ("tests/test_union_grid.py::test_source_order_fills_cut_anywhere_give_the_whole_fills",),
+    # An output's blocks cut into equal rows, not between grid blocks: a
+    # block that cuts a grid block is refused (``linalg._grid_fill``).
+    "chunks-off-grid": Mutant(
+        "embeddings.py",
+        "grid * i // max(1, count) * step",
+        "len(tokens) * i // max(1, count)",
+        ("tests/test_union_grid.py::test_fill_bytes_do_not_depend_on_tiling_workers_or_blas_threads",
+         "tests/test_io_workers.py::test_block_count_is_a_multiple_of_the_workers"),
+    ),
+    # Ranking's shortlist and runs within one δ of the k-th best, not the
+    # 2δ a float32 score and a float64 cosine can be apart.
+    "rank-window-one-delta": Mutant(
+        "oov.py",
+        "window = 2.0 * _error_bound(dim)",
+        "window = _error_bound(dim)",
+        ("tests/test_oov.py::TestCertifiedWindow"
+         "::test_a_candidate_within_two_deltas_of_the_kth_best_is_rescored",),
+    ),
+    # Exact ties broken by descending candidate position.
+    "ties-by-descending-position": Mutant(
+        "oov.py",
+        "np.lexsort((cols[uncertain], -exact, run[uncertain]))",
+        "np.lexsort((-cols[uncertain], -exact, run[uncertain]))",
+        ("tests/test_acceptance.py::test_criterion_08_nn_search_matches_exhaustive_scan",),
+    ),
+    # A word's present rows added in source order, not by their bytes.
+    "mean-rows-in-source-order": Mutant(
+        "combine.py",
+        "order = np.argsort(stack.view(row_type)[..., 0], axis=1)",
+        'order = np.argsort(~held.T, axis=1, kind="stable")',
+        ("tests/test_combine.py::TestCombineAverage::test_permuting_sources_is_bitwise_invariant",
+         "tests/test_combine_properties.py::test_permuting_four_sources_is_bitwise_invariant"),
+    ),
+    # The later donor winning on equal best cosines.
+    "later-donor-wins": Mutant(
+        "oov.py",
+        "scores > best[i][words]",
+        "scores >= best[i][words]",
+        ("tests/test_oov.py::TestDonorChoice::test_donor_choice_follows_no_tiling",),
     ),
     # A split ranking's query ranges joined last first.
     "joined-in-reverse": Mutant(

@@ -358,6 +358,33 @@ class TestEqualDirectionTies:
         assert (top == np.sort(copies)[:10]).all()
 
 
+class TestCertifiedWindow:
+    def test_a_candidate_within_two_deltas_of_the_kth_best_is_rescored(self, monkeypatch):
+        # At 300 dims the query is the first axis, so a candidate's float32
+        # score is its first unit value, rounded once. k = 3 makes 0.6 the
+        # k-th best; a float32 score and a float64 cosine can each be δ
+        # from the exact cosine, so a candidate 1.5δ below it may beat it
+        # and is rescored with it, and one 2.5δ below cannot and is not.
+        dim, delta = 300, oov._error_bound(300)
+        firsts = [0.9, 0.8, 0.6, 0.6 - 1.5 * delta, 0.6 - 2.5 * delta]
+        matrix = np.zeros((1 + len(firsts), dim))
+        matrix[0, 0] = 1.0
+        matrix[1:, 0] = firsts
+        matrix[1:, 1] = np.sqrt(1.0 - np.square(firsts))
+        rescored = []
+        by_direction = oov._cosines_by_direction
+
+        def spied(matrix, norms, left, right):
+            rescored.extend(right.tolist())
+            return by_direction(matrix, norms, left, right)
+
+        monkeypatch.setattr(oov, "_cosines_by_direction", spied)
+        candidates = np.arange(1, len(matrix))
+        live, top = oov._rank(matrix, _row_norms(matrix), np.array([0]), candidates, 3)
+        assert sorted(rescored) == [3, 4]
+        assert top.tolist() == [[0, 1, 2]]
+
+
 class TestQueryBlocks:
     """Ranking one block of queries at a time must give the same neighbors
     as the exhaustive scan, also when exact ties straddle the k-th place

@@ -1,10 +1,11 @@
 """mvm's aligned rows are made only in the union fill: ranked before the
 map, averaged before the map, and mapped on a fixed grid of union
-positions. The fill's bytes against whole fills and a per-grid-block
-oracle; the source-order fills of ``map``, ``normalize_step0`` and
-``apply_map`` cut anywhere against whole fills; ranking that reads no
-map; the memory held while ranking; and the threaded blocks of the fit
-against serial ones."""
+positions. The fill's bytes, cut between grid blocks, against whole
+fills and a per-grid-block oracle; the source-order fills of ``map``,
+``normalize_step0`` and ``apply_map`` cut between grid blocks against
+whole fills; a run that cuts a grid block, refused before it writes;
+ranking that reads no map; the memory held while ranking; and the
+threaded blocks of the fit against serial ones."""
 import functools
 import importlib
 import threading
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metavec import cli, embeddings, linalg
@@ -71,8 +72,10 @@ def test_fill_bytes_do_not_depend_on_tiling_workers_or_blas_threads(
         dim = provenance["dim"]
         whole = np.empty((len(union), dim))
         fill(whole, 0, len(union))
-        cuts = sorted(data.draw(st.lists(st.integers(0, len(union)), max_size=4)))
-        bounds = [0, *cuts, len(union)]
+        # Runs start and stop between grid blocks, as ``_chunks`` cuts them.
+        blocks = -(-len(union) // fill.step)
+        cuts = sorted(data.draw(st.lists(st.integers(0, blocks), max_size=4)))
+        bounds = [0, *(min(cut * fill.step, len(union)) for cut in cuts), len(union)]
         for threads in (1, 2):
             with linalg._blas_threads(threads):
                 pieces = []
@@ -99,12 +102,11 @@ def random_orthogonal(dim, seed):
     st.sampled_from([5, 16]),
     st.integers(2, 6),
     st.integers(0, 2**32 - 1),
-    st.lists(st.integers(0, 40), max_size=5),
+    st.lists(st.integers(0, 20), max_size=5),
 )
-def test_source_order_fills_cut_anywhere_give_the_whole_fills(count, dim, block, seed, cuts):
-    # Grid blocks of ``block`` rows, in runs of one row and in runs cut at
-    # random: a product over only a run's rows of a block can round its
-    # rows otherwise (one row is a matrix-vector product to BLAS).
+def test_source_order_fills_cut_on_the_grid_give_the_whole_fills(count, dim, block, seed, cuts):
+    # Grid blocks of ``block`` rows, in runs of one grid block and in runs
+    # cut at random between grid blocks.
     rng = np.random.default_rng(seed)
     tokens = [f"w{i:02d}" for i in range(count)]
     space = EmbeddingSpace(tokens, rng.normal(size=(count, dim)))
@@ -114,8 +116,8 @@ def test_source_order_fills_cut_anywhere_give_the_whole_fills(count, dim, block,
     def mapped(at, out):
         np.matmul(space.matrix[at], omap.matrix, out=out)
 
-    bounds = [0, *sorted(min(cut, count) for cut in cuts), count]
-    single_rows = list(zip(range(count), range(1, count + 1)))
+    bounds = [0, *sorted(min(cut * block, count) for cut in cuts), count]
+    single_blocks = [(lo, min(lo + block, count)) for lo in range(0, count, block)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "_PRODUCT_BYTES", block * 8 * dim)
         target_source, source = _fitted([target, space])
@@ -127,12 +129,48 @@ def test_source_order_fills_cut_anywhere_give_the_whole_fills(count, dim, block,
             (lambda: linalg._grid_fill(mapped, count, dim), linalg.apply_map(space, omap).matrix),
         ]
         for make, whole in fills:
-            for runs in (single_rows, list(zip(bounds, bounds[1:]))):
+            for runs in (single_blocks, list(zip(bounds, bounds[1:]))):
                 fill, pieces = make(), []
+                assert fill.step == block
                 for start, stop in runs:
                     pieces.append(np.empty((stop - start, dim)))
                     fill(pieces[-1], start, stop)
                 assert np.concatenate(pieces).tobytes() == whole.tobytes()
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 30), st.integers(1, 7), st.integers(0, 30), st.integers(0, 30))
+@example(count=10, block=4, start=8, stop=10)  # ends at count, off the grid
+@example(count=10, block=4, start=10, stop=10)  # an empty run at count
+@example(count=3, block=4, start=0, stop=3)  # count below one grid block
+@example(count=3, block=4, start=0, stop=2)
+@example(count=12, block=4, start=4, stop=12)  # count a multiple of the step
+@example(count=12, block=4, start=5, stop=12)
+def test_a_run_that_cuts_a_grid_block_is_refused_before_it_writes(count, block, start, stop):
+    # A run starts and stops between grid blocks or at ``count``; any
+    # other run would make a grid block over part of its rows.
+    dim = 5
+    matrix = np.random.default_rng(count).normal(size=(count, dim))
+    made = []
+
+    def rows(at, out):
+        made.append(at)
+        out[...] = matrix[at]
+
+    start, stop = sorted(min(at, count) for at in (start, stop))
+    out = np.full((stop - start, dim), 7.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_PRODUCT_BYTES", block * 8 * dim)
+        fill = linalg._grid_fill(rows, count, dim)
+        assert fill.step == block
+        if {start, stop} <= {*range(0, count, block), count}:
+            fill(out, start, stop)
+            assert out.tobytes() == matrix[start:stop].tobytes()
+            return
+        with pytest.raises(ValueError, match="cut a grid block"):
+            fill(out, start, stop)
+    assert made == []
+    assert (out == 7.0).all()
 
 
 @settings(max_examples=40)
